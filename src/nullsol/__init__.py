@@ -11,7 +11,6 @@ from .config import DEFAULT_CONFIG, SolverConfig
 from .gaussian import GaussianRational
 from .multipoly import NEG_INF, MultiPoly
 from .parser import ParseError, ParseErrorKind, parse, print_canonical
-from .pipoly import PiGaussian
 from .symbols import (
     ContentGenerators,
     RealPolySystem,
@@ -50,7 +49,6 @@ __all__ = [
     "NEG_INF",
     "ParseError",
     "ParseErrorKind",
-    "PiGaussian",
     "RealPolySystem",
     "SolutionSpace",
     "SolverConfig",

@@ -17,19 +17,22 @@ from enum import Enum
 from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, SolverConfig
-from .gaussian import GaussianRational
+from .groebner import unit_ideal_test
 from .multipoly import MultiPoly
-from .pipoly import PiGaussian
-from .symbols import ContentGenerators, degree_test, imaginary_slice, restrict_to_time, x_content
-from .variety import EMPTY, NONEMPTY, boundedness_radius, decide_emptiness
+from .symbols import degree_test, imaginary_slice, pi_graded_slice, restrict_to_time, x_content
+from .variety import (
+    EMPTY,
+    NONEMPTY,
+    _is_exact_common_zero,
+    _system_terms,
+    boundedness_radius,
+    decide_emptiness,
+)
 from .witness import Witness, build_periodic_witness, build_witness
 
 TRIVIAL = "TRIVIAL"
 NONTRIVIAL = "NONTRIVIAL"
 UNKNOWN = "UNKNOWN"
-
-# Rational bracket 223/71 < pi used for safe lattice enumeration bounds.
-PI_LOWER = Fraction(223, 71)
 
 
 class SolutionSpace(Enum):
@@ -61,46 +64,51 @@ class LatticeSpec:
     """Invertible d x d rational matrix; rows are the transposed periods."""
 
     rows: tuple[tuple[Fraction, ...], ...]
+    _inverse: tuple[tuple[Fraction, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        d = len(self.rows)
+        if d == 0 or any(len(row) != d for row in self.rows):
+            raise ValueError("lattice matrix must be square and nonempty")
+        object.__setattr__(self, "_inverse", _gauss_jordan_inverse(self.rows))
 
     @classmethod
     def from_rows(cls, rows) -> "LatticeSpec":
-        mat = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        d = len(mat)
-        if d == 0 or any(len(row) != d for row in mat):
-            raise ValueError("lattice matrix must be square and nonempty")
-        spec = cls(mat)
-        spec.inverse()  # raises if singular
-        return spec
+        return cls(tuple(tuple(Fraction(x) for x in row) for row in rows))
 
     @property
     def dimension(self) -> int:
         return len(self.rows)
 
     def inverse(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Exact inverse by Gauss-Jordan elimination."""
-        d = self.dimension
-        aug = [list(row) + [Fraction(int(i == j)) for j in range(d)]
-               for i, row in enumerate(self.rows)]
-        for col in range(d):
-            pivot = next((r for r in range(col, d) if aug[r][col] != 0), None)
-            if pivot is None:
-                raise ValueError("lattice matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            pv = aug[col][col]
-            aug[col] = [x / pv for x in aug[col]]
-            for r in range(d):
-                if r != col and aug[r][col] != 0:
-                    factor = aug[r][col]
-                    aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-        return tuple(tuple(row[d:]) for row in aug)
+        """Exact inverse, computed once when the lattice is built."""
+        return self._inverse
 
     def max_row_abs_sum(self) -> Fraction:
         return max(sum(abs(x) for x in row) for row in self.rows)
 
     def frequency_vector(self, k: tuple[int, ...]) -> tuple[Fraction, ...]:
         """A^-1 * k (the actual lattice frequency is 2*pi times this)."""
-        inv = self.inverse()
-        return tuple(sum(row[j] * k[j] for j in range(self.dimension)) for row in inv)
+        return tuple(sum(a * b for a, b in zip(row, k)) for row in self._inverse)
+
+
+def _gauss_jordan_inverse(rows) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact inverse of a square rational matrix; raises if singular."""
+    d = len(rows)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(d)]
+           for i, row in enumerate(rows)]
+    for col in range(d):
+        pivot = next((r for r in range(col, d) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("lattice matrix is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(d):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[d:]) for row in aug)
 
 
 @dataclass(frozen=True)
@@ -163,37 +171,23 @@ def classify(p: MultiPoly, space: SolutionSpace,
 # -- periodic lattice test -------------------------------------------------
 
 def _lattice_shell(dim: int, radius: int):
-    """Integer vectors with max-norm exactly ``radius``, largest-first.
+    """Integer vectors with max-norm exactly ``radius``, streamed.
 
     Ordered so that positive entries come before negative ones; the first
     resonance found is therefore deterministic and prefers, e.g., k = 1
-    over k = -1.
+    over k = -1.  A leading entry of size ``radius`` frees the tail to the
+    whole cube; any other leading entry leaves the tail on the shell.
     """
-    shell = [k for k in itertools.product(range(radius, -radius - 1, -1), repeat=dim)
-             if max((abs(x) for x in k), default=0) == radius]
-    return shell
-
-
-def _gen_depends_on_x(gen: MultiPoly, dim: int) -> bool:
-    return any(any(x > 0 for x in exps[:dim]) for exps in gen.terms)
-
-
-def _resonates(generators, dim: int, v: tuple[Fraction, ...]) -> bool:
-    """True iff every generator vanishes at the frequency 2*pi*v, exactly.
-
-    Generators carry the PI slot; evaluation happens in Q(i)[pi], where the
-    zero test is exact because pi is transcendental.
-    """
-    point = [PiGaussian((0, GaussianRational(0, 2 * x))) for x in v]
-    point.append(PiGaussian.pi())
-    for gen in generators:
-        val = gen.evaluate(point)
-        if isinstance(val, GaussianRational):
-            if not val.is_zero():
-                return False
-        elif not val.is_zero():
-            return False
-    return True
+    if dim == 0:
+        if radius == 0:
+            yield ()
+        return
+    values = range(radius, -radius - 1, -1)
+    for x in values:
+        tails = (itertools.product(values, repeat=dim - 1) if abs(x) == radius
+                 else _lattice_shell(dim - 1, radius))
+        for tail in tails:
+            yield (x,) + tail
 
 
 def periodic_test(p: MultiPoly, lattice: LatticeSpec,
@@ -201,9 +195,11 @@ def periodic_test(p: MultiPoly, lattice: LatticeSpec,
     """Resonance search over the frequency lattice 2*pi * A^-1 * Z^d.
 
     The space is nontrivial exactly when some lattice frequency annihilates
-    every T-coefficient of p.  When the symbol is PI-free and the slice
-    zeros are certified bounded, the enumeration is finite and the verdict
-    decisive; otherwise the search is truncated and may return UNKNOWN.
+    every T-coefficient of p, i.e. when some v = A^-1 k zeroes every
+    pi-grade (see :func:`pi_graded_slice`).  When the real zeros of the
+    graded system are certified bounded, the enumeration is finite and the
+    verdict decisive; otherwise the search is truncated and may return
+    UNKNOWN.
     """
     dim = lattice.dimension
     if p.nvars != dim + 2:
@@ -212,47 +208,32 @@ def periodic_test(p: MultiPoly, lattice: LatticeSpec,
     if p.is_zero():
         return _zero_verdict()
 
-    generators = [a for a in p.coefficients_in_T() if not a.is_zero()]
+    system = pi_graded_slice(x_content(p))
+    if any(q.is_constant() for q in system.polys):
+        return Verdict(TRIVIAL, rule="nonvanishing-generator",
+                       evidence={"constant_pi_grade": True})
+    if unit_ideal_test(list(system.polys), config.groebner_cap):
+        return Verdict(TRIVIAL, rule="content-variety-empty",
+                       evidence={"groebner_unit": True})
 
-    # A generator free of spatial variables is a nonzero element of Q(i)[pi]
-    # after PI -> pi; it vanishes at no frequency at all.
-    for gen in generators:
-        if not _gen_depends_on_x(gen, dim):
-            return Verdict(TRIVIAL, rule="nonvanishing-generator",
-                           evidence={"generator_pi_free_of_x": True})
-
-    uses_pi = any(any(exps[dim] > 0 for exps in gen.terms) for gen in generators)
-
-    radius_bound: int | None = None
     evidence: dict = {}
-    if not uses_pi:
-        stripped = [gen.drop_unused_last_var() for gen in generators]
-        system = imaginary_slice(ContentGenerators(dim, tuple(stripped)))
-        emptiness = decide_emptiness(system, config)
-        evidence["emptiness"] = emptiness
-        if emptiness.status == EMPTY:
-            return Verdict(TRIVIAL, rule="content-variety-empty", evidence=evidence)
-        r0 = None
-        if system.polys and not all(q.is_constant() for q in system.polys):
-            r0 = boundedness_radius(system, config)
-        if r0 is not None:
-            # ||2*pi*A^-1*k||_max <= R0 forces ||k||_max <= rowsum(A)*R0/(2*pi);
-            # the rational lower bracket for pi makes the bound safe.
-            bound = lattice.max_row_abs_sum() * r0 / (2 * PI_LOWER)
-            radius_bound = int(bound) + 1
-            evidence["complete_radius"] = radius_bound
+    search_radius = config.lattice_radius
+    r0 = boundedness_radius(system, config)
+    if r0 is not None:
+        # Every real zero v = A^-1 k has ||v||_max <= R0, and k = A v.
+        search_radius = int(lattice.max_row_abs_sum() * r0)
+        evidence["complete_radius"] = search_radius
 
-    search_radius = radius_bound if radius_bound is not None else config.lattice_radius
+    terms_list = _system_terms(system)
     for radius in range(search_radius + 1):
         for k in _lattice_shell(dim, radius):
             v = lattice.frequency_vector(k)
-            if _resonates(generators, dim, v):
-                w = build_periodic_witness(p, v)
+            if _is_exact_common_zero(terms_list, v):
                 evidence["lattice_point"] = list(k)
                 return Verdict(NONTRIVIAL, rule="lattice-resonance",
-                               witness=w, evidence=evidence)
+                               witness=build_periodic_witness(p, v), evidence=evidence)
 
     evidence["searched_radius"] = search_radius
-    if radius_bound is not None:
+    if r0 is not None:
         return Verdict(TRIVIAL, rule="lattice-resonance-free", evidence=evidence)
     return Verdict(UNKNOWN, rule="lattice-search-exhausted", evidence=evidence)

@@ -47,18 +47,10 @@ def _frac(value: str) -> Fraction:
     return Fraction(value.strip())
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q)
-
-
-def _spatial_names(d: int) -> list[str]:
-    return [f"X{k + 1}" for k in range(d)]
-
-
 def _serialize_emptiness(v: EmptinessVerdict) -> dict:
     return {
         "status": v.status,
-        "witness": None if v.witness is None else [_frac_str(x) for x in v.witness],
+        "witness": None if v.witness is None else [str(x) for x in v.witness],
         "certificate": v.certificate,
         "diagnostics": v.diagnostics,
     }
@@ -85,7 +77,7 @@ def _serialize_witness(w: Witness, p: MultiPoly) -> dict:
     report = verify_residual(w, p, _default_grid(len(w.frequency)))
     return {
         "kind": w.kind,
-        "frequency": [_frac_str(f) for f in w.frequency],
+        "frequency": [str(f) for f in w.frequency],
         "frequency_scale": "2*pi" if w.pi_factor else "1",
         "certificate": [str(v) for v in w.certificate],
         "theta_max_order": len(w.theta) - 1,
@@ -132,7 +124,6 @@ def _config_from_args(args) -> SolverConfig:
         denominator_bound=args.denominator_bound,
         lattice_radius=args.lattice_radius,
         groebner_cap=args.groebner_cap,
-        threads=args.threads,
     )
 
 
@@ -214,7 +205,7 @@ def cmd_periodic(args) -> int:
     names = default_names(p.nvars, pi_slot=d)
     verdict = periodic_test(p, lattice, config)
     report = _base_report(text, p, d, names)
-    report["input"]["lattice"] = [[_frac_str(x) for x in row] for row in lattice.rows]
+    report["input"]["lattice"] = [[str(x) for x in row] for row in lattice.rows]
     report["verdicts"].append(_serialize_verdict("periodic", verdict, p))
     if not args.no_timing:
         report["timing_seconds"] = time.perf_counter() - start
@@ -230,7 +221,7 @@ def cmd_content(args) -> int:
         _print_parse_error(text, err)
         return EXIT_INPUT_ERROR
     content = x_content(p)
-    names = _spatial_names(d)
+    names = default_names(d, t_last=False)
     gens = [print_canonical(a, names) for a in content.generators]
     report = _base_report(text, p, d, default_names(p.nvars))
     report["content"] = {"dimension": d, "generators": gens}
@@ -302,7 +293,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         sp.add_argument("--denominator-bound", type=int, default=64)
         sp.add_argument("--lattice-radius", type=int, default=16)
         sp.add_argument("--groebner-cap", type=int, default=50000)
-        sp.add_argument("--threads", type=int, default=1)
 
     sp = sub.add_parser("classify", help="classify across solution spaces")
     add_common(sp)

@@ -15,11 +15,10 @@ class SolverConfig:
     groebner_cap: int = 50000
     box_budget: int = 100000
     sphere_depth: int = 12
-    threads: int = 1
 
     def __post_init__(self):
         for name in ("max_depth", "denominator_bound", "lattice_radius",
-                     "groebner_cap", "box_budget", "sphere_depth", "threads"):
+                     "groebner_cap", "box_budget", "sphere_depth"):
             if getattr(self, name) < (0 if name == "max_depth" else 1):
                 raise ValueError(f"{name} must be positive")
         if self.default_box_halfwidth <= 0:

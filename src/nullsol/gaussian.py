@@ -106,12 +106,6 @@ class GaussianRational:
             n >>= 1
         return result
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def norm_squared(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     # -- comparisons / conversions --------------------------------------
 
     def __eq__(self, other):

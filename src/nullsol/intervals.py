@@ -109,9 +109,6 @@ class IntervalBox:
         right[k] = Interval(m, iv.hi)
         return IntervalBox(tuple(left)), IntervalBox(tuple(right))
 
-    def max_width(self) -> Fraction:
-        return max(iv.width() for iv in self.intervals)
-
 
 def enclose(terms: dict[tuple[int, ...], Fraction], box: IntervalBox) -> Interval:
     """Interval enclosure of a real polynomial (term dict) over a box."""

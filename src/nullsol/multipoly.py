@@ -15,7 +15,7 @@ zero coefficients are stored, so structural equality is semantic equality.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .gaussian import GaussianRational, ONE, ZERO
 
@@ -195,9 +195,7 @@ class MultiPoly:
     def evaluate(self, point: Sequence):
         """Exact evaluation at a point of ring elements.
 
-        Point entries may be GaussianRational (or ints/Fractions) or any
-        commutative-ring value supporting +, * and ** with GaussianRational
-        scalars on the left (e.g. PiGaussian).
+        Point entries may be GaussianRational, int or Fraction.
         """
         if len(point) != self.nvars:
             raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
@@ -269,6 +267,3 @@ class MultiPoly:
         items = ", ".join(f"{e}: {c}" for e, c in self.sorted_terms())
         return f"MultiPoly({self.nvars}, {{{items}}})"
 
-
-def poly_from_terms(nvars: int, terms: Iterable[tuple[tuple[int, ...], object]]) -> MultiPoly:
-    return MultiPoly(nvars, dict(terms))

@@ -240,17 +240,13 @@ def default_names(nvars: int, t_last: bool = True, pi_slot: int | None = None) -
     return names
 
 
-def _rational_str(q: Fraction) -> str:
-    return str(q)
-
-
 def _coeff_str(c: GaussianRational) -> str:
     if c.im == 0:
-        return _rational_str(c.re)
+        return str(c.re)
     if c.re == 0:
-        return f"{_rational_str(c.im)}*i"
+        return f"{c.im}*i"
     sign = "+" if c.im > 0 else "-"
-    return f"({_rational_str(c.re)}{sign}{_rational_str(abs(c.im))}*i)"
+    return f"({c.re}{sign}{abs(c.im)}*i)"
 
 
 def print_canonical(p: MultiPoly, names: list[str] | None = None) -> str:

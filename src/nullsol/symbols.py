@@ -2,7 +2,9 @@
 
 Degree test, principal part, characteristic normals, the ideal generated
 by the T-coefficients of p, and the substitution X -> i*xi that turns the
-imaginary-axis slice of its zero set into a real polynomial system.
+imaginary-axis slice of its zero set into a real polynomial system.  For
+lattice-periodic symbols (a PI slot before T) the pi-grading does the same
+for the frequencies 2*pi*v.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from typing import Sequence
 
 from .gaussian import GaussianRational, I
 from .multipoly import NEG_INF, MultiPoly
+
+_TWO_I = GaussianRational(0, 2)
 
 
 @dataclass(frozen=True)
@@ -75,23 +79,32 @@ def x_content(p: MultiPoly) -> ContentGenerators:
     return ContentGenerators(dimension=p.nvars - 1, generators=gens)
 
 
+def _real_imag_parts(a: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """(real part, imaginary part) of a Q(i) polynomial, coefficientwise."""
+    return (MultiPoly(a.nvars, {e: c.re for e, c in a.terms.items()}),
+            MultiPoly(a.nvars, {e: c.im for e, c in a.terms.items()}))
+
+
 def substitute_i_xi(a: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     """Split a(i*xi) into real and imaginary part polynomials in xi.
 
     Each term c * X^e picks up a factor i^|e|; the result is returned as a
     pair (real part, imaginary part), both with real coefficients.
     """
-    re_terms: dict[tuple[int, ...], GaussianRational] = {}
-    im_terms: dict[tuple[int, ...], GaussianRational] = {}
-    for exps, c in a.terms.items():
-        cc = c * I ** sum(exps)
-        if cc.re != 0:
-            prev = re_terms.get(exps)
-            re_terms[exps] = GaussianRational(cc.re) if prev is None else prev + cc.re
-        if cc.im != 0:
-            prev = im_terms.get(exps)
-            im_terms[exps] = GaussianRational(cc.im) if prev is None else prev + cc.im
-    return MultiPoly(a.nvars, re_terms), MultiPoly(a.nvars, im_terms)
+    return _real_imag_parts(MultiPoly(a.nvars, {e: c * I ** sum(e)
+                                                for e, c in a.terms.items()}))
+
+
+def _real_system(dimension: int, parts) -> RealPolySystem:
+    """System of the given real polynomials, zeros and duplicates dropped."""
+    polys: list[MultiPoly] = []
+    seen = set()
+    for part in parts:
+        if part.is_zero() or part in seen:
+            continue
+        seen.add(part)
+        polys.append(part)
+    return RealPolySystem(dimension=dimension, polys=tuple(polys))
 
 
 def imaginary_slice(content: ContentGenerators) -> RealPolySystem:
@@ -100,12 +113,33 @@ def imaginary_slice(content: ContentGenerators) -> RealPolySystem:
     Every generator contributes its real and imaginary parts under
     X -> i*xi; zero parts are dropped and structural duplicates removed.
     """
-    polys: list[MultiPoly] = []
-    seen = set()
-    for a in content.generators:
-        for part in substitute_i_xi(a):
-            if part.is_zero() or part in seen:
-                continue
-            seen.add(part)
-            polys.append(part)
-    return RealPolySystem(dimension=content.dimension, polys=tuple(polys))
+    return _real_system(content.dimension,
+                        (part for a in content.generators for part in substitute_i_xi(a)))
+
+
+def pi_grades(a: MultiPoly) -> list[MultiPoly]:
+    """Grades P_0..P_n of a(X1..Xd, PI) at X = 2*pi*i*v, PI = pi.
+
+    a(2*pi*i*v, pi) = sum_g pi^g * P_g(v), where P_g collects the terms
+    c * X^e * PI^m with |e| + m = g as c * (2i)^|e| * v^e.  Because pi is
+    transcendental, a vanishes at that frequency iff every P_g(v) = 0.
+    """
+    dim = a.nvars - 1
+    grades: list[dict[tuple[int, ...], GaussianRational]] = [
+        {} for _ in range(max(map(sum, a.terms), default=-1) + 1)]
+    for exps, c in a.terms.items():
+        grades[sum(exps)][exps[:dim]] = c * _TWO_I ** sum(exps[:dim])
+    return [MultiPoly(dim, terms) for terms in grades]
+
+
+def pi_graded_slice(content: ContentGenerators) -> RealPolySystem:
+    """Real system in v whose zeros are the v with every generator zero at
+    the frequency 2*pi*v.
+
+    ``content`` comes from a lattice-periodic symbol, so its last slot is
+    PI.  Every pi-grade of every generator contributes its real and
+    imaginary parts; zero parts are dropped and duplicates removed.
+    """
+    return _real_system(content.dimension - 1,
+                        (part for a in content.generators for q in pi_grades(a)
+                         for part in _real_imag_parts(q)))

@@ -10,7 +10,6 @@ UNKNOWN is an honest inconclusive outcome, never silently coerced.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -203,35 +202,30 @@ def subdivision_search(sys: RealPolySystem, box: IntervalBox,
     wave = [box]
     processed = discarded = 0
     depth = 0
-    pool = ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else None
-    try:
-        while True:
-            results = list(pool.map(process, wave)) if pool else [process(b) for b in wave]
-            processed += len(wave)
-            zeros_found: list[tuple[Fraction, ...]] = []
-            survivors: list[IntervalBox] = []
-            for b, (action, zeros) in zip(wave, results):
-                if action == "discard":
-                    discarded += 1
-                    continue
-                if zeros:
-                    zeros_found.extend(zeros)
-                survivors.append(b)
-            stats = {"boxes_processed": processed, "boxes_discarded": discarded,
-                     "depth_reached": depth}
-            if zeros_found:
-                return SubdivisionResult("ExactZero", zero=min(zeros_found), stats=stats)
-            if not survivors:
-                return SubdivisionResult("NoZeroInBox", stats=stats)
-            if depth >= config.max_depth or 2 * len(survivors) > config.box_budget:
-                stats["unresolved_boxes"] = len(survivors)
-                return SubdivisionResult("CandidateBoxes",
-                                         candidates=tuple(survivors), stats=stats)
-            wave = [half for b in survivors for half in b.split()]
-            depth += 1
-    finally:
-        if pool:
-            pool.shutdown(wait=False)
+    while True:
+        processed += len(wave)
+        zeros_found: list[tuple[Fraction, ...]] = []
+        survivors: list[IntervalBox] = []
+        for b in wave:
+            action, zeros = process(b)
+            if action == "discard":
+                discarded += 1
+                continue
+            if zeros:
+                zeros_found.extend(zeros)
+            survivors.append(b)
+        stats = {"boxes_processed": processed, "boxes_discarded": discarded,
+                 "depth_reached": depth}
+        if zeros_found:
+            return SubdivisionResult("ExactZero", zero=min(zeros_found), stats=stats)
+        if not survivors:
+            return SubdivisionResult("NoZeroInBox", stats=stats)
+        if depth >= config.max_depth or 2 * len(survivors) > config.box_budget:
+            stats["unresolved_boxes"] = len(survivors)
+            return SubdivisionResult("CandidateBoxes",
+                                     candidates=tuple(survivors), stats=stats)
+        wave = [half for b in survivors for half in b.split()]
+        depth += 1
 
 
 def decide_emptiness(sys: RealPolySystem,

@@ -15,16 +15,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .gaussian import GaussianRational
+from .gaussian import ZERO, GaussianRational
 from .multipoly import MultiPoly
-from .pipoly import PiGaussian
+from .symbols import pi_grades
 
 
 class CertificateFailure(Exception):
     """A supposed frequency does not annihilate every T-coefficient."""
 
     def __init__(self, order: int, value):
-        super().__init__(f"coefficient a_{order} evaluates to {value} != 0 at the frequency")
+        super().__init__(f"coefficient a_{order} does not vanish at the frequency "
+                         f"({value} != 0)")
         self.order = order
         self.value = value
 
@@ -75,8 +76,9 @@ class Witness:
 
     For the periodic kind the stored frequency is the rational vector v0
     with actual frequency 2*pi*v0 (pi_factor True), the coefficient
-    polynomials carry a trailing PI slot, and certificate entries live in
-    Q(i)[pi]; otherwise the frequency is the exact rational xi0 itself.
+    polynomials carry a trailing PI slot, and the certificate checks every
+    pi-grade of every coefficient at v0; otherwise the frequency is the
+    exact rational xi0 itself.  Certificate entries are exact Q(i) zeros.
     """
 
     kind: str  # ExponentialTensorTheta | ConstantTensorTheta | PeriodicExponentialTheta
@@ -87,11 +89,10 @@ class Witness:
     coeff_polys: tuple[MultiPoly, ...]
 
     def exact_point(self) -> list:
-        """The exact evaluation point i*frequency for the coefficients."""
+        """Exact evaluation point: i*xi0 for the coefficients, or v0 for the
+        pi-grades of the periodic kind."""
         if self.pi_factor:
-            pt = [PiGaussian((0, GaussianRational(0, 2 * v))) for v in self.frequency]
-            pt.append(PiGaussian.pi())
-            return pt
+            return list(self.frequency)
         return [GaussianRational(0, f) for f in self.frequency]
 
     def complex_point(self) -> list[complex]:
@@ -106,14 +107,19 @@ class Witness:
         return [scale * float(v) for v in self.frequency]
 
 
-def _check_certificate(coeff_polys: Sequence[MultiPoly], point) -> tuple:
-    values = []
+def _check_certificate(coeff_polys: Sequence[MultiPoly], point,
+                       pi_graded: bool = False) -> tuple:
+    """Exact zero value of each coefficient at the point, or CertificateFailure.
+
+    With ``pi_graded`` the coefficients carry a PI slot and the point is v0:
+    a coefficient vanishes at 2*pi*i*v0 iff each of its pi-grades does at v0.
+    """
     for j, a in enumerate(coeff_polys):
-        v = a.evaluate(point)
-        if not v.is_zero():
-            raise CertificateFailure(j, v)
-        values.append(v)
-    return tuple(values)
+        for q in pi_grades(a) if pi_graded else (a,):
+            v = q.evaluate(point)
+            if not v.is_zero():
+                raise CertificateFailure(j, v)
+    return (ZERO,) * len(coeff_polys)
 
 
 def build_witness(p: MultiPoly, frequency: Sequence[Fraction]) -> Witness:
@@ -137,7 +143,8 @@ def build_periodic_witness(p: MultiPoly, v0: Sequence[Fraction]) -> Witness:
     """Periodic witness at lattice frequency 2*pi*v0.
 
     ``p`` must carry the PI slot just before T (lattice-periodic parse
-    mode); certificates are exact elements of Q(i)[pi].
+    mode); the certificate is exact because pi is transcendental, see
+    :func:`nullsol.symbols.pi_grades`.
     """
     v = tuple(Fraction(x) for x in v0)
     if len(v) != p.nvars - 2:
@@ -145,18 +152,10 @@ def build_periodic_witness(p: MultiPoly, v0: Sequence[Fraction]) -> Witness:
     coeff_polys = tuple(p.coefficients_in_T())
     if not coeff_polys:
         coeff_polys = (MultiPoly.zero(p.nvars - 1),)
-    point = [PiGaussian((0, GaussianRational(0, 2 * x))) for x in v]
-    point.append(PiGaussian.pi())
-    values = []
-    for j, a in enumerate(coeff_polys):
-        val = a.evaluate(point)
-        if not (isinstance(val, PiGaussian) and val.is_zero()) \
-                and not (isinstance(val, GaussianRational) and val.is_zero()):
-            raise CertificateFailure(j, val)
-        values.append(PiGaussian())
+    certificate = _check_certificate(coeff_polys, v, pi_graded=True)
     return Witness(kind="PeriodicExponentialTheta", frequency=v, pi_factor=True,
                    theta=tuple(theta_derivatives(len(coeff_polys) - 1)),
-                   certificate=tuple(values), coeff_polys=coeff_polys)
+                   certificate=certificate, coeff_polys=coeff_polys)
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,7 @@ def verify_residual(w: Witness, p: MultiPoly,
     |sum_j a_j(i*xi0) * Theta^(j)(t) * exp(i<x, xi0>)| with the a_j values
     recomputed in floating point, so only rounding noise remains.
     """
-    _check_certificate(w.coeff_polys, w.exact_point())
+    _check_certificate(w.coeff_polys, w.exact_point(), w.pi_factor)
     cpoint = w.complex_point()
     coeff_vals = [a.evaluate_complex(cpoint) for a in w.coeff_polys]
     freq = w.frequency_floats()

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from nullsol.classifier import (
     UNKNOWN,
     LatticeSpec,
     SolutionSpace,
+    _lattice_shell,
     classify,
     periodic_test,
 )
@@ -112,6 +114,16 @@ def test_lattice_inverse_and_frequency():
     assert lat.max_row_abs_sum() == 4
 
 
+def test_lattice_shell_matches_filtered_cube():
+    # reference: the whole cube in descending lexicographic order, kept
+    # where the max-norm equals the radius
+    for dim in (1, 2, 3):
+        for radius in range(5):
+            cube = itertools.product(range(radius, -radius - 1, -1), repeat=dim)
+            expected = [k for k in cube if max(map(abs, k)) == radius]
+            assert list(_lattice_shell(dim, radius)) == expected
+
+
 # -- periodic test ---------------------------------------------------------
 
 def periodic(text, rows):
@@ -139,9 +151,11 @@ def test_periodic_zero_symbol():
 
 
 def test_periodic_constant_generator():
-    v = periodic("T + 1", [[1]])
-    assert v.status == TRIVIAL
-    assert v.rule == "nonvanishing-generator"
+    # (X1^2 + 1)*T: the pi^0 grade is the constant 1, so no frequency works
+    for text in ("T + 1", "(X1^2 + 1)*T"):
+        v = periodic(text, [[1]])
+        assert v.status == TRIVIAL
+        assert v.rule == "nonvanishing-generator"
 
 
 def test_periodic_resonance_at_origin():
@@ -165,17 +179,19 @@ def test_periodic_rescaled_lattice_moves_resonance():
 
 
 def test_periodic_pi_symbol_without_resonance_is_unknown():
-    # PI occurs, so no completeness bound exists; the truncated search
-    # must answer UNKNOWN, never a false TRIVIAL
-    v = periodic("(X1^2 + 9*PI^2)*T", [[1]])
+    # the pi^2 grade 4*(v2^2 - v1^2) + 1 vanishes on a hyperbola, which
+    # no lattice point meets but which is unbounded, so no completeness
+    # bound exists; the truncated search must answer UNKNOWN, never a
+    # false TRIVIAL
+    v = periodic("(X1^2 - X2^2 + PI^2)*T", [[1, 0], [0, 1]])
     assert v.status == UNKNOWN
     assert v.rule == "lattice-search-exhausted"
 
 
 def test_periodic_decisive_trivial_with_complete_enumeration():
-    # PI-free generator with bounded slice zeros at xi = +-1: no lattice
-    # frequency 2*pi*k reaches them, and the bound makes that a proof
-    v = periodic("(X1^2 + 1)*T", [[1]])
+    # the pi^2 grade 9 - 4*v^2 has bounded zeros v = +-3/2: no integer k
+    # reaches them, and the bound makes that a proof
+    v = periodic("(X1^2 + 9*PI^2)*T", [[1]])
     assert v.status == TRIVIAL
     assert v.rule == "lattice-resonance-free"
     assert "complete_radius" in v.evidence

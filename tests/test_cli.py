@@ -49,9 +49,9 @@ def test_periodic_space_redirected(capsys):
 
 
 def test_unknown_exit_code(capsys):
-    # bounded irrational zero set: tempered verdict stays UNKNOWN
-    code, out, _ = run(capsys, "periodic", "(X1^2 + 9*PI^2)*T",
-                       "--lattice", "1", "--no-timing")
+    # unbounded pi-graded zero set: the truncated lattice search stays UNKNOWN
+    code, out, _ = run(capsys, "periodic", "(X1^2 - X2^2 + PI^2)*T",
+                       "--lattice", "1,0;0,1", "--no-timing")
     assert code == EXIT_UNKNOWN
 
 
@@ -112,13 +112,11 @@ def test_stdin_expression(capsys, monkeypatch):
     assert "NONTRIVIAL" in out
 
 
-def test_json_byte_determinism_and_thread_independence(capsys):
+def test_json_byte_determinism(capsys):
     outputs = []
-    for threads in ("1", "2", "8"):
-        for _ in range(2):
-            code, out, _ = run(capsys, "classify", "(X1^2+X2^2+1)*(T+1)",
-                               "--space", "tempered", "--output", "json",
-                               "--no-timing", "--threads", threads)
-            assert code == EXIT_OK
-            outputs.append(out)
+    for _ in range(3):
+        code, out, _ = run(capsys, "classify", "(X1^2+X2^2+1)*(T+1)",
+                           "--space", "tempered", "--output", "json", "--no-timing")
+        assert code == EXIT_OK
+        outputs.append(out)
     assert len(set(outputs)) == 1

@@ -3,20 +3,21 @@ from fractions import Fraction
 
 import pytest
 
-from nullsol.gaussian import GaussianRational
+from nullsol.gaussian import ZERO, GaussianRational
 from nullsol.multipoly import MultiPoly
 from nullsol.parser import parse
 from nullsol.symbols import (
     degree_test,
     imaginary_slice,
     is_characteristic_normal,
+    pi_grades,
     principal_part,
     restrict_to_time,
     substitute_i_xi,
     x_content,
 )
 
-from helpers import random_multipoly, random_point
+from helpers import random_multipoly, random_point, random_rational
 
 DIFFUSION = parse("T - (X1^2+X2^2+X3^2)")[0]
 KLEIN_GORDON = parse("T^2 - (X1^2+X2^2+X3^2) + 1")[0]
@@ -114,6 +115,21 @@ def test_slice_zero_correspondence_random():
         sys_zero = all(q.evaluate([Fraction(x) for x in xi]).is_zero()
                        for q in sys.polys)
         assert gen_zero == sys_zero
+
+
+def test_pi_grades_sum_to_the_symbol():
+    # a(2i*s*v, s) and sum_g s^g * P_g(v) are polynomials in s of degree
+    # <= deg a; agreeing at deg a + 1 distinct s proves them equal at v
+    rng = random.Random(43)
+    for _ in range(100):
+        a = random_multipoly(rng, 3, max_deg=4)  # slots X1, X2, PI
+        v = [random_rational(rng, 4) for _ in range(2)]
+        grades = pi_grades(a)
+        deg = max(map(sum, a.terms), default=0)
+        for s in range(1, deg + 2):
+            point = [GaussianRational(0, 2 * s * x) for x in v] + [GaussianRational(s)]
+            graded = sum((s ** g * q.evaluate(v) for g, q in enumerate(grades)), ZERO)
+            assert a.evaluate(point) == graded
 
 
 def test_invariants_under_scalar_multiple():

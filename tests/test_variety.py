@@ -113,11 +113,10 @@ def test_witness_is_exact_never_float():
     assert all(isinstance(x, Fraction) for x in verdict.witness)
 
 
-def test_determinism_across_threads():
+def test_determinism_across_runs():
     results = []
-    for threads in (1, 2, 8):
-        cfg = dataclasses.replace(DEFAULT_CONFIG, threads=threads)
-        v = decide_emptiness(sys_of(CIRCLE), cfg)
+    for _ in range(3):
+        v = decide_emptiness(sys_of(CIRCLE))
         results.append((v.status, v.witness))
     assert results[0] == results[1] == results[2]
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nullsol.parser import parse
-from nullsol.pipoly import PiGaussian
+from nullsol.gaussian import GaussianRational
 from nullsol.witness import (
     CertificateFailure,
     build_periodic_witness,
@@ -100,7 +100,8 @@ def test_periodic_witness():
     w = build_periodic_witness(p, [Fraction(1)])
     assert w.kind == "PeriodicExponentialTheta"
     assert w.pi_factor
-    assert all(isinstance(v, PiGaussian) and v.is_zero() for v in w.certificate)
+    assert len(w.certificate) == 2
+    assert all(isinstance(v, GaussianRational) and v.is_zero() for v in w.certificate)
     report = verify_residual(w, p, [((x,), t) for x in (-1.0, 0.0, 1.0)
                                     for t in (0.5, 1.0, 2.0)])
     assert report.exact_certificate_ok
