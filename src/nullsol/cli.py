@@ -15,6 +15,7 @@ when --no-timing is given.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -29,7 +30,7 @@ from .classifier import (
     classify,
     periodic_test,
 )
-from .config import SolverConfig
+from .config import DEFAULT_CONFIG, SolverConfig
 from .multipoly import MultiPoly
 from .parser import ParseError, default_names, parse, print_canonical
 from .symbols import x_content
@@ -118,13 +119,13 @@ def _emit(report: dict, args) -> None:
 
 
 def _config_from_args(args) -> SolverConfig:
-    return SolverConfig(
-        max_depth=args.max_depth,
-        default_box_halfwidth=Fraction(args.box_halfwidth),
-        denominator_bound=args.denominator_bound,
-        lattice_radius=args.lattice_radius,
-        groebner_cap=args.groebner_cap,
-    )
+    """DEFAULT_CONFIG with the solver flags this subcommand takes applied."""
+    given = {name: getattr(args, name)
+             for name in ("max_depth", "lattice_radius", "groebner_cap")
+             if hasattr(args, name)}
+    if hasattr(args, "box_halfwidth"):
+        given["default_box_halfwidth"] = Fraction(args.box_halfwidth)
+    return dataclasses.replace(DEFAULT_CONFIG, **given)
 
 
 def _read_expression(arg: str) -> str:
@@ -282,20 +283,26 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"nullsol {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    solver_flags = {
+        "--max-depth": dict(type=int, default=DEFAULT_CONFIG.max_depth),
+        "--box-halfwidth": dict(default=str(DEFAULT_CONFIG.default_box_halfwidth),
+                                help="half-width of the fallback search box (rational)"),
+        "--lattice-radius": dict(type=int, default=DEFAULT_CONFIG.lattice_radius),
+        "--groebner-cap": dict(type=int, default=DEFAULT_CONFIG.groebner_cap),
+    }
+
+    def add_common(sp, *flags):
         sp.add_argument("expression", help='polynomial symbol, or "-" for stdin')
         sp.add_argument("--output", choices=("text", "json"), default="text")
         sp.add_argument("--no-timing", action="store_true",
                         help="omit timing fields (byte-determinism for tests)")
-        sp.add_argument("--max-depth", type=int, default=24)
-        sp.add_argument("--box-halfwidth", default="16",
-                        help="half-width of the fallback search box (rational)")
-        sp.add_argument("--denominator-bound", type=int, default=64)
-        sp.add_argument("--lattice-radius", type=int, default=16)
-        sp.add_argument("--groebner-cap", type=int, default=50000)
+        for flag in flags:
+            sp.add_argument(flag, **solver_flags[flag])
+
+    search = ("--max-depth", "--box-halfwidth", "--groebner-cap")
 
     sp = sub.add_parser("classify", help="classify across solution spaces")
-    add_common(sp)
+    add_common(sp, *search)
     sp.add_argument("--space", default="all",
                     help="one of: " + ", ".join(s.value for s in _ALL_SPACES) + ", all")
     sp.add_argument("--dim", type=int, default=None,
@@ -303,7 +310,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("periodic", help="spatially periodic triviality test")
-    add_common(sp)
+    add_common(sp, "--lattice-radius", "--groebner-cap")
     sp.add_argument("--lattice", required=True,
                     help='d x d rational period matrix, rows ";"-separated, e.g. "1,0;0,1"')
     sp.set_defaults(func=cmd_periodic)
@@ -314,7 +321,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_content)
 
     sp = sub.add_parser("witness", help="build and verify an explicit null solution")
-    add_common(sp)
+    add_common(sp, *search)
     sp.add_argument("--dim", type=int, default=None)
     sp.add_argument("--freq", default=None, help='frequency, e.g. "1,0" or "1/2,0"')
     sp.add_argument("--auto", action="store_true",

@@ -87,9 +87,6 @@ class IntervalBox:
     def midpoint(self) -> tuple[Fraction, ...]:
         return tuple(iv.midpoint() for iv in self.intervals)
 
-    def contains(self, point) -> bool:
-        return all(iv.contains(Fraction(x)) for iv, x in zip(self.intervals, point))
-
     def widest_axis(self) -> int:
         """Index of the widest coordinate; ties broken by lowest index."""
         best, best_w = 0, self.intervals[0].width()

@@ -10,12 +10,13 @@ UNKNOWN is an honest inconclusive outcome, never silently coerced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .groebner import unit_ideal_test
-from .intervals import Interval, IntervalBox, enclose
+from .intervals import IntervalBox, enclose
 from .multipoly import MultiPoly
 from .symbols import RealPolySystem
 
@@ -142,27 +143,26 @@ def boundedness_radius(sys: RealPolySystem,
     return Fraction(hi)
 
 
-def _candidate_points(box: IntervalBox, denominator_bound: int):
-    """Deterministic rational candidates inside a box.
+def _simplest_rational(lo: Fraction, hi: Fraction) -> Fraction:
+    """The smallest-denominator rational in [lo, hi] (Stern-Brocot descent).
 
-    Midpoint, the midpoint with zero-containing coordinates snapped to 0,
-    and small-denominator roundings of both, each clamped into the box.
+    Among integers the one nearest 0 wins, so it is 0 whenever lo <= 0 <= hi.
     """
-    mid = box.midpoint()
-    snapped = tuple(Fraction(0) if iv.contains_zero() else m
-                    for iv, m in zip(box.intervals, mid))
-    candidates = [mid, snapped]
-    for base in (mid, snapped):
-        limited = []
-        for iv, m in zip(box.intervals, base):
-            q = m.limit_denominator(denominator_bound)
-            limited.append(q if iv.contains(q) else m)
-        candidates.append(tuple(limited))
-    seen = set()
-    for pt in candidates:
-        if pt not in seen:
-            seen.add(pt)
-            yield pt
+    if lo <= 0 <= hi:
+        return Fraction(0)
+    if hi < 0:
+        return -_simplest_rational(-hi, -lo)
+    n = math.ceil(lo)
+    if n <= hi:
+        return Fraction(n)
+    # n - 1 < lo <= hi < n: continue on the reciprocals of the fractional parts.
+    return n - 1 + 1 / _simplest_rational(1 / (hi - n + 1), 1 / (lo - n + 1))
+
+
+def _candidate_points(box: IntervalBox) -> set[tuple[Fraction, ...]]:
+    """The box midpoint and its per-coordinate simplest rational point."""
+    return {box.midpoint(),
+            tuple(_simplest_rational(iv.lo, iv.hi) for iv in box.intervals)}
 
 
 def _is_exact_common_zero(terms_list, point) -> bool:
@@ -184,21 +184,14 @@ def subdivision_search(sys: RealPolySystem, box: IntervalBox,
     """Branch-and-bound over a box with exact interval arithmetic.
 
     A box is discarded when some system polynomial's enclosure excludes 0;
-    discarding every box proves there is no zero in the original box.  An
-    exact rational common zero among the deterministic candidates of any
-    surviving box yields ExactZero (the lexicographically smallest zero
-    found in that wave, so the result is independent of processing order).
+    discarding every box proves there is no zero in the original box.  Each
+    surviving box is probed at its midpoint and at its simplest rational
+    point (the smallest-denominator rational in every coordinate interval);
+    an exact common zero among them yields ExactZero (the lexicographically
+    smallest zero found in that wave, so the result is independent of
+    processing order).
     """
     terms_list = _system_terms(sys)
-
-    def process(b: IntervalBox):
-        for terms in terms_list:
-            if not enclose(terms, b).contains_zero():
-                return ("discard", None)
-        zeros = [pt for pt in _candidate_points(b, config.denominator_bound)
-                 if _is_exact_common_zero(terms_list, pt)]
-        return ("keep", zeros)
-
     wave = [box]
     processed = discarded = 0
     depth = 0
@@ -207,12 +200,11 @@ def subdivision_search(sys: RealPolySystem, box: IntervalBox,
         zeros_found: list[tuple[Fraction, ...]] = []
         survivors: list[IntervalBox] = []
         for b in wave:
-            action, zeros = process(b)
-            if action == "discard":
+            if any(not enclose(terms, b).contains_zero() for terms in terms_list):
                 discarded += 1
                 continue
-            if zeros:
-                zeros_found.extend(zeros)
+            zeros_found.extend(pt for pt in _candidate_points(b)
+                               if _is_exact_common_zero(terms_list, pt))
             survivors.append(b)
         stats = {"boxes_processed": processed, "boxes_discarded": discarded,
                  "depth_reached": depth}

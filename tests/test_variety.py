@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from nullsol.variety import (
     EMPTY,
     NONEMPTY,
     UNKNOWN,
+    _simplest_rational,
     boundedness_radius,
     decide_emptiness,
     subdivision_search,
@@ -68,6 +71,42 @@ def test_subdivision_candidate_boxes_on_budget():
     res = subdivision_search(sys_of(p), IntervalBox.cube(1, 2), cfg)
     assert res.kind == "CandidateBoxes"
     assert res.candidates
+
+
+def test_simplest_rational_has_the_least_denominator():
+    rng = random.Random(7)
+    for _ in range(2000):
+        # negative ends, integer ends (denominator 1) and narrow intervals
+        ends = sorted(Fraction(rng.randint(-40, 40), rng.choice([1, 1, 2, 3, 7, 16, 29]))
+                      for _ in range(2))
+        if rng.random() < 0.2:
+            ends[1] = ends[0] + Fraction(1, rng.randint(50, 500))
+        lo, hi = ends
+        r = _simplest_rational(lo, hi)
+        assert lo <= r <= hi
+        least = next((q for q in range(1, 13)
+                      if math.floor(hi * q) >= math.ceil(lo * q)), None)
+        if least is None:
+            assert r.denominator > 12
+        else:
+            assert r.denominator == least
+        if lo <= 0 <= hi:
+            assert r == 0
+
+
+@pytest.mark.parametrize("system", [
+    # zeros that no box midpoint hits: only the simplest rational finds them
+    sys_of(MultiPoly(1, {(1,): 1, (0,): Fraction(-3, 1000)})),
+    sys_of(MultiPoly(2, {(1, 0): 1}), MultiPoly(2, {(0, 1): 1, (0, 0): Fraction(-1, 1024)})),
+    # the circle through (1/1024, 3/512): only a box midpoint finds a zero
+    sys_of(MultiPoly(2, {(2, 0): 1, (0, 2): 1,
+                         (0, 0): -Fraction(1, 1024) ** 2 - Fraction(3, 512) ** 2})),
+    sys_of(MultiPoly(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -3})),
+], ids=["x=3/1000", "(0,1/1024)", "circle-through-(1/1024,3/512)", "sphere-r2=3"])
+def test_decide_finds_exact_zero(system):
+    verdict = decide_emptiness(system)
+    assert verdict.status == NONEMPTY
+    assert exact_common_zero(system, verdict.witness)
 
 
 def test_decide_empty_unit_generator():
