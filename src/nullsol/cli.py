@@ -140,7 +140,7 @@ def _print_parse_error(text: str, err: ParseError) -> None:
     sys.stderr.write("  " + " " * err.position + "^\n")
 
 
-def _base_report(expr: str, p: MultiPoly, d: int, names: list[str]) -> dict:
+def _base_report(p: MultiPoly, d: int, names: list[str]) -> dict:
     return {
         "input": {"expression": print_canonical(p, names), "dimension": d},
         "verdicts": [],
@@ -169,7 +169,7 @@ def cmd_classify(args) -> int:
         if spaces[0] is SolutionSpace.PERIODIC:
             sys.stderr.write("error: use the 'periodic' subcommand for periodic spaces\n")
             return EXIT_INPUT_ERROR
-    report = _base_report(text, p, d, default_names(p.nvars))
+    report = _base_report(p, d, default_names(p.nvars))
     any_unknown = False
     for space in spaces:
         verdict = classify(p, space, config)
@@ -205,7 +205,7 @@ def cmd_periodic(args) -> int:
         return EXIT_INPUT_ERROR
     names = default_names(p.nvars, pi_slot=d)
     verdict = periodic_test(p, lattice, config)
-    report = _base_report(text, p, d, names)
+    report = _base_report(p, d, names)
     report["input"]["lattice"] = [[str(x) for x in row] for row in lattice.rows]
     report["verdicts"].append(_serialize_verdict("periodic", verdict, p))
     if not args.no_timing:
@@ -224,7 +224,7 @@ def cmd_content(args) -> int:
     content = x_content(p)
     names = default_names(d, t_last=False)
     gens = [print_canonical(a, names) for a in content.generators]
-    report = _base_report(text, p, d, default_names(p.nvars))
+    report = _base_report(p, d, default_names(p.nvars))
     report["content"] = {"dimension": d, "generators": gens}
     report["lines"] = [f"  generator a_{k}: {g}" for k, g in enumerate(gens)] or ["  zero ideal"]
     _emit(report, args)
@@ -263,7 +263,7 @@ def cmd_witness(args) -> int:
         except CertificateFailure as err:
             sys.stderr.write(f"error: {err}\n")
             return EXIT_INPUT_ERROR
-    report = _base_report(text, p, d, default_names(p.nvars))
+    report = _base_report(p, d, default_names(p.nvars))
     report["witness"] = _serialize_witness(witness, p)
     report["lines"] = [
         f"  certificate OK, residual max {report['witness']['sampled_residual_max']:.3e}"]
@@ -335,7 +335,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:
+    except (ValueError, ZeroDivisionError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_INPUT_ERROR
 

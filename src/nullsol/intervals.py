@@ -45,9 +45,6 @@ class Interval:
     def __add__(self, other: "Interval") -> "Interval":
         return Interval(self.lo + other.lo, self.hi + other.hi)
 
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
     def __mul__(self, other: "Interval") -> "Interval":
         products = (self.lo * other.lo, self.lo * other.hi,
                     self.hi * other.lo, self.hi * other.hi)

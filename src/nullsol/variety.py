@@ -38,8 +38,9 @@ class SubdivisionResult:
     # kind: "NoZeroInBox" | "ExactZero" | "CandidateBoxes"
     kind: str
     zero: tuple[Fraction, ...] | None = None
-    candidates: tuple[IntervalBox, ...] = ()
     stats: dict = field(default_factory=dict)
+    # least distance from 0 of a discarding enclosure; not in the JSON stats
+    margin: Fraction | None = None
 
 
 def _system_terms(sys: RealPolySystem) -> list[dict[tuple[int, ...], Fraction]]:
@@ -59,41 +60,29 @@ def _substitute_value(terms: dict[tuple[int, ...], Fraction], index: int,
     return {e: c for e, c in out.items() if c != 0}
 
 
+# Survivors past 4096 on one face wave give up the positivity certificate.
+_FACE_BOX_BUDGET = 2 * 4096
+
+
 def _certify_positive_on_faces(top_terms: dict[tuple[int, ...], Fraction],
                                dim: int, depth_cap: int) -> Fraction | None:
     """Certified positive lower bound of a form on the max-norm unit sphere.
 
-    The sphere is the union of the 2*dim faces of the cube [-1,1]^dim; each
-    face is a (dim-1)-box handled by interval subdivision.  Returns None if
-    positivity cannot be certified at the configured depth.
+    The sphere is the union of the 2*dim faces of the cube [-1,1]^dim, each
+    a (dim-1)-box cleared by the subdivision loop; the form is a sum of
+    squares, so every discarding enclosure lies above 0.  Returns None if a
+    face is not cleared (an exact zero on a face ends its search at once).
     """
-    best: Fraction | None = None
+    margins = []
     for axis in range(dim):
         for sign in (Fraction(1), Fraction(-1)):
             face = _substitute_value(top_terms, axis, sign)
-            if dim == 1:
-                val = face.get((), Fraction(0))
-                if val <= 0:
-                    return None
-                best = val if best is None else min(best, val)
-                continue
-            work = [IntervalBox.cube(dim - 1, 1)]
-            for _ in range(depth_cap + 1):
-                next_work = []
-                for box in work:
-                    enc = enclose(face, box)
-                    if enc.lo > 0:
-                        best = enc.lo if best is None else min(best, enc.lo)
-                    else:
-                        next_work.append(box)
-                if not next_work:
-                    break
-                if len(next_work) > 4096:
-                    return None
-                work = [half for box in next_work for half in box.split()]
-            else:
+            result = _branch_and_bound([face], IntervalBox.cube(dim - 1, 1),
+                                       depth_cap, _FACE_BOX_BUDGET)
+            if result.kind != "NoZeroInBox":
                 return None
-    return best
+            margins.append(result.margin)
+    return min(margins)
 
 
 def boundedness_radius(sys: RealPolySystem,
@@ -179,45 +168,57 @@ def _is_exact_common_zero(terms_list, point) -> bool:
     return True
 
 
-def subdivision_search(sys: RealPolySystem, box: IntervalBox,
-                       config: SolverConfig = DEFAULT_CONFIG) -> SubdivisionResult:
+def _branch_and_bound(terms_list, box: IntervalBox, max_depth: int,
+                      box_budget: int) -> SubdivisionResult:
     """Branch-and-bound over a box with exact interval arithmetic.
 
-    A box is discarded when some system polynomial's enclosure excludes 0;
+    A box is discarded when some polynomial's enclosure excludes 0;
     discarding every box proves there is no zero in the original box.  Each
     surviving box is probed at its midpoint and at its simplest rational
     point (the smallest-denominator rational in every coordinate interval);
     an exact common zero among them yields ExactZero (the lexicographically
     smallest zero found in that wave, so the result is independent of
-    processing order).
+    processing order).  CandidateBoxes when the depth or box cap is hit.
     """
-    terms_list = _system_terms(sys)
     wave = [box]
     processed = discarded = 0
     depth = 0
+    margin: Fraction | None = None
     while True:
         processed += len(wave)
         zeros_found: list[tuple[Fraction, ...]] = []
         survivors: list[IntervalBox] = []
         for b in wave:
-            if any(not enclose(terms, b).contains_zero() for terms in terms_list):
-                discarded += 1
-                continue
-            zeros_found.extend(pt for pt in _candidate_points(b)
-                               if _is_exact_common_zero(terms_list, pt))
-            survivors.append(b)
+            for terms in terms_list:
+                enc = enclose(terms, b)
+                if not enc.contains_zero():
+                    gap = max(enc.lo, -enc.hi)
+                    margin = gap if margin is None else min(margin, gap)
+                    discarded += 1
+                    break
+            else:
+                zeros_found.extend(pt for pt in _candidate_points(b)
+                                   if _is_exact_common_zero(terms_list, pt))
+                survivors.append(b)
         stats = {"boxes_processed": processed, "boxes_discarded": discarded,
                  "depth_reached": depth}
         if zeros_found:
-            return SubdivisionResult("ExactZero", zero=min(zeros_found), stats=stats)
+            return SubdivisionResult("ExactZero", zero=min(zeros_found),
+                                     stats=stats, margin=margin)
         if not survivors:
-            return SubdivisionResult("NoZeroInBox", stats=stats)
-        if depth >= config.max_depth or 2 * len(survivors) > config.box_budget:
+            return SubdivisionResult("NoZeroInBox", stats=stats, margin=margin)
+        if depth >= max_depth or 2 * len(survivors) > box_budget:
             stats["unresolved_boxes"] = len(survivors)
-            return SubdivisionResult("CandidateBoxes",
-                                     candidates=tuple(survivors), stats=stats)
+            return SubdivisionResult("CandidateBoxes", stats=stats, margin=margin)
         wave = [half for b in survivors for half in b.split()]
         depth += 1
+
+
+def subdivision_search(sys: RealPolySystem, box: IntervalBox,
+                       config: SolverConfig = DEFAULT_CONFIG) -> SubdivisionResult:
+    """Subdivision search for a common zero of ``sys`` in ``box``."""
+    return _branch_and_bound(_system_terms(sys), box, config.max_depth,
+                             config.box_budget)
 
 
 def decide_emptiness(sys: RealPolySystem,
@@ -233,12 +234,6 @@ def decide_emptiness(sys: RealPolySystem,
         return EmptinessVerdict(NONEMPTY, witness=origin,
                                 certificate={"kind": "ExactPoint"},
                                 diagnostics={"pipeline": ["empty-system"]})
-
-    for p in sys.polys:
-        if p.is_constant() and not p.is_zero():
-            diagnostics["pipeline"].append("constant-generator")
-            return EmptinessVerdict(EMPTY, certificate={"kind": "UnitIdeal"},
-                                    diagnostics=diagnostics)
 
     unit = unit_ideal_test(list(sys.polys), config.groebner_cap)
     diagnostics["pipeline"].append("groebner")
@@ -266,5 +261,5 @@ def decide_emptiness(sys: RealPolySystem,
             EMPTY,
             certificate={"kind": "ExhaustiveSubdivision", "radius": str(radius)},
             diagnostics=diagnostics)
-    diagnostics["unresolved_boxes"] = len(result.candidates)
+    diagnostics["unresolved_boxes"] = result.stats.get("unresolved_boxes", 0)
     return EmptinessVerdict(UNKNOWN, diagnostics=diagnostics)

@@ -48,6 +48,14 @@ def test_periodic_space_redirected(capsys):
     assert "periodic" in err
 
 
+def test_zero_denominator_box_halfwidth_is_an_input_error(capsys):
+    code, out, err = run(capsys, "classify", "X1*T", "--space", "tempered",
+                         "--box-halfwidth", "1/0")
+    assert code == EXIT_INPUT_ERROR
+    assert err.startswith("error:")
+    assert out == ""
+
+
 def test_unknown_exit_code(capsys):
     # unbounded pi-graded zero set: the truncated lattice search stays UNKNOWN
     code, out, _ = run(capsys, "periodic", "(X1^2 - X2^2 + PI^2)*T",

@@ -9,6 +9,7 @@ from nullsol.config import DEFAULT_CONFIG
 from nullsol.intervals import IntervalBox
 from nullsol.multipoly import MultiPoly
 from nullsol.symbols import RealPolySystem
+import nullsol.variety
 from nullsol.variety import (
     EMPTY,
     NONEMPTY,
@@ -51,6 +52,51 @@ def test_boundedness_rejects_constant_system():
         boundedness_radius(sys_of(MultiPoly.constant(1, 2)))
 
 
+X1 = MultiPoly.variable(1, 0)
+X2, Y2 = (MultiPoly.variable(2, k) for k in range(2))
+X3, Y3, Z3 = (MultiPoly.variable(3, k) for k in range(3))
+
+
+def const(d, c):
+    return MultiPoly.constant(d, c)
+
+
+@pytest.mark.parametrize("polys, radius", [
+    # d = 1: each face of [-1, 1] is a single point
+    ((X1 * X1 + const(1, 1),), 2),
+    ((X1 * X1 - const(1, 4),), 4),
+    ((X1 ** 3 - X1 + const(1, 5),), 3),
+    ((const(1, 2) * X1 ** 4 - const(1, 3) * X1 + const(1, Fraction(1, 2)),), 2),
+    # d = 2
+    ((X2 * X2 + Y2 * Y2 - const(2, 1),), 3),
+    (((X2 - const(2, 2)) ** 2 + (Y2 + const(2, 1)) ** 2 - const(2, 1),), 27),
+    ((X2 * Y2 - const(2, 1), X2 * X2 - Y2 * Y2), 6),
+    # d = 3
+    ((X3 * X3 + Y3 * Y3 + Z3 * Z3 - const(3, 1),), 3),
+    ((X3 * X3 + const(3, 2) * Y3 * Y3 + const(3, 3) * Z3 * Z3 - const(3, 6),), 9),
+    # the top form (x*y)^2 vanishes on the faces: no radius
+    ((X2 * Y2 - const(2, 1),), None),
+], ids=["x2+1", "x2-4", "x3-x+5", "2x4-3x+1/2", "circle", "shifted-circle",
+        "xy-1,x2-y2", "sphere", "ellipsoid", "xy-1"])
+def test_boundedness_radius_values(polys, radius):
+    r0 = boundedness_radius(sys_of(*polys))
+    assert r0 == (None if radius is None else Fraction(radius))
+
+
+def test_boundedness_stops_at_exact_face_zero(monkeypatch):
+    # (xyz)^2 vanishes at the centre of the face x = 1: the first probe ends it
+    calls = []
+    original = nullsol.variety.enclose
+
+    def counting(terms, box):
+        calls.append(box)
+        return original(terms, box)
+
+    monkeypatch.setattr(nullsol.variety, "enclose", counting)
+    assert boundedness_radius(sys_of(X3 * Y3 * Z3 - const(3, 1))) is None
+    assert len(calls) <= 10
+
+
 def test_subdivision_no_zero():
     box = IntervalBox.cube(1, 10)
     res = subdivision_search(sys_of(POSDEF), box)
@@ -70,7 +116,7 @@ def test_subdivision_candidate_boxes_on_budget():
     p = MultiPoly(1, {(2,): 1, (0,): -2})
     res = subdivision_search(sys_of(p), IntervalBox.cube(1, 2), cfg)
     assert res.kind == "CandidateBoxes"
-    assert res.candidates
+    assert res.stats["unresolved_boxes"] == 1
 
 
 def test_simplest_rational_has_the_least_denominator():
