@@ -252,7 +252,7 @@ def cmd_witness(args) -> int:
             return EXIT_INPUT_ERROR
         try:
             freq = [_frac(x) for x in args.freq.split(",")]
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             sys.stderr.write("error: --freq must be comma-separated rationals\n")
             return EXIT_INPUT_ERROR
         if len(freq) != d:

@@ -213,8 +213,11 @@ def parse(text: str, dim: int | None = None, allow_pi: bool = False) -> tuple[Mu
 
     Without PI the result has ``dim + 1`` slots (X1..Xd, T).  With
     ``allow_pi`` it always has ``dim + 2`` slots (X1..Xd, PI, T), whether
-    or not PI occurs.  Raises :class:`ParseError` on invalid input.
+    or not PI occurs.  Raises :class:`ParseError` on invalid input and
+    ``ValueError`` on a negative ``dim``.
     """
+    if dim is not None and dim < 0:
+        raise ValueError(f"dimension must be nonnegative, got {dim}")
     toks = _tokenize(text, allow_pi)
     if dim is None:
         dim = max((t.value for t in toks if t.kind == "X"), default=0)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .groebner import unit_ideal_test
-from .intervals import IntervalBox, enclose
+from .intervals import Box, cube, enclose, midpoint, split
 from .multipoly import MultiPoly
 from .symbols import RealPolySystem
 
@@ -77,7 +77,7 @@ def _certify_positive_on_faces(top_terms: dict[tuple[int, ...], Fraction],
     for axis in range(dim):
         for sign in (Fraction(1), Fraction(-1)):
             face = _substitute_value(top_terms, axis, sign)
-            result = _branch_and_bound([face], IntervalBox.cube(dim - 1, 1),
+            result = _branch_and_bound([face], cube(dim - 1, 1),
                                        depth_cap, _FACE_BOX_BUDGET)
             if result.kind != "NoZeroInBox":
                 return None
@@ -148,10 +148,9 @@ def _simplest_rational(lo: Fraction, hi: Fraction) -> Fraction:
     return n - 1 + 1 / _simplest_rational(1 / (hi - n + 1), 1 / (lo - n + 1))
 
 
-def _candidate_points(box: IntervalBox) -> set[tuple[Fraction, ...]]:
+def _candidate_points(box: Box) -> set[tuple[Fraction, ...]]:
     """The box midpoint and its per-coordinate simplest rational point."""
-    return {box.midpoint(),
-            tuple(_simplest_rational(iv.lo, iv.hi) for iv in box.intervals)}
+    return {midpoint(box), tuple(_simplest_rational(lo, hi) for lo, hi in box)}
 
 
 def _is_exact_common_zero(terms_list, point) -> bool:
@@ -168,7 +167,7 @@ def _is_exact_common_zero(terms_list, point) -> bool:
     return True
 
 
-def _branch_and_bound(terms_list, box: IntervalBox, max_depth: int,
+def _branch_and_bound(terms_list, box: Box, max_depth: int,
                       box_budget: int) -> SubdivisionResult:
     """Branch-and-bound over a box with exact interval arithmetic.
 
@@ -187,12 +186,12 @@ def _branch_and_bound(terms_list, box: IntervalBox, max_depth: int,
     while True:
         processed += len(wave)
         zeros_found: list[tuple[Fraction, ...]] = []
-        survivors: list[IntervalBox] = []
+        survivors: list[Box] = []
         for b in wave:
             for terms in terms_list:
-                enc = enclose(terms, b)
-                if not enc.contains_zero():
-                    gap = max(enc.lo, -enc.hi)
+                lo, hi = enclose(terms, b)
+                if lo > 0 or hi < 0:
+                    gap = max(lo, -hi)
                     margin = gap if margin is None else min(margin, gap)
                     discarded += 1
                     break
@@ -210,11 +209,11 @@ def _branch_and_bound(terms_list, box: IntervalBox, max_depth: int,
         if depth >= max_depth or 2 * len(survivors) > box_budget:
             stats["unresolved_boxes"] = len(survivors)
             return SubdivisionResult("CandidateBoxes", stats=stats, margin=margin)
-        wave = [half for b in survivors for half in b.split()]
+        wave = [half for b in survivors for half in split(b)]
         depth += 1
 
 
-def subdivision_search(sys: RealPolySystem, box: IntervalBox,
+def subdivision_search(sys: RealPolySystem, box: Box,
                        config: SolverConfig = DEFAULT_CONFIG) -> SubdivisionResult:
     """Subdivision search for a common zero of ``sys`` in ``box``."""
     return _branch_and_bound(_system_terms(sys), box, config.max_depth,
@@ -247,7 +246,7 @@ def decide_emptiness(sys: RealPolySystem,
     diagnostics["radius"] = None if radius is None else str(radius)
 
     halfwidth = radius if radius is not None else config.default_box_halfwidth
-    box = IntervalBox.cube(sys.dimension, halfwidth)
+    box = cube(sys.dimension, halfwidth)
     result = subdivision_search(sys, box, config)
     diagnostics["pipeline"].append("subdivision")
     diagnostics["subdivision"] = dict(result.stats)
@@ -262,4 +261,10 @@ def decide_emptiness(sys: RealPolySystem,
             certificate={"kind": "ExhaustiveSubdivision", "radius": str(radius)},
             diagnostics=diagnostics)
     diagnostics["unresolved_boxes"] = result.stats.get("unresolved_boxes", 0)
+    if result.kind == "NoZeroInBox":
+        diagnostics["reason"] = "unbounded-no-radius"
+    elif result.stats["depth_reached"] >= config.max_depth:
+        diagnostics["reason"] = "depth-cap"
+    else:
+        diagnostics["reason"] = "box-budget"
     return EmptinessVerdict(UNKNOWN, diagnostics=diagnostics)

@@ -56,6 +56,18 @@ def test_zero_denominator_box_halfwidth_is_an_input_error(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("classify", "T", "--dim", "-1"), "dimension must be nonnegative, got -1"),
+    (("content", "T", "--dim", "-2"), "dimension must be nonnegative, got -2"),
+    (("witness", "X1*T", "--freq", "1/0"), "--freq"),
+], ids=["classify-dim", "content-dim", "witness-freq"])
+def test_input_error_names_the_flag(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT_ERROR
+    assert err.startswith("error:") and named in err
+    assert out == ""
+
+
 def test_unknown_exit_code(capsys):
     # unbounded pi-graded zero set: the truncated lattice search stays UNKNOWN
     code, out, _ = run(capsys, "periodic", "(X1^2 - X2^2 + PI^2)*T",

@@ -1,59 +1,56 @@
 import random
 from fractions import Fraction
 
-import pytest
-
-from nullsol.intervals import Interval, IntervalBox, enclose
+from nullsol.intervals import cube, enclose, midpoint, split
 
 from helpers import random_multipoly
 
+ONE = Fraction(1)
+
 
 def test_interval_basics():
-    iv = Interval.of(-1, 2)
-    assert iv.width() == 3
-    assert iv.midpoint() == Fraction(1, 2)
-    assert iv.contains_zero()
-    assert iv.contains(Fraction(2)) and not iv.contains(Fraction(5, 2))
-    with pytest.raises(ValueError):
-        Interval.of(1, 0)
+    h = Fraction(3, 2)
+    assert cube(2, h) == ((-h, h), (-h, h))
+    assert cube(0, 1) == ()
+    assert midpoint(((Fraction(-1), Fraction(2)), (Fraction(0), Fraction(1, 3)))) == (
+        Fraction(1, 2), Fraction(1, 6))
 
 
 def test_interval_mul_signs():
-    a = Interval.of(-2, 3)
-    b = Interval.of(-1, 4)
-    prod = a * b
-    assert prod.lo == -8 and prod.hi == 12
+    # x*y over [-2,3] x [-1,4]: the extremes come from mixed-sign corners
+    box = ((Fraction(-2), Fraction(3)), (Fraction(-1), Fraction(4)))
+    assert enclose({(1, 1): ONE}, box) == (-8, 12)
 
 
 def test_power_even_straddle():
-    iv = Interval.of(-2, 3)
-    sq = iv.power(2)
-    assert sq.lo == 0 and sq.hi == 9
-    cube = iv.power(3)
-    assert cube.lo == -8 and cube.hi == 27
-    assert Interval.of(-3, -1).power(2) == Interval.of(1, 9)
-    assert iv.power(0) == Interval.point(1)
+    straddle = ((Fraction(-2), Fraction(3)),)
+    assert enclose({(2,): ONE}, straddle) == (0, 9)
+    assert enclose({(3,): ONE}, straddle) == (-8, 27)
+    assert enclose({(2,): ONE}, ((Fraction(-3), Fraction(-1)),)) == (1, 9)
+    # a zero exponent leaves the factor out: the term is its coefficient
+    assert enclose({(0,): ONE}, straddle) == (1, 1)
+    assert enclose({(0, 2): ONE}, straddle + straddle) == (0, 9)
 
 
 def test_scale_negative():
-    assert Interval.of(1, 2).scale(Fraction(-3)) == Interval.of(-6, -3)
+    assert enclose({(1,): Fraction(-3)}, ((Fraction(1), Fraction(2)),)) == (-6, -3)
 
 
 def test_box_split_widest_axis_tie():
-    box = IntervalBox((Interval.of(0, 2), Interval.of(-1, 1)))
-    assert box.widest_axis() == 0  # tie broken by lowest index
-    left, right = box.split()
-    assert left.intervals[0] == Interval.of(0, 1)
-    assert right.intervals[0] == Interval.of(1, 2)
-    assert left.intervals[1] == box.intervals[1]
+    box = ((Fraction(0), Fraction(2)), (Fraction(-1), Fraction(1)))
+    left, right = split(box)  # tie broken by lowest index
+    assert left == ((0, 1), box[1])
+    assert right == ((1, 2), box[1])
+    # the strictly widest axis is halved, the others stay
+    assert split(((Fraction(0), Fraction(1)), (Fraction(0), Fraction(4)))) == (
+        ((0, 1), (0, 2)), ((0, 1), (2, 4)))
 
 
 def test_enclose_example():
     # q = x^2 + y over [-1,1] x [0,2] -> [0,1] + [0,2] = [0,3]
     terms = {(2, 0): Fraction(1), (0, 1): Fraction(1)}
-    box = IntervalBox((Interval.of(-1, 1), Interval.of(0, 2)))
-    enc = enclose(terms, box)
-    assert enc == Interval.of(0, 3)
+    box = ((Fraction(-1), Fraction(1)), (Fraction(0), Fraction(2)))
+    assert enclose(terms, box) == (0, 3)
 
 
 def test_enclosure_property_random():
@@ -65,10 +62,11 @@ def test_enclosure_property_random():
                            for _ in range(2)])
         lo2, hi2 = sorted([Fraction(rng.randint(-8, 8), rng.randint(1, 4))
                            for _ in range(2)])
-        box = IntervalBox((Interval(lo1, hi1), Interval(lo2, hi2)))
+        box = ((lo1, hi1), (lo2, hi2))
         # random rational point inside the box
         t1 = Fraction(rng.randint(0, 16), 16)
         t2 = Fraction(rng.randint(0, 16), 16)
         pt = (lo1 + (hi1 - lo1) * t1, lo2 + (hi2 - lo2) * t2)
         val = p.evaluate([pt[0], pt[1]]).re
-        assert enclose(terms, box).contains(val)
+        lo, hi = enclose(terms, box)
+        assert lo <= val <= hi

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nullsol.config import DEFAULT_CONFIG
-from nullsol.intervals import IntervalBox
+from nullsol.intervals import cube
 from nullsol.multipoly import MultiPoly
 from nullsol.symbols import RealPolySystem
 import nullsol.variety
@@ -61,30 +61,9 @@ def const(d, c):
     return MultiPoly.constant(d, c)
 
 
-@pytest.mark.parametrize("polys, radius", [
-    # d = 1: each face of [-1, 1] is a single point
-    ((X1 * X1 + const(1, 1),), 2),
-    ((X1 * X1 - const(1, 4),), 4),
-    ((X1 ** 3 - X1 + const(1, 5),), 3),
-    ((const(1, 2) * X1 ** 4 - const(1, 3) * X1 + const(1, Fraction(1, 2)),), 2),
-    # d = 2
-    ((X2 * X2 + Y2 * Y2 - const(2, 1),), 3),
-    (((X2 - const(2, 2)) ** 2 + (Y2 + const(2, 1)) ** 2 - const(2, 1),), 27),
-    ((X2 * Y2 - const(2, 1), X2 * X2 - Y2 * Y2), 6),
-    # d = 3
-    ((X3 * X3 + Y3 * Y3 + Z3 * Z3 - const(3, 1),), 3),
-    ((X3 * X3 + const(3, 2) * Y3 * Y3 + const(3, 3) * Z3 * Z3 - const(3, 6),), 9),
-    # the top form (x*y)^2 vanishes on the faces: no radius
-    ((X2 * Y2 - const(2, 1),), None),
-], ids=["x2+1", "x2-4", "x3-x+5", "2x4-3x+1/2", "circle", "shifted-circle",
-        "xy-1,x2-y2", "sphere", "ellipsoid", "xy-1"])
-def test_boundedness_radius_values(polys, radius):
-    r0 = boundedness_radius(sys_of(*polys))
-    assert r0 == (None if radius is None else Fraction(radius))
-
-
-def test_boundedness_stops_at_exact_face_zero(monkeypatch):
-    # (xyz)^2 vanishes at the centre of the face x = 1: the first probe ends it
+@pytest.fixture
+def enclose_calls(monkeypatch):
+    """The boxes of every ``enclose`` call the solver makes, in order."""
     calls = []
     original = nullsol.variety.enclose
 
@@ -93,18 +72,54 @@ def test_boundedness_stops_at_exact_face_zero(monkeypatch):
         return original(terms, box)
 
     monkeypatch.setattr(nullsol.variety, "enclose", counting)
+    return calls
+
+
+HYPERBOLOID = X3 * X3 + Y3 * Y3 - const(3, 3) * Z3 * Z3 + const(3, 1)
+
+
+# The enclose counts pin the wave loop: a new enclosure kernel must give the
+# same include/exclude decisions, hence the same number of calls.
+@pytest.mark.parametrize("polys, radius, calls", [
+    # d = 1: each face of [-1, 1] is a single point
+    ((X1 * X1 + const(1, 1),), 2, 2),
+    ((X1 * X1 - const(1, 4),), 4, 2),
+    ((X1 ** 3 - X1 + const(1, 5),), 3, 2),
+    ((const(1, 2) * X1 ** 4 - const(1, 3) * X1 + const(1, Fraction(1, 2)),), 2, 2),
+    # d = 2
+    ((X2 * X2 + Y2 * Y2 - const(2, 1),), 3, 4),
+    (((X2 - const(2, 2)) ** 2 + (Y2 + const(2, 1)) ** 2 - const(2, 1),), 27, 4),
+    ((X2 * Y2 - const(2, 1), X2 * X2 - Y2 * Y2), 6, 28),
+    # d = 3
+    ((X3 * X3 + Y3 * Y3 + Z3 * Z3 - const(3, 1),), 3, 6),
+    ((X3 * X3 + const(3, 2) * Y3 * Y3 + const(3, 3) * Z3 * Z3 - const(3, 6),), 9, 6),
+    # the top form (x*y)^2 vanishes on the faces: no radius
+    ((X2 * Y2 - const(2, 1),), None, 1),
+    # the top form vanishes on irrational face points only: the face search
+    # runs to its depth cap
+    ((HYPERBOLOID,), None, 3919),
+], ids=["x2+1", "x2-4", "x3-x+5", "2x4-3x+1/2", "circle", "shifted-circle",
+        "xy-1,x2-y2", "sphere", "ellipsoid", "xy-1", "hyperboloid"])
+def test_boundedness_radius_values(enclose_calls, polys, radius, calls):
+    r0 = boundedness_radius(sys_of(*polys))
+    assert r0 == (None if radius is None else Fraction(radius))
+    assert len(enclose_calls) == calls
+
+
+def test_boundedness_stops_at_exact_face_zero(enclose_calls):
+    # (xyz)^2 vanishes at the centre of the face x = 1: the first probe ends it
     assert boundedness_radius(sys_of(X3 * Y3 * Z3 - const(3, 1))) is None
-    assert len(calls) <= 10
+    assert len(enclose_calls) <= 10
 
 
 def test_subdivision_no_zero():
-    box = IntervalBox.cube(1, 10)
+    box = cube(1, 10)
     res = subdivision_search(sys_of(POSDEF), box)
     assert res.kind == "NoZeroInBox"
 
 
 def test_subdivision_finds_exact_zero():
-    box = IntervalBox.cube(2, 2)
+    box = cube(2, 2)
     res = subdivision_search(sys_of(CIRCLE), box)
     assert res.kind == "ExactZero"
     assert exact_common_zero(sys_of(CIRCLE), res.zero)
@@ -114,7 +129,7 @@ def test_subdivision_candidate_boxes_on_budget():
     cfg = dataclasses.replace(DEFAULT_CONFIG, max_depth=0)
     # x^2 - 2 has no rational zero; depth 0 leaves a candidate box
     p = MultiPoly(1, {(2,): 1, (0,): -2})
-    res = subdivision_search(sys_of(p), IntervalBox.cube(1, 2), cfg)
+    res = subdivision_search(sys_of(p), cube(1, 2), cfg)
     assert res.kind == "CandidateBoxes"
     assert res.stats["unresolved_boxes"] == 1
 
@@ -191,6 +206,40 @@ def test_decide_unknown_is_honest():
     verdict = decide_emptiness(sys_of(p))
     assert verdict.status == UNKNOWN
     assert verdict.witness is None
+
+
+X2_MINUS_2 = MultiPoly(1, {(2,): 1, (0,): -2})
+
+
+@pytest.mark.parametrize("system, config, reason, unresolved", [
+    (sys_of(X2_MINUS_2), DEFAULT_CONFIG, "depth-cap", 2),
+    (sys_of(X2_MINUS_2), dataclasses.replace(DEFAULT_CONFIG, box_budget=3), "box-budget", 2),
+    # no real zero, but x^4 vanishes at (0, +-1): no radius, and the cleared
+    # fallback box proves nothing
+    (sys_of(X2 - Y2, X2 * X2 + const(2, 1)), DEFAULT_CONFIG, "unbounded-no-radius", 0),
+], ids=["depth-cap", "box-budget", "unbounded-no-radius"])
+def test_unknown_reason(system, config, reason, unresolved):
+    verdict = decide_emptiness(system, config)
+    assert verdict.status == UNKNOWN
+    assert verdict.diagnostics["reason"] == reason
+    assert verdict.diagnostics["unresolved_boxes"] == unresolved
+
+
+@pytest.mark.parametrize("system, status, radius, stats, calls", [
+    # the circle misses the line x + y = 7/2 by a gap
+    (sys_of((X2 - const(2, 2)) ** 2 + (Y2 + const(2, 1)) ** 2 - const(2, 1),
+            X2 + Y2 - const(2, Fraction(7, 2))), EMPTY, "27",
+     {"boxes_processed": 105, "boxes_discarded": 53, "depth_reached": 15}, 172),
+    (sys_of(X2_MINUS_2), UNKNOWN, "3",
+     {"boxes_processed": 95, "boxes_discarded": 46, "depth_reached": 24,
+      "unresolved_boxes": 2}, 97),
+], ids=["circle-misses-line", "x2-2"])
+def test_decide_wave_loop_counts(enclose_calls, system, status, radius, stats, calls):
+    verdict = decide_emptiness(system)
+    assert verdict.status == status
+    assert verdict.diagnostics["radius"] == radius
+    assert verdict.diagnostics["subdivision"] == stats
+    assert len(enclose_calls) == calls
 
 
 def test_witness_is_exact_never_float():
