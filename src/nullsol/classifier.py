@@ -24,7 +24,6 @@ from .variety import (
     EMPTY,
     NONEMPTY,
     _is_exact_common_zero,
-    _system_terms,
     boundedness_radius,
     decide_emptiness,
 )
@@ -212,7 +211,7 @@ def periodic_test(p: MultiPoly, lattice: LatticeSpec,
     if any(q.is_constant() for q in system.polys):
         return Verdict(TRIVIAL, rule="nonvanishing-generator",
                        evidence={"constant_pi_grade": True})
-    if unit_ideal_test(list(system.polys), config.groebner_cap):
+    if unit_ideal_test(list(system.terms), config.groebner_cap):
         return Verdict(TRIVIAL, rule="content-variety-empty",
                        evidence={"groebner_unit": True})
 
@@ -224,11 +223,10 @@ def periodic_test(p: MultiPoly, lattice: LatticeSpec,
         search_radius = int(lattice.max_row_abs_sum() * r0)
         evidence["complete_radius"] = search_radius
 
-    terms_list = _system_terms(system)
     for radius in range(search_radius + 1):
         for k in _lattice_shell(dim, radius):
             v = lattice.frequency_vector(k)
-            if _is_exact_common_zero(terms_list, v):
+            if _is_exact_common_zero(system.terms, v):
                 evidence["lattice_point"] = list(k)
                 return Verdict(NONTRIVIAL, rule="lattice-resonance",
                                witness=build_periodic_witness(p, v), evidence=evidence)

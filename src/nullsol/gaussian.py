@@ -1,8 +1,9 @@
 """Exact complex rationals a + b*i with Fraction real and imaginary parts.
 
-All coefficient arithmetic in this package goes through this class.  No
-floating point is involved anywhere on a symbolic path: equality with zero
-is a logical claim, not a tolerance check.
+Symbol coefficients and their ring arithmetic go through this class; the
+solver below ``RealPolySystem`` works on plain Fractions.  No floating
+point is involved anywhere on a symbolic path: equality with zero is a
+logical claim, not a tolerance check.
 """
 
 from __future__ import annotations
@@ -76,27 +77,9 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
     def __pow__(self, n: int):
         if n < 0:
-            return ONE / (self ** (-n))
+            raise ValueError("negative power of a Gaussian rational")
         result = ONE
         base = self
         while n:

@@ -1,15 +1,22 @@
-"""Buchberger's algorithm over Q(i), graded-reverse-lexicographic order.
+"""Buchberger's algorithm over Q, graded-reverse-lexicographic order.
 
-Used only as a sound shortcut: if the ideal generated by a system contains
-a nonzero constant, the system has no common complex zero, hence no common
-real zero.  A reduction-step cap keeps runtime bounded; hitting the cap is
-reported as inconclusive, never as a verdict.
+Polynomials are term dicts ``{exponent tuple: nonzero Fraction}``, the form
+``RealPolySystem.terms`` holds.  Used only as a sound shortcut: if the ideal
+generated by a real system contains a nonzero constant, the system has no
+common complex zero, hence no common real zero.  A reduction-step cap keeps
+runtime bounded; hitting the cap is reported as inconclusive, never as a
+verdict.
 """
 
 from __future__ import annotations
 
-from .gaussian import GaussianRational, ONE
-from .multipoly import MultiPoly
+import heapq
+import itertools
+from fractions import Fraction
+
+Terms = dict[tuple[int, ...], Fraction]
+# A basis element with its cached leading monomial and coefficient.
+_Entry = tuple[tuple[int, ...], Fraction, Terms]
 
 
 class GroebnerCapExceeded(Exception):
@@ -20,20 +27,32 @@ def grevlex_key(exps: tuple[int, ...]):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-def leading_term(p: MultiPoly) -> tuple[tuple[int, ...], GaussianRational]:
-    exps = max(p.terms, key=grevlex_key)
-    return exps, p.terms[exps]
+def leading_term(p: Terms) -> tuple[tuple[int, ...], Fraction]:
+    exps = max(p, key=grevlex_key)
+    return exps, p[exps]
+
+
+def _entry(p: Terms) -> _Entry:
+    return (*leading_term(p), p)
+
+
+def _is_constant(p: Terms) -> bool:
+    return all(sum(e) == 0 for e in p)
 
 
 def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _monomial_mul(p: MultiPoly, exps: tuple[int, ...], coeff: GaussianRational) -> MultiPoly:
-    return MultiPoly(p.nvars, {
-        tuple(a + b for a, b in zip(e, exps)): c * coeff
-        for e, c in p.terms.items()
-    })
+def add_multiple(acc: Terms, p: Terms, exps: tuple[int, ...], coeff: Fraction) -> None:
+    """acc += coeff * X^exps * p, in place, dropping cancelled terms."""
+    for e, c in p.items():
+        m = tuple(a + b for a, b in zip(e, exps))
+        v = acc.get(m, 0) + coeff * c
+        if v:
+            acc[m] = v
+        else:
+            del acc[m]
 
 
 class _Budget:
@@ -48,83 +67,89 @@ class _Budget:
             raise GroebnerCapExceeded()
 
 
-def reduce_poly(f: MultiPoly, basis: list[MultiPoly], budget: _Budget | None = None) -> MultiPoly:
-    """Full normal form of f modulo basis (leading-term reduction)."""
-    remainder: dict[tuple[int, ...], GaussianRational] = {}
-    work = f
-    while not work.is_zero():
+def _normal_form(f: Terms, basis: list[_Entry], budget: _Budget | None) -> Terms:
+    """Full normal form: each leading term is reduced by the first basis
+    element whose leading monomial divides it, one budget step each."""
+    remainder: Terms = {}
+    work = dict(f)
+    while work:
         lt_e, lt_c = leading_term(work)
-        reduced = False
-        for g in basis:
-            g_e, g_c = leading_term(g)
+        for g_e, g_c, g in basis:
             if _divides(g_e, lt_e):
                 if budget is not None:
                     budget.spend()
-                quot_e = tuple(a - b for a, b in zip(lt_e, g_e))
-                work = work - _monomial_mul(g, quot_e, lt_c / g_c)
-                reduced = True
+                add_multiple(work, g, tuple(a - b for a, b in zip(lt_e, g_e)), -lt_c / g_c)
                 break
-        if not reduced:
+        else:
             remainder[lt_e] = lt_c
-            work = MultiPoly(work.nvars, {e: c for e, c in work.terms.items() if e != lt_e})
-    return MultiPoly(f.nvars, remainder)
+            del work[lt_e]
+    return remainder
 
 
-def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    f_e, f_c = leading_term(f)
-    g_e, g_c = leading_term(g)
-    lcm = tuple(max(a, b) for a, b in zip(f_e, g_e))
-    sf = _monomial_mul(f, tuple(a - b for a, b in zip(lcm, f_e)), ONE / f_c)
-    sg = _monomial_mul(g, tuple(a - b for a, b in zip(lcm, g_e)), ONE / g_c)
-    return sf - sg
+def reduce_poly(f: Terms, basis: list[Terms], budget: _Budget | None = None) -> Terms:
+    """Full normal form of f modulo basis (leading-term reduction)."""
+    return _normal_form(f, [_entry(g) for g in basis], budget)
 
 
-def buchberger(polys: list[MultiPoly], cap: int = 50000) -> list[MultiPoly]:
+def _s_poly(f: _Entry, g: _Entry) -> Terms:
+    (f_e, f_c, f_terms), (g_e, g_c, g_terms) = f, g
+    lcm = tuple(map(max, f_e, g_e))
+    s: Terms = {}
+    add_multiple(s, f_terms, tuple(a - b for a, b in zip(lcm, f_e)), 1 / f_c)
+    add_multiple(s, g_terms, tuple(a - b for a, b in zip(lcm, g_e)), -1 / g_c)
+    return s
+
+
+def s_polynomial(f: Terms, g: Terms) -> Terms:
+    return _s_poly(_entry(f), _entry(g))
+
+
+def buchberger(polys: list[Terms], cap: int = 50000) -> list[Terms]:
     """Groebner basis (grevlex) of the given generators.
 
-    Raises GroebnerCapExceeded when the reduction budget runs out.
+    Pairs are taken by least grevlex lcm, ties in the order they were
+    formed.  Raises GroebnerCapExceeded when the reduction budget runs out.
     """
-    basis = [p for p in polys if not p.is_zero()]
+    basis = [_entry(p) for p in polys if p]
     if not basis:
         return []
     budget = _Budget(cap)
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    pairs: list = []
+    formed = itertools.count()
 
-    def pair_key(pair):
-        i, j = pair
-        lcm = tuple(max(a, b) for a, b in
-                    zip(leading_term(basis[i])[0], leading_term(basis[j])[0]))
-        return grevlex_key(lcm)
+    def add_pair(i: int, j: int) -> None:
+        lcm = tuple(map(max, basis[i][0], basis[j][0]))
+        heapq.heappush(pairs, (grevlex_key(lcm), next(formed), i, j))
 
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            add_pair(i, j)
     while pairs:
-        pairs.sort(key=pair_key)
-        i, j = pairs.pop(0)
-        f_e = leading_term(basis[i])[0]
-        g_e = leading_term(basis[j])[0]
+        _, _, i, j = heapq.heappop(pairs)
         # Buchberger's first criterion: coprime leading monomials.
-        if all(min(a, b) == 0 for a, b in zip(f_e, g_e)):
+        if all(min(a, b) == 0 for a, b in zip(basis[i][0], basis[j][0])):
             continue
-        s = s_polynomial(basis[i], basis[j])
-        r = reduce_poly(s, basis, budget)
-        if not r.is_zero():
-            k = len(basis)
-            basis.append(r)
-            pairs.extend((m, k) for m in range(k))
-            if r.is_constant():
+        r = _normal_form(_s_poly(basis[i], basis[j]), basis, budget)
+        if r:
+            entry = _entry(r)
+            if not any(entry[0]):
                 # Unit in the ideal; basis is the whole ring.
-                return [MultiPoly.constant(r.nvars, 1)]
-    return basis
+                return [{entry[0]: Fraction(1)}]
+            basis.append(entry)
+            for m in range(len(basis) - 1):
+                add_pair(m, len(basis) - 1)
+    return [g for _, _, g in basis]
 
 
-def unit_ideal_test(polys: list[MultiPoly], cap: int = 50000) -> bool | None:
+def unit_ideal_test(polys: list[Terms], cap: int = 50000) -> bool | None:
     """True/False for a decided unit-ideal question; None if cap exceeded."""
-    nonzero = [p for p in polys if not p.is_zero()]
+    nonzero = [p for p in polys if p]
     if not nonzero:
         return False
-    if any(p.is_constant() for p in nonzero):
+    if any(map(_is_constant, nonzero)):
         return True
     try:
         basis = buchberger(nonzero, cap)
     except GroebnerCapExceeded:
         return None
-    return any(p.is_constant() and not p.is_zero() for p in basis)
+    return any(map(_is_constant, basis))

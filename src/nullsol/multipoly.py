@@ -92,27 +92,16 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self) -> GaussianRational:
-        return self.terms.get((0,) * self.nvars, ZERO)
-
     def total_degree(self):
         """Max exponent sum over terms; NEG_INF for the zero polynomial."""
         if not self.terms:
             return NEG_INF
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, index: int):
-        if not self.terms:
-            return NEG_INF
-        return max(e[index] for e in self.terms)
-
     def sorted_terms(self, reverse: bool = True):
         """Terms in graded-lex order (descending by default)."""
         for exps in sorted(self.terms, key=grlex_key, reverse=reverse):
             yield exps, self.terms[exps]
-
-    def is_real(self) -> bool:
-        return all(c.is_real() for c in self.terms.values())
 
     def real_terms(self) -> dict[tuple[int, ...], Fraction]:
         """Terms as Fractions; raises if any coefficient is non-real."""
@@ -177,20 +166,7 @@ class MultiPoly:
             n >>= 1
         return result
 
-    # -- calculus / evaluation -------------------------------------------
-
-    def partial_derivative(self, index: int) -> "MultiPoly":
-        if not 0 <= index < self.nvars:
-            raise ValueError(f"variable index {index} out of range for nvars={self.nvars}")
-        out: dict[tuple[int, ...], GaussianRational] = {}
-        for exps, c in self.terms.items():
-            k = exps[index]
-            if k == 0:
-                continue
-            e = list(exps)
-            e[index] = k - 1
-            out[tuple(e)] = c * k
-        return MultiPoly(self.nvars, out)
+    # -- evaluation -----------------------------------------------------
 
     def evaluate(self, point: Sequence):
         """Exact evaluation at a point of ring elements.
@@ -242,12 +218,6 @@ class MultiPoly:
         for exps, c in self.terms.items():
             coeffs[exps[-1]][exps[:-1]] = c
         return [MultiPoly(self.nvars - 1, d) for d in coeffs]
-
-    def drop_unused_last_var(self) -> "MultiPoly":
-        """Remove the last variable slot; requires degree 0 in that slot."""
-        if self.nvars == 0 or any(e[-1] != 0 for e in self.terms):
-            raise ValueError("last variable occurs; cannot drop slot")
-        return MultiPoly(self.nvars - 1, {e[:-1]: c for e, c in self.terms.items()})
 
     # -- equality / hashing ----------------------------------------------
 

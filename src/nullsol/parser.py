@@ -202,12 +202,6 @@ class _Parser:
                          f"unexpected token at start of operand")
 
 
-def infer_dimension(text: str, allow_pi: bool = False) -> int:
-    """Highest Xk index appearing in the input (0 if none)."""
-    toks = _tokenize(text, allow_pi)
-    return max((t.value for t in toks if t.kind == "X"), default=0)
-
-
 def parse(text: str, dim: int | None = None, allow_pi: bool = False) -> tuple[MultiPoly, int]:
     """Parse an expression into a MultiPoly; returns (poly, spatial dim).
 

@@ -9,7 +9,7 @@ for the frequencies 2*pi*v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -26,20 +26,24 @@ class ContentGenerators:
     dimension: int
     generators: tuple[MultiPoly, ...]
 
-    def is_zero_ideal(self) -> bool:
-        return not self.generators
-
 
 @dataclass(frozen=True)
 class RealPolySystem:
     """Real-coefficient polynomials in xi1..xid.
 
     Common real zeros correspond exactly to the points i*xi at which every
-    content generator vanishes.
+    content generator vanishes.  ``terms`` holds the polys as Fraction term
+    dicts, the form the solver works on; a non-real coefficient raises
+    ValueError here.
     """
 
     dimension: int
     polys: tuple[MultiPoly, ...]
+    terms: tuple[dict[tuple[int, ...], Fraction], ...] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(p.real_terms() for p in self.polys))
 
 
 def restrict_to_time(p: MultiPoly) -> MultiPoly:

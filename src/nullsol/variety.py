@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, SolverConfig
-from .groebner import unit_ideal_test
+from .groebner import add_multiple, unit_ideal_test
 from .intervals import Box, cube, enclose, midpoint, split
-from .multipoly import MultiPoly
 from .symbols import RealPolySystem
 
 EMPTY = "EMPTY"
@@ -41,10 +40,6 @@ class SubdivisionResult:
     stats: dict = field(default_factory=dict)
     # least distance from 0 of a discarding enclosure; not in the JSON stats
     margin: Fraction | None = None
-
-
-def _system_terms(sys: RealPolySystem) -> list[dict[tuple[int, ...], Fraction]]:
-    return [p.real_terms() for p in sys.polys]
 
 
 def _substitute_value(terms: dict[tuple[int, ...], Fraction], index: int,
@@ -95,12 +90,12 @@ def boundedness_radius(sys: RealPolySystem,
     where C_j sums |coefficients| of the degree-j part of F; the smallest
     integer r making that positive bounds all real zeros.
     """
-    if not sys.polys or all(p.is_constant() for p in sys.polys):
+    if all(sum(e) == 0 for p in sys.terms for e in p):
         raise ValueError("system must contain a nonconstant polynomial")
-    f = MultiPoly.zero(sys.dimension)
-    for p in sys.polys:
-        f = f + p * p
-    terms = f.real_terms()
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for p in sys.terms:
+        for e, c in p.items():
+            add_multiple(terms, p, e, c)
     deg = max(sum(e) for e in terms)
     top = {e: c for e, c in terms.items() if sum(e) == deg}
     lower_weight: dict[int, Fraction] = {}
@@ -216,7 +211,7 @@ def _branch_and_bound(terms_list, box: Box, max_depth: int,
 def subdivision_search(sys: RealPolySystem, box: Box,
                        config: SolverConfig = DEFAULT_CONFIG) -> SubdivisionResult:
     """Subdivision search for a common zero of ``sys`` in ``box``."""
-    return _branch_and_bound(_system_terms(sys), box, config.max_depth,
+    return _branch_and_bound(sys.terms, box, config.max_depth,
                              config.box_budget)
 
 
@@ -234,7 +229,7 @@ def decide_emptiness(sys: RealPolySystem,
                                 certificate={"kind": "ExactPoint"},
                                 diagnostics={"pipeline": ["empty-system"]})
 
-    unit = unit_ideal_test(list(sys.polys), config.groebner_cap)
+    unit = unit_ideal_test(list(sys.terms), config.groebner_cap)
     diagnostics["pipeline"].append("groebner")
     diagnostics["groebner_unit"] = unit
     if unit:

@@ -66,7 +66,7 @@ def grid_min_sum_squares(system: RealPolySystem, lo: float, hi: float,
     axis = np.arange(lo, hi + step / 2, step)
     d = system.dimension
     if d == 0:
-        val = sum(float(p.constant_value().re) ** 2 for p in system.polys)
+        val = sum(float(c) ** 2 for terms in system.terms for c in terms.values())
         return val
     best = np.inf
     chunk = max(1, int(4e6 // max(1, len(axis) ** (d - 1))))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,3 +144,19 @@ def test_json_byte_determinism(capsys):
         assert code == EXIT_OK
         outputs.append(out)
     assert len(set(outputs)) == 1
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # the read end is closed before the process starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nullsol.cli", "classify", "X1^2*T+X2+1",
+             "--space", "all", "--output", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_INPUT_ERROR
+    assert b"Traceback" not in proc.stderr

@@ -47,9 +47,6 @@ def test_degrees():
     assert MultiPoly.zero(3).total_degree() == NEG_INF
     p = P(3, {(3, 0, 2): 1, (0, 0, 1): 5})
     assert p.total_degree() == 5
-    assert p.degree_in(0) == 3
-    assert p.degree_in(1) == 0
-    assert p.degree_in(2) == 2
 
 
 def test_variable_count_mismatch():
@@ -68,14 +65,6 @@ def test_evaluate_examples():
     assert v == GaussianRational(-1)
     with pytest.raises(ValueError):
         p.evaluate([Fraction(1)])
-
-
-def test_partial_derivative():
-    p = P(2, {(2, 1): 3, (0, 1): 1})  # 3*X1^2*T + T
-    assert p.partial_derivative(0) == P(2, {(1, 1): 6})
-    assert p.partial_derivative(1) == P(2, {(2, 0): 3, (0, 0): 1})
-    with pytest.raises(ValueError):
-        p.partial_derivative(5)
 
 
 def test_coefficients_in_T():
@@ -107,13 +96,6 @@ def test_coefficients_in_T_reconstruction_random():
         assert acc == p
         if coeffs:
             assert not coeffs[-1].is_zero()
-
-
-def test_drop_unused_last_var():
-    p = P(2, {(2, 0): 1})
-    assert p.drop_unused_last_var() == P(1, {(2,): 1})
-    with pytest.raises(ValueError):
-        P(2, {(0, 1): 1}).drop_unused_last_var()
 
 
 def test_grlex_key_order():

@@ -9,7 +9,6 @@ from nullsol.parser import (
     ParseError,
     ParseErrorKind,
     default_names,
-    infer_dimension,
     parse,
     print_canonical,
 )
@@ -63,8 +62,9 @@ def test_explicit_dimension():
 
 
 def test_infer_dimension():
-    assert infer_dimension("X2*X5 + T") == 5
-    assert infer_dimension("T + 1") == 0
+    # without dim, the spatial dimension is the highest Xk index
+    assert parse("X2*X5 + T")[1] == 5
+    assert parse("T + 1")[1] == 0
 
 
 def test_error_kinds_and_positions():

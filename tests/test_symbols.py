@@ -7,6 +7,7 @@ from nullsol.gaussian import ZERO, GaussianRational
 from nullsol.multipoly import MultiPoly
 from nullsol.parser import parse
 from nullsol.symbols import (
+    RealPolySystem,
     degree_test,
     imaginary_slice,
     is_characteristic_normal,
@@ -72,16 +73,16 @@ def test_degree_test_iff_time_normal_not_characteristic():
 def test_x_content():
     c = x_content(DIFFUSION)
     assert c.dimension == 3
-    assert c.generators == (parse("-(X1^2+X2^2+X3^2)", dim=3)[0].drop_unused_last_var(),
+    assert c.generators == (MultiPoly(3, {(2, 0, 0): -1, (0, 2, 0): -1, (0, 0, 2): -1}),
                             MultiPoly.constant(3, 1))
     c2 = x_content(MIXED)
     assert c2.generators == (MultiPoly(2, {(1, 1): 1}),)
-    assert x_content(MultiPoly.zero(3)).is_zero_ideal()
+    assert x_content(MultiPoly.zero(3)).generators == ()
 
 
 def test_substitute_i_xi():
     # X1^2 + X2^2 + 1 -> real part 1 - xi1^2 - xi2^2, no imaginary part
-    a = parse("X1^2 + X2^2 + 1", dim=2)[0].drop_unused_last_var()
+    a = MultiPoly(2, {(2, 0): 1, (0, 2): 1, (0, 0): 1})
     re, im = substitute_i_xi(a)
     assert re == MultiPoly(2, {(2, 0): -1, (0, 2): -1, (0, 0): 1})
     assert im.is_zero()
@@ -90,6 +91,13 @@ def test_substitute_i_xi():
     re2, im2 = substitute_i_xi(b)
     assert re2.is_zero()
     assert im2 == MultiPoly(1, {(1,): 1, (0,): 1})
+
+
+def test_real_poly_system_terms_and_non_real_rejection():
+    sys = RealPolySystem(1, (MultiPoly(1, {(1,): Fraction(1, 2), (0,): -3}),))
+    assert sys.terms == ({(1,): Fraction(1, 2), (0,): Fraction(-3)},)
+    with pytest.raises(ValueError, match="non-real"):
+        RealPolySystem(1, (MultiPoly(1, {(1,): 1, (0,): GaussianRational(0, 1)}),))
 
 
 def test_imaginary_slice_dedup():
