@@ -12,12 +12,14 @@ space.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .groebner import unit_ideal_test
+from .intervals import clear
 from .multipoly import MultiPoly
 from .symbols import degree_test, imaginary_slice, pi_graded_slice, restrict_to_time, x_content
 from .variety import (
@@ -223,10 +225,14 @@ def periodic_test(p: MultiPoly, lattice: LatticeSpec,
         search_radius = int(lattice.max_row_abs_sum() * r0)
         evidence["complete_radius"] = search_radius
 
+    # Every A^-1 k lies over the lcm of the inverse's denominators.
+    den = math.lcm(*(x.denominator for row in lattice.inverse() for x in row))
+    polys = [clear(terms, 1) for terms in system.terms]
     for radius in range(search_radius + 1):
         for k in _lattice_shell(dim, radius):
             v = lattice.frequency_vector(k)
-            if _is_exact_common_zero(system.terms, v):
+            if _is_exact_common_zero(polys, tuple(x.numerator * (den // x.denominator)
+                                                  for x in v), den):
                 evidence["lattice_point"] = list(k)
                 return Verdict(NONTRIVIAL, rule="lattice-resonance",
                                witness=build_periodic_witness(p, v), evidence=evidence)
@@ -234,4 +240,5 @@ def periodic_test(p: MultiPoly, lattice: LatticeSpec,
     evidence["searched_radius"] = search_radius
     if r0 is not None:
         return Verdict(TRIVIAL, rule="lattice-resonance-free", evidence=evidence)
+    evidence["reason"] = "lattice-truncated"
     return Verdict(UNKNOWN, rule="lattice-search-exhausted", evidence=evidence)

@@ -3,7 +3,7 @@
 Pipeline: unit-ideal shortcut (no common complex zero implies no common
 real zero), then a boundedness reduction that confines all real zeros to
 an exact cube, then certified branch-and-bound subdivision with exact
-rational interval arithmetic.  NONEMPTY always carries an exact rational
+interval arithmetic on integers.  NONEMPTY always carries an exact rational
 common zero; EMPTY always carries a machine-checkable certificate;
 UNKNOWN is an honest inconclusive outcome, never silently coerced.
 """
@@ -16,7 +16,18 @@ from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .groebner import add_multiple, unit_ideal_test
-from .intervals import Box, cube, enclose, midpoint, split
+from .intervals import (
+    Box,
+    DyadicBox,
+    IntPoly,
+    clear,
+    cube,
+    dyadic,
+    enclose,
+    midpoint,
+    scale,
+    split,
+)
 from .symbols import RealPolySystem
 
 EMPTY = "EMPTY"
@@ -127,35 +138,55 @@ def boundedness_radius(sys: RealPolySystem,
     return Fraction(hi)
 
 
-def _simplest_rational(lo: Fraction, hi: Fraction) -> Fraction:
-    """The smallest-denominator rational in [lo, hi] (Stern-Brocot descent).
+def _simplest_rational(a: int, b: int, den: int) -> tuple[int, int]:
+    """The smallest-denominator rational in [a/den, b/den], as (num, den).
 
-    Among integers the one nearest 0 wins, so it is 0 whenever lo <= 0 <= hi.
+    Stern-Brocot descent by continued fractions on integer pairs.  Among
+    integers the one nearest 0 wins, so it is 0 whenever a <= 0 <= b.
     """
-    if lo <= 0 <= hi:
-        return Fraction(0)
-    if hi < 0:
-        return -_simplest_rational(-hi, -lo)
-    n = math.ceil(lo)
-    if n <= hi:
-        return Fraction(n)
-    # n - 1 < lo <= hi < n: continue on the reciprocals of the fractional parts.
-    return n - 1 + 1 / _simplest_rational(1 / (hi - n + 1), 1 / (lo - n + 1))
+    if a <= 0 <= b:
+        return 0, 1
+    if b < 0:
+        num, d = _simplest_rational(-b, -a, den)
+        return -num, d
+    # [lo_n/lo_d, hi_n/hi_d] with 0 < lo; (p1/q1, p0/q0) the last two convergents
+    lo_n, lo_d, hi_n, hi_d = a, den, b, den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        n = -(-lo_n // lo_d)
+        if n * hi_d <= hi_n:
+            return n * p1 + p0, n * q1 + q0
+        # n - 1 < lo <= hi < n: continue on the reciprocals of the fractional parts.
+        n -= 1
+        p0, q0, p1, q1 = p1, q1, n * p1 + p0, n * q1 + q0
+        lo_n, lo_d, hi_n, hi_d = hi_d, hi_n - n * hi_d, lo_d, lo_n - n * lo_d
 
 
-def _candidate_points(box: Box) -> set[tuple[Fraction, ...]]:
-    """The box midpoint and its per-coordinate simplest rational point."""
-    return {midpoint(box), tuple(_simplest_rational(lo, hi) for lo, hi in box)}
+def _candidate_points(box: DyadicBox, q: int) -> list[tuple[tuple[int, ...], int]]:
+    """The box midpoint and its per-coordinate simplest rational point.
+
+    Each point is ``(numerators, m)`` over the denominator ``q*m``.
+    """
+    mid, m = midpoint(box)
+    k, coords = box
+    simplest = [_simplest_rational(a, b, q << k) for a, b in coords]
+    den = math.lcm(*(d for _, d in simplest))
+    return [(mid, m), (tuple(q * num * (den // d) for num, d in simplest), den)]
 
 
-def _is_exact_common_zero(terms_list, point) -> bool:
-    for terms in terms_list:
-        acc = Fraction(0)
-        for exps, c in terms.items():
-            v = c
-            for x, e in zip(point, exps):
-                if e:
-                    v *= x ** e
+def _is_exact_common_zero(polys: list[IntPoly], numerators: tuple[int, ...],
+                          m: int) -> bool:
+    """Whether every cleared polynomial vanishes at the point ``numerators/(q*m)``.
+
+    ``q`` is the one the polynomials were cleared with (:func:`clear`); the
+    test is exact, as ``L*(q*m)^D * p`` at the point is an integer sum.
+    """
+    for poly in polys:
+        acc = 0
+        for c, codeg, factors in poly.terms:
+            v = c * m ** codeg
+            for axis, n in factors:
+                v *= numerators[axis] ** n
             acc += v
         if acc != 0:
             return False
@@ -166,36 +197,44 @@ def _branch_and_bound(terms_list, box: Box, max_depth: int,
                       box_budget: int) -> SubdivisionResult:
     """Branch-and-bound over a box with exact interval arithmetic.
 
-    A box is discarded when some polynomial's enclosure excludes 0;
-    discarding every box proves there is no zero in the original box.  Each
-    surviving box is probed at its midpoint and at its simplest rational
-    point (the smallest-denominator rational in every coordinate interval);
-    an exact common zero among them yields ExactZero (the lexicographically
-    smallest zero found in that wave, so the result is independent of
-    processing order).  CandidateBoxes when the depth or box cap is hit.
+    The box and the polynomials go over to integers once (see
+    :mod:`nullsol.intervals`).  A box is discarded when some polynomial's
+    enclosure excludes 0; discarding every box proves there is no zero in
+    the original box.  Each surviving box is probed at its midpoint and at
+    its simplest rational point (the smallest-denominator rational in every
+    coordinate interval); an exact common zero among them yields ExactZero
+    (the lexicographically smallest zero found in that wave, so the result
+    is independent of processing order).  CandidateBoxes when the depth or
+    box cap is hit.
     """
-    wave = [box]
+    q, start = dyadic(box)
+    polys = [clear(terms, q) for terms in terms_list]
+    wave = [start]
     processed = discarded = 0
     depth = 0
-    margin: Fraction | None = None
+    # least gap / scale of a discarding enclosure, kept as an integer pair
+    gap_min, scale_min = None, 1
     while True:
         processed += len(wave)
         zeros_found: list[tuple[Fraction, ...]] = []
-        survivors: list[Box] = []
+        survivors: list[DyadicBox] = []
         for b in wave:
-            for terms in terms_list:
-                lo, hi = enclose(terms, b)
+            for poly in polys:
+                lo, hi = enclose(poly, b)
                 if lo > 0 or hi < 0:
-                    gap = max(lo, -hi)
-                    margin = gap if margin is None else min(margin, gap)
+                    gap, s = max(lo, -hi), scale(poly, q, b[0])
+                    if gap_min is None or gap * scale_min < gap_min * s:
+                        gap_min, scale_min = gap, s
                     discarded += 1
                     break
             else:
-                zeros_found.extend(pt for pt in _candidate_points(b)
-                                   if _is_exact_common_zero(terms_list, pt))
+                zeros_found.extend(tuple(Fraction(x, q * m) for x in pt)
+                                   for pt, m in _candidate_points(b, q)
+                                   if _is_exact_common_zero(polys, pt, m))
                 survivors.append(b)
         stats = {"boxes_processed": processed, "boxes_discarded": discarded,
                  "depth_reached": depth}
+        margin = None if gap_min is None else Fraction(gap_min, scale_min)
         if zeros_found:
             return SubdivisionResult("ExactZero", zero=min(zeros_found),
                                      stats=stats, margin=margin)

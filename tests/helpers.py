@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from nullsol.gaussian import GaussianRational
+from nullsol.intervals import clear, dyadic, enclose, scale
 from nullsol.multipoly import MultiPoly
 from nullsol.symbols import RealPolySystem
 
@@ -40,6 +41,46 @@ def random_multipoly(rng: random.Random, nvars: int, max_deg: int = 3,
 def random_point(rng: random.Random, nvars: int, height: int = 8,
                  complex_coeffs: bool = True) -> list[GaussianRational]:
     return [random_gaussian(rng, height, complex_coeffs) for _ in range(nvars)]
+
+
+# -- rational interval reference ------------------------------------------
+
+def _power(lo: Fraction, hi: Fraction, n: int) -> tuple[Fraction, Fraction]:
+    if n % 2 == 1 or lo >= 0:
+        return lo ** n, hi ** n
+    if hi <= 0:
+        return hi ** n, lo ** n
+    # Even power of an interval straddling zero.
+    return Fraction(0), max(lo ** n, hi ** n)
+
+
+def fraction_enclose(terms: dict[tuple[int, ...], Fraction],
+                     box) -> tuple[Fraction, Fraction]:
+    """Interval enclosure of a term dict over a box of Fraction pairs.
+
+    The plain rational kernel, kept as the reference for the integer one.
+    """
+    acc_lo = acc_hi = Fraction(0)
+    for exps, coeff in terms.items():
+        lo = hi = coeff
+        for (blo, bhi), e in zip(box, exps):
+            if e:
+                plo, phi = _power(blo, bhi, e)
+                products = (lo * plo, lo * phi, hi * plo, hi * phi)
+                lo, hi = min(products), max(products)
+        acc_lo += lo
+        acc_hi += hi
+    return acc_lo, acc_hi
+
+
+def rational_enclose(terms: dict[tuple[int, ...], Fraction],
+                     box) -> tuple[Fraction, Fraction]:
+    """The integer enclosure of a term dict over a Fraction-pair box, as rationals."""
+    q, start = dyadic(box)
+    poly = clear(terms, q)
+    lo, hi = enclose(poly, start)
+    s = scale(poly, q, 0)
+    return Fraction(lo, s), Fraction(hi, s)
 
 
 # -- dense-grid oracle -----------------------------------------------------

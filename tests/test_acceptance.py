@@ -15,7 +15,6 @@ import pytest
 from nullsol.classifier import NONTRIVIAL, TRIVIAL, UNKNOWN, SolutionSpace, classify
 from nullsol.cli import EXIT_OK, main as cli_main
 from nullsol.config import SolverConfig
-from nullsol.intervals import enclose
 from nullsol.multipoly import MultiPoly
 from nullsol.parser import parse, print_canonical
 from nullsol.symbols import RealPolySystem
@@ -25,6 +24,7 @@ from nullsol.witness import theta_derivatives, verify_residual
 from helpers import (
     exact_common_zero,
     grid_min_sum_squares,
+    rational_enclose,
     random_multipoly,
     random_point,
 )
@@ -290,7 +290,7 @@ def test_criterion_8_property_suites(capsys):
         pt = (lo1 + (hi1 - lo1) * Fraction(rng.randint(0, 16), 16),
               lo2 + (hi2 - lo2) * Fraction(rng.randint(0, 16), 16))
         val = p.evaluate([pt[0], pt[1]]).re
-        lo, hi = enclose(p.real_terms(), box)
+        lo, hi = rational_enclose(p.real_terms(), box)
         ok = ok and lo <= val <= hi
         if not ok:
             break

@@ -186,6 +186,7 @@ def test_periodic_pi_symbol_without_resonance_is_unknown():
     v = periodic("(X1^2 - X2^2 + PI^2)*T", [[1, 0], [0, 1]])
     assert v.status == UNKNOWN
     assert v.rule == "lattice-search-exhausted"
+    assert v.evidence["reason"] == "lattice-truncated"
 
 
 def test_periodic_decisive_trivial_with_complete_enumeration():

@@ -143,7 +143,10 @@ def test_simplest_rational_has_the_least_denominator():
         if rng.random() < 0.2:
             ends[1] = ends[0] + Fraction(1, rng.randint(50, 500))
         lo, hi = ends
-        r = _simplest_rational(lo, hi)
+        den = math.lcm(lo.denominator, hi.denominator)
+        num, d = _simplest_rational(int(lo * den), int(hi * den), den)
+        r = Fraction(num, d)
+        assert d == r.denominator
         assert lo <= r <= hi
         least = next((q for q in range(1, 13)
                       if math.floor(hi * q) >= math.ceil(lo * q)), None)
@@ -153,6 +156,22 @@ def test_simplest_rational_has_the_least_denominator():
             assert r.denominator == least
         if lo <= 0 <= hi:
             assert r == 0
+
+
+# Boxes over q > 1: the numerators are split over q * 2^k, and a zero is
+# reported over its own least denominator.
+@pytest.mark.parametrize("system, box, zero, stats, calls", [
+    (sys_of(X1 - const(1, Fraction(1, 3))), cube(1, Fraction(2, 3)), (Fraction(1, 3),),
+     {"boxes_processed": 3, "boxes_discarded": 1, "depth_reached": 1}, 3),
+    (sys_of(CIRCLE), cube(2, Fraction(5, 3)), (Fraction(-1), Fraction(0)),
+     {"boxes_processed": 15, "boxes_discarded": 0, "depth_reached": 3}, 15),
+], ids=["x-1/3", "circle"])
+def test_subdivision_on_non_dyadic_cubes(enclose_calls, system, box, zero, stats, calls):
+    res = subdivision_search(system, box)
+    assert res.kind == "ExactZero"
+    assert res.zero == zero
+    assert res.stats == stats
+    assert len(enclose_calls) == calls
 
 
 @pytest.mark.parametrize("system", [
