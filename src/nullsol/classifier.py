@@ -219,7 +219,7 @@ def periodic_test(p: MultiPoly, lattice: LatticeSpec,
 
     evidence: dict = {}
     search_radius = config.lattice_radius
-    r0 = boundedness_radius(system, config)
+    r0 = boundedness_radius(system)
     if r0 is not None:
         # Every real zero v = A^-1 k has ||v||_max <= R0, and k = A v.
         search_radius = int(lattice.max_row_abs_sum() * r0)

@@ -12,12 +12,9 @@ class SolverConfig:
     default_box_halfwidth: Fraction = Fraction(16)
     lattice_radius: int = 16
     groebner_cap: int = 50000
-    box_budget: int = 100000
-    sphere_depth: int = 12
 
     def __post_init__(self):
-        for name in ("max_depth", "lattice_radius", "groebner_cap",
-                     "box_budget", "sphere_depth"):
+        for name in ("max_depth", "lattice_radius", "groebner_cap"):
             if getattr(self, name) < (0 if name == "max_depth" else 1):
                 raise ValueError(f"{name} must be positive")
         if self.default_box_halfwidth <= 0:

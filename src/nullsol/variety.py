@@ -53,53 +53,48 @@ class SubdivisionResult:
     margin: Fraction | None = None
 
 
-def _substitute_value(terms: dict[tuple[int, ...], Fraction], index: int,
-                      value: Fraction) -> dict[tuple[int, ...], Fraction]:
-    """Set one variable to an exact value, dropping its slot."""
-    out: dict[tuple[int, ...], Fraction] = {}
-    for exps, c in terms.items():
-        cc = c * value ** exps[index]
-        if cc == 0:
-            continue
-        e = exps[:index] + exps[index + 1:]
-        out[e] = out.get(e, Fraction(0)) + cc
-    return {e: c for e, c in out.items() if c != 0}
-
-
 # Survivors past 4096 on one face wave give up the positivity certificate.
 _FACE_BOX_BUDGET = 2 * 4096
+# Depth cap of each face search.
+_SPHERE_DEPTH = 12
+# Survivors past half of this on one wave end a subdivision search.
+_BOX_BUDGET = 100000
 
 
 def _certify_positive_on_faces(top_terms: dict[tuple[int, ...], Fraction],
-                               dim: int, depth_cap: int) -> Fraction | None:
+                               dim: int) -> Fraction | None:
     """Certified positive lower bound of a form on the max-norm unit sphere.
 
-    The sphere is the union of the 2*dim faces of the cube [-1,1]^dim, each
-    a (dim-1)-box cleared by the subdivision loop; the form is a sum of
-    squares, so every discarding enclosure lies above 0.  Returns None if a
-    face is not cleared (an exact zero on a face ends its search at once).
+    The sphere is the union of the 2*dim faces of the cube [-1,1]^dim.  The
+    form is homogeneous of even degree, so F(-x) = F(x) and each face
+    x_i = -1 is the mirror image of x_i = 1: only the dim faces x_i = 1 are
+    searched, each as the unit cube with coordinate i pinned to [1, 1]
+    (width 0, so never split) and cleared by the subdivision loop.  The form
+    is a sum of squares, so every discarding enclosure lies above 0.
+    Returns None if a face is not cleared (an exact zero on a face ends its
+    search at once).
     """
     margins = []
     for axis in range(dim):
-        for sign in (Fraction(1), Fraction(-1)):
-            face = _substitute_value(top_terms, axis, sign)
-            result = _branch_and_bound([face], cube(dim - 1, 1),
-                                       depth_cap, _FACE_BOX_BUDGET)
-            if result.kind != "NoZeroInBox":
-                return None
-            margins.append(result.margin)
+        face = cube(axis, 1) + ((Fraction(1), Fraction(1)),) + cube(dim - axis - 1, 1)
+        result = _branch_and_bound([top_terms], face, _SPHERE_DEPTH,
+                                   _FACE_BOX_BUDGET)
+        if result.kind != "NoZeroInBox":
+            return None
+        margins.append(result.margin)
     return min(margins)
 
 
-def boundedness_radius(sys: RealPolySystem,
-                       config: SolverConfig = DEFAULT_CONFIG) -> Fraction | None:
+def boundedness_radius(sys: RealPolySystem) -> Fraction | None:
     """Exact radius R0 with every common real zero in [-R0, R0]^d, or None.
 
     Works on F = sum of squares of the system polynomials.  If the top
     homogeneous part of F is certified >= c > 0 on the max-norm unit
-    sphere, then F(xi) >= c*r^(2D) - sum_j C_j*r^j for ||xi||_max = r >= 1,
+    sphere (searched on its d faces x_k = 1, the others being their mirror
+    images), then F(xi) >= c*r^(2D) - sum_j C_j*r^j for ||xi||_max = r >= 1,
     where C_j sums |coefficients| of the degree-j part of F; the smallest
-    integer r making that positive bounds all real zeros.
+    integer r making that positive bounds all real zeros.  The search for r
+    compares integers: c and the C_j are cleared to one denominator first.
     """
     if all(sum(e) == 0 for p in sys.terms for e in p):
         raise ValueError("system must contain a nonconstant polynomial")
@@ -115,13 +110,15 @@ def boundedness_radius(sys: RealPolySystem,
         if j < deg:
             lower_weight[j] = lower_weight.get(j, Fraction(0)) + abs(c)
 
-    c = _certify_positive_on_faces(top, sys.dimension, config.sphere_depth)
+    c = _certify_positive_on_faces(top, sys.dimension)
     if c is None:
         return None
+    den = math.lcm(c.denominator, *(w.denominator for w in lower_weight.values()))
+    lead = int(c * den)
+    weights = [(int(w * den), j) for j, w in lower_weight.items()]
 
     def dominates(r: int) -> bool:
-        return c * Fraction(r) ** deg > sum(w * Fraction(r) ** j
-                                            for j, w in lower_weight.items())
+        return lead * r ** deg > sum(w * r ** j for w, j in weights)
 
     hi = 1
     while not dominates(hi):
@@ -250,8 +247,7 @@ def _branch_and_bound(terms_list, box: Box, max_depth: int,
 def subdivision_search(sys: RealPolySystem, box: Box,
                        config: SolverConfig = DEFAULT_CONFIG) -> SubdivisionResult:
     """Subdivision search for a common zero of ``sys`` in ``box``."""
-    return _branch_and_bound(sys.terms, box, config.max_depth,
-                             config.box_budget)
+    return _branch_and_bound(sys.terms, box, config.max_depth, _BOX_BUDGET)
 
 
 def decide_emptiness(sys: RealPolySystem,
@@ -275,7 +271,7 @@ def decide_emptiness(sys: RealPolySystem,
         return EmptinessVerdict(EMPTY, certificate={"kind": "UnitIdeal"},
                                 diagnostics=diagnostics)
 
-    radius = boundedness_radius(sys, config)
+    radius = boundedness_radius(sys)
     diagnostics["pipeline"].append("boundedness")
     diagnostics["radius"] = None if radius is None else str(radius)
 

@@ -83,6 +83,23 @@ def rational_enclose(terms: dict[tuple[int, ...], Fraction],
     return Fraction(lo, s), Fraction(hi, s)
 
 
+def substitute_value(terms: dict[tuple[int, ...], Fraction], index: int,
+                     value: Fraction) -> dict[tuple[int, ...], Fraction]:
+    """Set one variable to an exact value, dropping its slot.
+
+    The face polynomial the radius proof once searched, kept as the reference
+    for its pinned-box search.
+    """
+    out: dict[tuple[int, ...], Fraction] = {}
+    for exps, c in terms.items():
+        cc = c * value ** exps[index]
+        if cc == 0:
+            continue
+        e = exps[:index] + exps[index + 1:]
+        out[e] = out.get(e, Fraction(0)) + cc
+    return {e: c for e, c in out.items() if c != 0}
+
+
 # -- dense-grid oracle -----------------------------------------------------
 
 def _poly_on_grid(poly: MultiPoly, grids: list[np.ndarray]) -> np.ndarray:

@@ -81,7 +81,7 @@ def test_criterion_3_mixed_derivative_fixture(capsys):
 # -- generated emptiness suite --------------------------------------------
 
 SUITE_CONFIG = SolverConfig(max_depth=14, default_box_halfwidth=Fraction(16),
-                            groebner_cap=2000, box_budget=4000, sphere_depth=10)
+                            groebner_cap=2000)
 
 
 def _planted_system(rng):
@@ -196,7 +196,7 @@ def test_criterion_5_boundedness_soundness(suite_verdicts, capsys):
         if not polys or all(p.is_constant() for p in polys):
             continue
         clean = RealPolySystem(sys.dimension, polys)
-        r0 = boundedness_radius(clean, SUITE_CONFIG)
+        r0 = boundedness_radius(clean)
         if r0 is None:
             continue
         checked += 1

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from nullsol.config import DEFAULT_CONFIG
+from nullsol.groebner import add_multiple
 from nullsol.intervals import cube
 from nullsol.multipoly import MultiPoly
 from nullsol.symbols import RealPolySystem
@@ -14,13 +16,14 @@ from nullsol.variety import (
     EMPTY,
     NONEMPTY,
     UNKNOWN,
+    _branch_and_bound,
     _simplest_rational,
     boundedness_radius,
     decide_emptiness,
     subdivision_search,
 )
 
-from helpers import exact_common_zero
+from helpers import exact_common_zero, random_rational, substitute_value
 
 CIRCLE = MultiPoly(2, {(2, 0): -1, (0, 2): -1, (0, 0): 1})   # 1 - x^2 - y^2
 POSDEF = MultiPoly(1, {(2,): 1, (0,): 1})                    # x^2 + 1
@@ -81,18 +84,18 @@ HYPERBOLOID = X3 * X3 + Y3 * Y3 - const(3, 3) * Z3 * Z3 + const(3, 1)
 # The enclose counts pin the wave loop: a new enclosure kernel must give the
 # same include/exclude decisions, hence the same number of calls.
 @pytest.mark.parametrize("polys, radius, calls", [
-    # d = 1: each face of [-1, 1] is a single point
-    ((X1 * X1 + const(1, 1),), 2, 2),
-    ((X1 * X1 - const(1, 4),), 4, 2),
-    ((X1 ** 3 - X1 + const(1, 5),), 3, 2),
-    ((const(1, 2) * X1 ** 4 - const(1, 3) * X1 + const(1, Fraction(1, 2)),), 2, 2),
+    # d = 1: the one face searched, x = 1, is a single point
+    ((X1 * X1 + const(1, 1),), 2, 1),
+    ((X1 * X1 - const(1, 4),), 4, 1),
+    ((X1 ** 3 - X1 + const(1, 5),), 3, 1),
+    ((const(1, 2) * X1 ** 4 - const(1, 3) * X1 + const(1, Fraction(1, 2)),), 2, 1),
     # d = 2
-    ((X2 * X2 + Y2 * Y2 - const(2, 1),), 3, 4),
-    (((X2 - const(2, 2)) ** 2 + (Y2 + const(2, 1)) ** 2 - const(2, 1),), 27, 4),
-    ((X2 * Y2 - const(2, 1), X2 * X2 - Y2 * Y2), 6, 28),
+    ((X2 * X2 + Y2 * Y2 - const(2, 1),), 3, 2),
+    (((X2 - const(2, 2)) ** 2 + (Y2 + const(2, 1)) ** 2 - const(2, 1),), 27, 2),
+    ((X2 * Y2 - const(2, 1), X2 * X2 - Y2 * Y2), 6, 14),
     # d = 3
-    ((X3 * X3 + Y3 * Y3 + Z3 * Z3 - const(3, 1),), 3, 6),
-    ((X3 * X3 + const(3, 2) * Y3 * Y3 + const(3, 3) * Z3 * Z3 - const(3, 6),), 9, 6),
+    ((X3 * X3 + Y3 * Y3 + Z3 * Z3 - const(3, 1),), 3, 3),
+    ((X3 * X3 + const(3, 2) * Y3 * Y3 + const(3, 3) * Z3 * Z3 - const(3, 6),), 9, 3),
     # the top form (x*y)^2 vanishes on the faces: no radius
     ((X2 * Y2 - const(2, 1),), None, 1),
     # the top form vanishes on irrational face points only: the face search
@@ -110,6 +113,47 @@ def test_boundedness_stops_at_exact_face_zero(enclose_calls):
     # (xyz)^2 vanishes at the centre of the face x = 1: the first probe ends it
     assert boundedness_radius(sys_of(X3 * Y3 * Z3 - const(3, 1))) is None
     assert len(enclose_calls) <= 10
+
+
+def _random_top_form(rng, dim):
+    """The top form of a random sum of squares: forms of one degree, squared."""
+    deg = rng.randint(1, 2)
+    monomials = [e for e in itertools.product(range(deg + 1), repeat=dim)
+                 if sum(e) == deg]
+    top: dict = {}
+    for _ in range(rng.randint(1, 3)):
+        form = {e: random_rational(rng, 4) for e in rng.sample(
+            monomials, rng.randint(1, len(monomials)))}
+        form = {e: c for e, c in form.items() if c}
+        for e, c in form.items():
+            add_multiple(top, form, e, c)
+    return {e: c for e, c in top.items() if c}
+
+
+def test_pinned_face_equals_substituted_face(enclose_calls):
+    # A pinned coordinate drops out of the enclosure exactly as substitution
+    # drops it from the form, and x_i = -1 mirrors x_i = 1 on an even form.
+    rng = random.Random(8)
+    checked = 0
+    while checked < 200:
+        dim = rng.randint(1, 3)
+        top = _random_top_form(rng, dim)
+        if not top:
+            continue
+        checked += 1
+        axis = rng.randrange(dim)
+        results = []
+        for box, terms in [
+                (cube(dim - 1, 1), substitute_value(top, axis, Fraction(1))),
+                (cube(axis, 1) + ((Fraction(1), Fraction(1)),)
+                 + cube(dim - axis - 1, 1), top),
+                (cube(axis, 1) + ((Fraction(-1), Fraction(-1)),)
+                 + cube(dim - axis - 1, 1), top)]:
+            enclose_calls.clear()
+            r = _branch_and_bound([terms], box, nullsol.variety._SPHERE_DEPTH,
+                                  nullsol.variety._FACE_BOX_BUDGET)
+            results.append((r.kind, r.margin, r.stats, len(enclose_calls)))
+        assert results[0] == results[1] == results[2], (top, axis)
 
 
 def test_subdivision_no_zero():
@@ -230,15 +274,17 @@ def test_decide_unknown_is_honest():
 X2_MINUS_2 = MultiPoly(1, {(2,): 1, (0,): -2})
 
 
-@pytest.mark.parametrize("system, config, reason, unresolved", [
-    (sys_of(X2_MINUS_2), DEFAULT_CONFIG, "depth-cap", 2),
-    (sys_of(X2_MINUS_2), dataclasses.replace(DEFAULT_CONFIG, box_budget=3), "box-budget", 2),
+@pytest.mark.parametrize("system, box_budget, reason, unresolved", [
+    (sys_of(X2_MINUS_2), None, "depth-cap", 2),
+    (sys_of(X2_MINUS_2), 3, "box-budget", 2),
     # no real zero, but x^4 vanishes at (0, +-1): no radius, and the cleared
     # fallback box proves nothing
-    (sys_of(X2 - Y2, X2 * X2 + const(2, 1)), DEFAULT_CONFIG, "unbounded-no-radius", 0),
+    (sys_of(X2 - Y2, X2 * X2 + const(2, 1)), None, "unbounded-no-radius", 0),
 ], ids=["depth-cap", "box-budget", "unbounded-no-radius"])
-def test_unknown_reason(system, config, reason, unresolved):
-    verdict = decide_emptiness(system, config)
+def test_unknown_reason(monkeypatch, system, box_budget, reason, unresolved):
+    if box_budget is not None:
+        monkeypatch.setattr(nullsol.variety, "_BOX_BUDGET", box_budget)
+    verdict = decide_emptiness(system)
     assert verdict.status == UNKNOWN
     assert verdict.diagnostics["reason"] == reason
     assert verdict.diagnostics["unresolved_boxes"] == unresolved
@@ -248,10 +294,10 @@ def test_unknown_reason(system, config, reason, unresolved):
     # the circle misses the line x + y = 7/2 by a gap
     (sys_of((X2 - const(2, 2)) ** 2 + (Y2 + const(2, 1)) ** 2 - const(2, 1),
             X2 + Y2 - const(2, Fraction(7, 2))), EMPTY, "27",
-     {"boxes_processed": 105, "boxes_discarded": 53, "depth_reached": 15}, 172),
+     {"boxes_processed": 105, "boxes_discarded": 53, "depth_reached": 15}, 170),
     (sys_of(X2_MINUS_2), UNKNOWN, "3",
      {"boxes_processed": 95, "boxes_discarded": 46, "depth_reached": 24,
-      "unresolved_boxes": 2}, 97),
+      "unresolved_boxes": 2}, 96),
 ], ids=["circle-misses-line", "x2-2"])
 def test_decide_wave_loop_counts(enclose_calls, system, status, radius, stats, calls):
     verdict = decide_emptiness(system)
