@@ -11,7 +11,7 @@ space.
 
 from __future__ import annotations
 
-import itertools
+import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -19,13 +19,12 @@ from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .groebner import unit_ideal_test
-from .intervals import clear
+from .intervals import clear, enclose
 from .multipoly import MultiPoly
 from .symbols import degree_test, imaginary_slice, pi_graded_slice, restrict_to_time, x_content
 from .variety import (
     EMPTY,
     NONEMPTY,
-    _is_exact_common_zero,
     boundedness_radius,
     decide_emptiness,
 )
@@ -171,24 +170,9 @@ def classify(p: MultiPoly, space: SolutionSpace,
 
 # -- periodic lattice test -------------------------------------------------
 
-def _lattice_shell(dim: int, radius: int):
-    """Integer vectors with max-norm exactly ``radius``, streamed.
-
-    Ordered so that positive entries come before negative ones; the first
-    resonance found is therefore deterministic and prefers, e.g., k = 1
-    over k = -1.  A leading entry of size ``radius`` frees the tail to the
-    whole cube; any other leading entry leaves the tail on the shell.
-    """
-    if dim == 0:
-        if radius == 0:
-            yield ()
-        return
-    values = range(radius, -radius - 1, -1)
-    for x in values:
-        tails = (itertools.product(values, repeat=dim - 1) if abs(x) == radius
-                 else _lattice_shell(dim - 1, radius))
-        for tail in tails:
-            yield (x,) + tail
+def _shell_key(box) -> tuple[int, tuple[int, ...]]:
+    """The least (max-norm, descending lexicographic) key of a point of ``box``."""
+    return max(max(a, -b, 0) for a, b in box), tuple(-b for _, b in box)
 
 
 def periodic_test(p: MultiPoly, lattice: LatticeSpec,
@@ -198,9 +182,12 @@ def periodic_test(p: MultiPoly, lattice: LatticeSpec,
     The space is nontrivial exactly when some lattice frequency annihilates
     every T-coefficient of p, i.e. when some v = A^-1 k zeroes every
     pi-grade (see :func:`pi_graded_slice`).  When the real zeros of the
-    graded system are certified bounded, the enumeration is finite and the
-    verdict decisive; otherwise the search is truncated and may return
-    UNKNOWN.
+    graded system are certified bounded, the search covers every k that can
+    resonate and the verdict is decisive; otherwise it stops at
+    ``config.lattice_radius`` and may return UNKNOWN.  It is a best-first
+    branch-and-bound over integer boxes of k that drops a box when a grade's
+    exact enclosure over its image excludes 0, and it reports the first
+    resonance in shell order: least max-norm, then k = 1 before k = -1.
     """
     dim = lattice.dimension
     if p.nvars != dim + 2:
@@ -225,17 +212,30 @@ def periodic_test(p: MultiPoly, lattice: LatticeSpec,
         search_radius = int(lattice.max_row_abs_sum() * r0)
         evidence["complete_radius"] = search_radius
 
-    # Every A^-1 k lies over the lcm of the inverse's denominators.
+    # With A^-1 = inv/den, a box of k maps into the integer box inv*k over den.
     den = math.lcm(*(x.denominator for row in lattice.inverse() for x in row))
-    polys = [clear(terms, 1) for terms in system.terms]
-    for radius in range(search_radius + 1):
-        for k in _lattice_shell(dim, radius):
-            v = lattice.frequency_vector(k)
-            if _is_exact_common_zero(polys, tuple(x.numerator * (den // x.denominator)
-                                                  for x in v), den):
-                evidence["lattice_point"] = list(k)
-                return Verdict(NONTRIVIAL, rule="lattice-resonance",
-                               witness=build_periodic_witness(p, v), evidence=evidence)
+    inv = [[int(x * den) for x in row] for row in lattice.inverse()]
+    polys = [clear(terms, den) for terms in system.terms]
+    cube = ((-search_radius, search_radius),) * dim
+    heap = [(_shell_key(cube), cube)]
+    while heap:
+        _, box = heapq.heappop(heap)
+        image = (0, tuple((sum(min(m * a, m * b) for m, (a, b) in zip(row, box)),
+                           sum(max(m * a, m * b) for m, (a, b) in zip(row, box)))
+                          for row in inv))
+        if any(lo > 0 or hi < 0 for lo, hi in (enclose(q, image) for q in polys)):
+            continue
+        if all(a == b for a, b in box):
+            # A point's image is degenerate, so each enclosure was its exact value.
+            k = tuple(a for a, _ in box)
+            evidence["lattice_point"] = list(k)
+            return Verdict(NONTRIVIAL, rule="lattice-resonance", evidence=evidence,
+                           witness=build_periodic_witness(p, lattice.frequency_vector(k)))
+        i = max(range(dim), key=lambda j: box[j][1] - box[j][0])
+        a, b = box[i]
+        for half in ((a, (a + b) // 2), ((a + b) // 2 + 1, b)):
+            child = box[:i] + (half,) + box[i + 1:]
+            heapq.heappush(heap, (_shell_key(child), child))
 
     evidence["searched_radius"] = search_radius
     if r0 is not None:

@@ -345,6 +345,10 @@ def console_main() -> None:
     try:
         code = main()
         sys.stdout.flush()
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which is the UNKNOWN code here;
+        # --help and --version exit 0.
+        code = EXIT_INPUT_ERROR if exc.code else EXIT_OK
     except BrokenPipeError:
         # The reader went away; point stdout at devnull so the interpreter's
         # final flush does not fail a second time.

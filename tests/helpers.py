@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 
+from nullsol.classifier import LatticeSpec
 from nullsol.gaussian import GaussianRational
 from nullsol.intervals import clear, dyadic, enclose, scale
 from nullsol.multipoly import MultiPoly
@@ -147,3 +150,54 @@ def grid_min_sum_squares(system: RealPolySystem, lo: float, hi: float,
 def exact_common_zero(system: RealPolySystem, point) -> bool:
     pt = [Fraction(x) for x in point]
     return all(p.evaluate(pt).is_zero() for p in system.polys)
+
+
+# -- lattice references ----------------------------------------------------
+
+def lattice_shell(dim: int, radius: int):
+    """Integer vectors with max-norm exactly ``radius``, streamed.
+
+    The enumeration the periodic test once walked, kept as the reference for
+    its search order: positive entries before negative ones (descending
+    lexicographic order within a shell).  A leading entry of size ``radius``
+    frees the tail to the whole cube; any other leading entry leaves the
+    tail on the shell.
+    """
+    if dim == 0:
+        if radius == 0:
+            yield ()
+        return
+    values = range(radius, -radius - 1, -1)
+    for x in values:
+        tails = (itertools.product(values, repeat=dim - 1) if abs(x) == radius
+                 else lattice_shell(dim - 1, radius))
+        for tail in tails:
+            yield (x,) + tail
+
+
+def lattice_zeros(system: RealPolySystem, lattice: LatticeSpec,
+                  radius: int) -> set[tuple[int, ...]]:
+    """Every k in [-radius, radius]^d with A^-1 k a common zero of ``system``.
+
+    Dense exact evaluation on the whole cube: with A^-1 = inv/den, each
+    polynomial times ``L*den^D`` is an integer sum at ``inv @ k``, computed
+    on numpy object arrays of Python ints.
+    """
+    den = math.lcm(*(x.denominator for row in lattice.inverse() for x in row))
+    inv = np.array([[int(x * den) for x in row] for row in lattice.inverse()], dtype=object)
+    ks = np.array(list(itertools.product(range(-radius, radius + 1),
+                                         repeat=lattice.dimension)), dtype=object)
+    nums = ks @ inv.T
+    zero = np.ones(len(ks), dtype=bool)
+    for terms in system.terms:
+        degree = max(sum(e) for e in terms)
+        lcm = math.lcm(*(c.denominator for c in terms.values()))
+        acc = 0
+        for exps, c in terms.items():
+            value = int(c * lcm) * den ** (degree - sum(exps))
+            for axis, n in enumerate(exps):
+                if n:
+                    value = value * nums[:, axis] ** n
+            acc = acc + value
+        zero &= np.asarray(acc == 0, dtype=bool)
+    return {tuple(int(x) for x in k) for k in ks[zero]}

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,15 +11,17 @@ from nullsol.classifier import (
     UNKNOWN,
     LatticeSpec,
     SolutionSpace,
-    _lattice_shell,
     classify,
     periodic_test,
 )
+from nullsol.config import SolverConfig
 from nullsol.gaussian import GaussianRational
 from nullsol.multipoly import MultiPoly
 from nullsol.parser import parse
+from nullsol.symbols import pi_graded_slice, x_content
+from nullsol.variety import boundedness_radius
 
-from helpers import random_multipoly
+from helpers import lattice_shell, lattice_zeros, random_multipoly
 
 ALL_NONPERIODIC = [s for s in SolutionSpace if s is not SolutionSpace.PERIODIC]
 
@@ -121,7 +124,7 @@ def test_lattice_shell_matches_filtered_cube():
         for radius in range(5):
             cube = itertools.product(range(radius, -radius - 1, -1), repeat=dim)
             expected = [k for k in cube if max(map(abs, k)) == radius]
-            assert list(_lattice_shell(dim, radius)) == expected
+            assert list(lattice_shell(dim, radius)) == expected
 
 
 # -- periodic test ---------------------------------------------------------
@@ -203,3 +206,102 @@ def test_periodic_wrong_slot_count_rejected():
     p, _ = parse("T - X1^2", dim=1)  # no PI slot
     with pytest.raises(ValueError):
         periodic_test(p, lat)
+
+
+@pytest.mark.parametrize("text, rows, status, evidence", [
+    ("(X1^2+X2^2+30003*PI^2)*T", [[1, 0], [0, 1]], TRIVIAL,
+     {"complete_radius": 179, "searched_radius": 179}),
+    ("(X1^2+X2^2+X3^2+1203*PI^2)*T", [[1, 0, 0], [0, 1, 0], [0, 0, 1]], TRIVIAL,
+     {"complete_radius": 44, "searched_radius": 44}),
+    ("(X1^2+X2^2+X3^2+1160*PI^2)*T", [[1, 0, 0], [0, 1, 0], [0, 0, 1]], NONTRIVIAL,
+     {"complete_radius": 43, "lattice_point": [12, 11, 5]}),
+])
+def test_periodic_large_complete_radius(text, rows, status, evidence):
+    # complete radii far outside the zero sphere: the search must follow
+    # the sphere, not pay for the (2R+1)^d cube
+    v = periodic(text, rows)
+    assert (v.status, v.evidence) == (status, evidence)
+
+
+def _random_periodic_case(rng: random.Random) -> tuple[str, list]:
+    """A pi-quadric through the lattice frequency of some small k0 (or moved
+    off it), sometimes with a linear form, on a well-conditioned rational
+    lattice with off-diagonal and non-integer entries."""
+    d = rng.randint(1, 3)
+    while True:
+        rows = [[Fraction(rng.choice((0, 0, 0, -2, -1, 1, 2, 3) if i != j
+                                     else (-4, -3, -2, 2, 3, 4)), 2) for j in range(d)]
+                for i in range(d)]
+        try:
+            lat = LatticeSpec.from_rows(rows)
+        except ValueError:
+            continue
+        if lat.max_row_abs_sum() * max(sum(map(abs, row)) for row in lat.inverse()) <= 4:
+            break
+    v0 = lat.frequency_vector(tuple(rng.randint(-1, 1) for _ in range(d)))
+    weights = [rng.randint(1, 3) for _ in range(d)]
+    if rng.random() < 0.2:
+        weights[rng.randrange(d)] *= -1  # indefinite: the zeros may be unbounded
+    # X -> 2*pi*i*v: the pi^2 grade is c - 4*sum(w*v^2), zero at v0
+    c = 4 * sum(w * x * x for w, x in zip(weights, v0))
+    if rng.random() < 0.4:
+        c += Fraction(rng.randint(1, 3), rng.randint(1, 4))
+    text = ("(" + " + ".join(f"{w}*X{j + 1}^2" for j, w in enumerate(weights))
+            + f" + ({c.numerator}/{c.denominator})*PI^2)*T")
+    if rng.random() < 0.5:
+        # the pi grade of u.X + i*b*PI is i*(2*u.v + b), zero at v0 for this b
+        u = [rng.randint(-2, 2) for _ in range(d)]
+        b = Fraction(-2 * sum(a * x for a, x in zip(u, v0)))
+        if rng.random() < 0.5:
+            b += Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        text += (" + (" + " + ".join(f"{a}*X{j + 1}" for j, a in enumerate(u))
+                 + f" + i*({b.numerator}/{b.denominator})*PI)*T^2")
+    return text, rows
+
+
+def _first_hit_of_reference_shells(p, lattice, config):
+    """Status and evidence of the periodic search: the first lattice zero in
+    the reference shell order, found on the nearest shell holding one."""
+    system = pi_graded_slice(x_content(p))
+    r0 = boundedness_radius(system)
+    evidence = {}
+    radius = config.lattice_radius
+    if r0 is not None:
+        radius = int(lattice.max_row_abs_sum() * r0)
+        evidence["complete_radius"] = radius
+    zeros = lattice_zeros(system, lattice, radius)
+    if zeros:
+        nearest = min(max(map(abs, k)) for k in zeros)
+        hit = next(k for k in lattice_shell(lattice.dimension, nearest) if k in zeros)
+        evidence["lattice_point"] = list(hit)
+        return NONTRIVIAL, evidence
+    evidence["searched_radius"] = radius
+    if r0 is None:
+        evidence["reason"] = "lattice-truncated"
+        return UNKNOWN, evidence
+    return TRIVIAL, evidence
+
+
+def test_periodic_search_matches_first_hit_of_reference_shells():
+    rng = random.Random(20261018)
+    config = SolverConfig(lattice_radius=3)
+    statuses, shapes = Counter(), Counter()
+    while sum(statuses.values()) < 200:
+        text, rows = _random_periodic_case(rng)
+        lat = LatticeSpec.from_rows(rows)
+        p, _ = parse(text, dim=lat.dimension, allow_pi=True)
+        v = periodic_test(p, lat, config)
+        if not v.rule.startswith("lattice-"):
+            continue  # decided before the search, e.g. by a unit ideal
+        assert (v.status, v.evidence) == _first_hit_of_reference_shells(p, lat, config), \
+            (text, rows)
+        if v.status == NONTRIVIAL:
+            k = tuple(v.evidence["lattice_point"])
+            assert tuple(v.witness.frequency) == lat.frequency_vector(k)
+        statuses[v.status] += 1
+        shapes[lat.dimension] += 1
+        shapes["off-diagonal"] += any(x for i, row in enumerate(rows)
+                                      for j, x in enumerate(row) if i != j)
+        shapes["non-integer"] += any(x.denominator > 1 for row in rows for x in row)
+    assert min(statuses[s] for s in (NONTRIVIAL, TRIVIAL, UNKNOWN)) >= 10, statuses
+    assert min(shapes[key] for key in (1, 2, 3, "off-diagonal", "non-integer")) >= 40, shapes

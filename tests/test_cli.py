@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nullsol.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_UNKNOWN, main
+from nullsol.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_UNKNOWN, console_main, main
 
 
 def run(capsys, *argv):
@@ -160,3 +160,18 @@ def test_closed_stdout_pipe_exits_quietly():
         os.close(write_end)
     assert proc.returncode == EXIT_INPUT_ERROR
     assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["classify"], EXIT_INPUT_ERROR),
+    (["bogus"], EXIT_INPUT_ERROR),
+    (["classify", "X1*T", "--max-depth", "abc"], EXIT_INPUT_ERROR),
+    (["--help"], EXIT_OK),
+    (["--version"], EXIT_OK),
+])
+def test_usage_error_exit_code(capsys, monkeypatch, argv, expected):
+    # argparse's own exit status 2 would read as an UNKNOWN verdict
+    monkeypatch.setattr(sys, "argv", ["nullsol"] + argv)
+    with pytest.raises(SystemExit) as exit_info:
+        console_main()
+    assert exit_info.value.code == expected
