@@ -170,6 +170,10 @@ def classify(p: MultiPoly, space: SolutionSpace,
 
 # -- periodic lattice test -------------------------------------------------
 
+# Boxes the lattice search may pop before it gives up (UNKNOWN box-budget).
+_LATTICE_BOX_BUDGET = 100_000
+
+
 def _shell_key(box) -> tuple[int, tuple[int, ...]]:
     """The least (max-norm, descending lexicographic) key of a point of ``box``."""
     return max(max(a, -b, 0) for a, b in box), tuple(-b for _, b in box)
@@ -184,7 +188,8 @@ def periodic_test(p: MultiPoly, lattice: LatticeSpec,
     pi-grade (see :func:`pi_graded_slice`).  When the real zeros of the
     graded system are certified bounded, the search covers every k that can
     resonate and the verdict is decisive; otherwise it stops at
-    ``config.lattice_radius`` and may return UNKNOWN.  It is a best-first
+    ``config.lattice_radius`` and may return UNKNOWN.  Either way it gives up
+    with UNKNOWN after ``_LATTICE_BOX_BUDGET`` boxes.  It is a best-first
     branch-and-bound over integer boxes of k that drops a box when a grade's
     exact enclosure over its image excludes 0, and it reports the first
     resonance in shell order: least max-norm, then k = 1 before k = -1.
@@ -218,7 +223,12 @@ def periodic_test(p: MultiPoly, lattice: LatticeSpec,
     polys = [clear(terms, den) for terms in system.terms]
     cube = ((-search_radius, search_radius),) * dim
     heap = [(_shell_key(cube), cube)]
+    budget = _LATTICE_BOX_BUDGET
     while heap:
+        if not budget:
+            evidence["reason"] = "box-budget"
+            return Verdict(UNKNOWN, rule="lattice-search-exhausted", evidence=evidence)
+        budget -= 1
         _, box = heapq.heappop(heap)
         image = (0, tuple((sum(min(m * a, m * b) for m, (a, b) in zip(row, box)),
                            sum(max(m * a, m * b) for m, (a, b) in zip(row, box)))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -43,10 +44,6 @@ _ALL_SPACES = [s for s in SolutionSpace if s is not SolutionSpace.PERIODIC]
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_UNKNOWN = 2
-
-
-def _frac(value: str) -> Fraction:
-    return Fraction(value.strip())
 
 
 def _serialize_emptiness(v: EmptinessVerdict) -> dict:
@@ -129,12 +126,6 @@ def _config_from_args(args) -> SolverConfig:
     return dataclasses.replace(DEFAULT_CONFIG, **given)
 
 
-def _read_expression(arg: str) -> str:
-    if arg == "-":
-        return sys.stdin.read()
-    return arg
-
-
 def _print_parse_error(text: str, err: ParseError) -> None:
     sys.stderr.write(f"error: {err.kind.value}: {err.message}\n")
     sys.stderr.write(f"  {text}\n")
@@ -150,15 +141,9 @@ def _base_report(p: MultiPoly, d: int, names: list[str]) -> dict:
     }
 
 
-def cmd_classify(args) -> int:
-    text = _read_expression(args.expression)
-    config = _config_from_args(args)
+def cmd_classify(args, text: str, config: SolverConfig) -> int:
     start = time.perf_counter()
-    try:
-        p, d = parse(text, dim=args.dim)
-    except ParseError as err:
-        _print_parse_error(text, err)
-        return EXIT_INPUT_ERROR
+    p, d = parse(text, dim=args.dim)
     if args.space == "all":
         spaces = _ALL_SPACES
     else:
@@ -186,27 +171,20 @@ def _parse_lattice(text: str) -> LatticeSpec:
     rows = []
     for row in text.split(";"):
         entries = [e for chunk in row.split(",") for e in chunk.split()]
-        rows.append([_frac(e) for e in entries if e])
+        rows.append([Fraction(e) for e in entries])
     return LatticeSpec.from_rows(rows)
 
 
-def cmd_periodic(args) -> int:
-    text = _read_expression(args.expression)
-    config = _config_from_args(args)
+def cmd_periodic(args, text: str, config: SolverConfig) -> int:
     start = time.perf_counter()
     try:
         lattice = _parse_lattice(args.lattice)
     except (ValueError, ZeroDivisionError) as err:
         sys.stderr.write(f"error: invalid lattice: {err}\n")
         return EXIT_INPUT_ERROR
-    try:
-        p, d = parse(text, dim=lattice.dimension, allow_pi=True)
-    except ParseError as err:
-        _print_parse_error(text, err)
-        return EXIT_INPUT_ERROR
-    names = default_names(p.nvars, pi_slot=d)
+    p, d = parse(text, dim=lattice.dimension, allow_pi=True)
     verdict = periodic_test(p, lattice, config)
-    report = _base_report(p, d, names)
+    report = _base_report(p, d, default_names(p.nvars, pi_slot=d))
     report["input"]["lattice"] = [[str(x) for x in row] for row in lattice.rows]
     report["verdicts"].append(_serialize_verdict("periodic", verdict, p))
     if not args.no_timing:
@@ -215,13 +193,8 @@ def cmd_periodic(args) -> int:
     return EXIT_UNKNOWN if verdict.status == UNKNOWN else EXIT_OK
 
 
-def cmd_content(args) -> int:
-    text = _read_expression(args.expression)
-    try:
-        p, d = parse(text, dim=args.dim)
-    except ParseError as err:
-        _print_parse_error(text, err)
-        return EXIT_INPUT_ERROR
+def cmd_content(args, text: str, config: SolverConfig) -> int:
+    p, d = parse(text, dim=args.dim)
     content = x_content(p)
     names = default_names(d, t_last=False)
     gens = [print_canonical(a, names) for a in content.generators]
@@ -232,14 +205,8 @@ def cmd_content(args) -> int:
     return EXIT_OK
 
 
-def cmd_witness(args) -> int:
-    text = _read_expression(args.expression)
-    config = _config_from_args(args)
-    try:
-        p, d = parse(text, dim=args.dim)
-    except ParseError as err:
-        _print_parse_error(text, err)
-        return EXIT_INPUT_ERROR
+def cmd_witness(args, text: str, config: SolverConfig) -> int:
+    p, d = parse(text, dim=args.dim)
     if args.auto:
         verdict = classify(p, SolutionSpace.SPATIALLY_TEMPERED, config)
         if verdict.witness is None:
@@ -252,7 +219,7 @@ def cmd_witness(args) -> int:
             sys.stderr.write("error: supply --freq or --auto\n")
             return EXIT_INPUT_ERROR
         try:
-            freq = [_frac(x) for x in args.freq.split(",")]
+            freq = [Fraction(x) for x in args.freq.split(",")]
         except (ValueError, ZeroDivisionError):
             sys.stderr.write("error: --freq must be comma-separated rationals\n")
             return EXIT_INPUT_ERROR
@@ -272,6 +239,7 @@ def cmd_witness(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nullsol",
@@ -332,10 +300,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = build_arg_parser().parse_args(argv)
+    text = sys.stdin.read() if args.expression == "-" else args.expression
     try:
-        return args.func(args)
+        return args.func(args, text, _config_from_args(args))
+    except ParseError as err:
+        _print_parse_error(text, err)
+        return EXIT_INPUT_ERROR
     except (ValueError, ZeroDivisionError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_INPUT_ERROR

@@ -17,10 +17,12 @@ just before T, so the time variable stays the last slot.
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
-from .gaussian import GaussianRational, I, ONE
+from .gaussian import GaussianRational, I
 from .multipoly import MultiPoly
 
 
@@ -41,70 +43,53 @@ class ParseError(Exception):
         self.message = message
 
 
-class _Tok:
-    __slots__ = ("kind", "value", "pos")
+class _Tok(NamedTuple):
+    kind: str  # 'int', 'op', 'T', 'X', 'i', 'PI', 'end'
+    value: object
+    pos: int
 
-    def __init__(self, kind, value, pos):
-        self.kind = kind  # 'int', 'op', 'T', 'X', 'i', 'PI', 'end'
-        self.value = value
-        self.pos = pos
+
+# One alternative per token class, tried in this order at each position.
+_TOKEN = re.compile(r"(?P<space>\s+)|(?P<op>[-+*/^()])|(?P<int>\d+)|X(?P<X>\d+)"
+                    r"|(?P<word>[^\W\d_]+)|(?P<other>.)")
+
+_WORD_ERRORS = {"PI": "PI is only admitted in lattice-periodic mode",
+                "X": "X must be followed by a 1-based index"}
+
+
+def _symbol_error(value: str, pos: int, allow_pi: bool) -> ParseError:
+    """The error for a word that is not a symbol, or for any other character.
+
+    The word pattern also admits numerals that are not letters (``²``,
+    ``½``), so a word proper ends before the first of them.
+    """
+    n = next((j for j, ch in enumerate(value) if not ch.isalpha()), len(value))
+    word = value[:n]
+    if not word or word in ("T", "i") or (word == "PI" and allow_pi):
+        return ParseError(pos + n, ParseErrorKind.UNKNOWN_SYMBOL,
+                          f"unexpected character {value[n]!r}")
+    return ParseError(pos, ParseErrorKind.UNKNOWN_SYMBOL,
+                      _WORD_ERRORS.get(word, f"unknown symbol {word!r}"))
 
 
 def _tokenize(text: str, allow_pi: bool) -> list[_Tok]:
+    symbols = ("T", "i", "PI") if allow_pi else ("T", "i")
     toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            toks.append(_Tok("op", ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("int", int(text[i:j]), i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and text[j].isalpha():
-                j += 1
-            word = text[i:j]
-            if word == "T":
-                toks.append(_Tok("T", None, i))
-            elif word == "i":
-                toks.append(_Tok("i", None, i))
-            elif word == "PI":
-                if not allow_pi:
-                    raise ParseError(i, ParseErrorKind.UNKNOWN_SYMBOL,
-                                     "PI is only admitted in lattice-periodic mode")
-                toks.append(_Tok("PI", None, i))
-            elif word == "X":
-                k = j
-                while k < n and text[k].isdigit():
-                    k += 1
-                if k == j:
-                    raise ParseError(i, ParseErrorKind.UNKNOWN_SYMBOL,
-                                     "X must be followed by a 1-based index")
-                idx = int(text[j:k])
-                if idx < 1:
-                    raise ParseError(i, ParseErrorKind.UNKNOWN_SYMBOL,
-                                     "X indices are 1-based")
-                toks.append(_Tok("X", idx, i))
-                i = k
-                continue
-            else:
-                raise ParseError(i, ParseErrorKind.UNKNOWN_SYMBOL,
-                                 f"unknown symbol {word!r}")
-            i = j
-            continue
-        raise ParseError(i, ParseErrorKind.UNKNOWN_SYMBOL,
-                         f"unexpected character {ch!r}")
-    toks.append(_Tok("end", None, n))
+    for m in _TOKEN.finditer(text):
+        kind, value, pos = m.lastgroup, m[m.lastgroup], m.start()
+        if kind == "op":
+            toks.append(_Tok("op", value, pos))
+        elif kind == "int":
+            toks.append(_Tok("int", int(value), pos))
+        elif kind == "X" and int(value) >= 1:
+            toks.append(_Tok("X", int(value), pos))
+        elif kind == "X":
+            raise ParseError(pos, ParseErrorKind.UNKNOWN_SYMBOL, "X indices are 1-based")
+        elif kind == "word" and value in symbols:
+            toks.append(_Tok(value, None, pos))
+        elif kind != "space":
+            raise _symbol_error(value, pos, allow_pi)
+    toks.append(_Tok("end", None, len(text)))
     return toks
 
 
@@ -238,12 +223,7 @@ def default_names(nvars: int, t_last: bool = True, pi_slot: int | None = None) -
 
 
 def _coeff_str(c: GaussianRational) -> str:
-    if c.im == 0:
-        return str(c.re)
-    if c.re == 0:
-        return f"{c.im}*i"
-    sign = "+" if c.im > 0 else "-"
-    return f"({c.re}{sign}{abs(c.im)}*i)"
+    return f"({c})" if c.re and c.im else str(c)
 
 
 def print_canonical(p: MultiPoly, names: list[str] | None = None) -> str:

@@ -13,6 +13,7 @@ from nullsol.classifier import LatticeSpec
 from nullsol.gaussian import GaussianRational
 from nullsol.intervals import clear, dyadic, enclose, scale
 from nullsol.multipoly import MultiPoly
+from nullsol.parser import ParseError, ParseErrorKind
 from nullsol.symbols import RealPolySystem
 
 
@@ -201,3 +202,70 @@ def lattice_zeros(system: RealPolySystem, lattice: LatticeSpec,
             acc = acc + value
         zero &= np.asarray(acc == 0, dtype=bool)
     return {tuple(int(x) for x in k) for k in ks[zero]}
+
+
+# -- tokenizer reference ---------------------------------------------------
+
+def reference_tokenize(text: str, allow_pi: bool) -> list[tuple]:
+    """``(kind, value, pos)`` tokens of ``text``, read character by character.
+
+    The hand-written loop the parser once used, kept as the reference for
+    its single-pattern tokenizer.  It reads digit runs with ``str.isdigit``,
+    so a numeral that is not a decimal digit (``²``) makes ``int`` raise
+    ``ValueError``; keep such characters out of its inputs.
+    """
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "+-*/^()":
+            toks.append(("op", ch, i))
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            toks.append(("int", int(text[i:j]), i))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and text[j].isalpha():
+                j += 1
+            word = text[i:j]
+            if word == "T":
+                toks.append(("T", None, i))
+            elif word == "i":
+                toks.append(("i", None, i))
+            elif word == "PI":
+                if not allow_pi:
+                    raise ParseError(i, ParseErrorKind.UNKNOWN_SYMBOL,
+                                     "PI is only admitted in lattice-periodic mode")
+                toks.append(("PI", None, i))
+            elif word == "X":
+                k = j
+                while k < n and text[k].isdigit():
+                    k += 1
+                if k == j:
+                    raise ParseError(i, ParseErrorKind.UNKNOWN_SYMBOL,
+                                     "X must be followed by a 1-based index")
+                idx = int(text[j:k])
+                if idx < 1:
+                    raise ParseError(i, ParseErrorKind.UNKNOWN_SYMBOL,
+                                     "X indices are 1-based")
+                toks.append(("X", idx, i))
+                i = k
+                continue
+            else:
+                raise ParseError(i, ParseErrorKind.UNKNOWN_SYMBOL,
+                                 f"unknown symbol {word!r}")
+            i = j
+            continue
+        raise ParseError(i, ParseErrorKind.UNKNOWN_SYMBOL,
+                         f"unexpected character {ch!r}")
+    toks.append(("end", None, n))
+    return toks

@@ -192,6 +192,17 @@ def test_periodic_pi_symbol_without_resonance_is_unknown():
     assert v.evidence["reason"] == "lattice-truncated"
 
 
+def test_periodic_unbounded_search_stops_at_box_budget():
+    # the hyperbola's zero set crosses the whole cube, so a huge radius
+    # would keep the search splitting; the box budget ends it as UNKNOWN
+    p, _ = parse("(X1^2 - X2^2 + PI^2)*T", dim=2, allow_pi=True)
+    lat = LatticeSpec.from_rows([[1, 0], [0, 1]])
+    v = periodic_test(p, lat, SolverConfig(lattice_radius=100_000))
+    assert v.status == UNKNOWN
+    assert v.rule == "lattice-search-exhausted"
+    assert v.evidence == {"reason": "box-budget"}
+
+
 def test_periodic_decisive_trivial_with_complete_enumeration():
     # the pi^2 grade 9 - 4*v^2 has bounded zeros v = +-3/2: no integer k
     # reaches them, and the bound makes that a proof

@@ -6,7 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from nullsol.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_UNKNOWN, console_main, main
+from nullsol.cli import (
+    EXIT_INPUT_ERROR,
+    EXIT_OK,
+    EXIT_UNKNOWN,
+    build_arg_parser,
+    console_main,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -38,6 +45,50 @@ def test_parse_error_exit_code_and_caret(capsys):
     assert code == EXIT_INPUT_ERROR
     assert "BadExponent" in err
     assert "^" in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv, caret_at", [
+    (("periodic", "X1^2*T + Y", "--lattice", "1"), 11),
+    (("content", "T - X0"), 6),
+    (("witness", "X1*T +", "--freq", "1"), 8),
+    (("classify", "X1\u00b2*T"), 4),
+], ids=["periodic", "content", "witness", "superscript"])
+def test_parse_error_caret_for_every_subcommand(capsys, argv, caret_at):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert err.startswith("error: ")
+    assert err.splitlines()[-1] == " " * caret_at + "^"
+
+
+def test_parse_error_caret_from_stdin(capsys, monkeypatch):
+    import io
+    monkeypatch.setattr("sys.stdin", io.StringIO("T - X1^^2"))
+    code, out, err = run(capsys, "content", "-")
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert "BadExponent" in err
+    assert err.splitlines()[-1] == " " * 9 + "^"
+
+
+def test_periodic_rejects_bad_lattice_before_expression(capsys):
+    code, _, err = run(capsys, "periodic", "T + Y", "--lattice", "1,2;2,4")
+    assert code == EXIT_INPUT_ERROR
+    assert err.startswith("error: invalid lattice")
+
+
+def test_in_process_calls_do_not_share_options(capsys):
+    # one argument parser serves every call; an option of one call must not
+    # become the default of the next
+    assert build_arg_parser() is build_arg_parser()
+    argv = ("periodic", "(X1^2 - X2^2 + PI^2)*T", "--lattice", "1,0;0,1",
+            "--output", "json", "--no-timing")
+    outputs = []
+    for extra in ((), ("--lattice-radius", "3"), (), ("--lattice-radius", "3")):
+        code, out, _ = run(capsys, *argv, *extra)
+        assert code == EXIT_UNKNOWN
+        [verdict] = json.loads(out)["verdicts"]
+        assert verdict["evidence"]["searched_radius"] == (3 if extra else 16)
+        outputs.append(out)
+    assert outputs[0] == outputs[2] and outputs[1] == outputs[3]
 
 
 def test_unknown_space_rejected(capsys):

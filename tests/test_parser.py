@@ -8,12 +8,13 @@ from nullsol.multipoly import MultiPoly
 from nullsol.parser import (
     ParseError,
     ParseErrorKind,
+    _tokenize,
     default_names,
     parse,
     print_canonical,
 )
 
-from helpers import random_multipoly
+from helpers import random_multipoly, reference_tokenize
 
 
 def test_diffusion():
@@ -142,3 +143,62 @@ def test_round_trip_random():
         s = print_canonical(p)
         q, _ = parse(s, dim=nvars - 1)
         assert q == p, s
+
+
+@pytest.mark.parametrize("text, position", [
+    ("X1\u00b2*T", 2), ("\u00b3", 0), ("T + \u2460", 4), ("X\u00b2", 0),
+])
+def test_non_decimal_numeral_is_an_unknown_symbol(text, position):
+    # superscripts and circled digits pass str.isdigit but are no integers
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert e.value.kind == ParseErrorKind.UNKNOWN_SYMBOL
+    assert e.value.position == position
+
+
+@pytest.mark.parametrize("text, tokens, error", [
+    ("Xa", None, (0, "unknown symbol 'Xa'")),
+    ("X1a", None, (2, "unknown symbol 'a'")),
+    ("XX1", None, (0, "unknown symbol 'XX'")),
+    ("X", None, (0, "X must be followed by a 1-based index")),
+    ("X00", None, (0, "X indices are 1-based")),
+    ("T\u00bd", None, (1, "unexpected character '\u00bd'")),
+    ("X12^3", [("X", 12, 0), ("op", "^", 3), ("int", 3, 4), ("end", None, 5)], None),
+    ("X\u0663", [("X", 3, 0), ("end", None, 2)], None),
+])
+def test_tokenizer_words_and_indices(text, tokens, error):
+    # a run of letters is one word; X takes the digits right after it
+    if error is None:
+        assert _tokenize(text, False) == tokens
+        return
+    with pytest.raises(ParseError) as e:
+        _tokenize(text, False)
+    assert (e.value.kind, e.value.position, e.value.message) == (
+        ParseErrorKind.UNKNOWN_SYMBOL, *error)
+
+
+def _tokenize_outcome(tokenize, text, allow_pi):
+    try:
+        return [tuple(t) for t in tokenize(text, allow_pi)]
+    except ParseError as err:
+        return err.kind, err.position, err.message
+
+
+def test_tokenizer_matches_reference_loop():
+    alphabet = [" ", "\t", "\n", "+", "-", "*", "/", "^", "(", ")", "0", "1", "7", "42",
+                "X", "T", "i", "PI", "P", "I", "a", "Y", "x", "\u00e9", "$", "\u0663"]
+    rng = random.Random(10)
+    for _ in range(20_000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 10)))
+        for allow_pi in (False, True):
+            assert (_tokenize_outcome(_tokenize, text, allow_pi)
+                    == _tokenize_outcome(reference_tokenize, text, allow_pi)), text
+
+
+@pytest.mark.parametrize("text, printed", [
+    ("(1/2-3*i)*X1 - 2*i*T + 5*i - 1", "(1/2-3*i)*X1 - 2*i*T + (-1+5*i)"),
+    ("-3*i*X1 + (0-1*i) + 2*X1*T", "2*X1*T - 3*i*X1 - 1*i"),
+])
+def test_print_canonical_gaussian_coefficients(text, printed):
+    # only a coefficient with both parts nonzero is parenthesized
+    assert print_canonical(parse(text, dim=1)[0]) == printed
