@@ -72,8 +72,8 @@ def _default_grid(d: int) -> list[tuple[tuple[float, ...], float]]:
     return [(x, t) for x in xs for t in ts]
 
 
-def _serialize_witness(w: Witness, p: MultiPoly) -> dict:
-    report = verify_residual(w, p, _default_grid(len(w.frequency)))
+def _serialize_witness(w: Witness) -> dict:
+    report = verify_residual(w, _default_grid(len(w.frequency)))
     return {
         "kind": w.kind,
         "frequency": [str(f) for f in w.frequency],
@@ -86,7 +86,7 @@ def _serialize_witness(w: Witness, p: MultiPoly) -> dict:
     }
 
 
-def _serialize_verdict(space_name: str, v: Verdict, p: MultiPoly) -> dict:
+def _serialize_verdict(space_name: str, v: Verdict) -> dict:
     out = {
         "space": space_name,
         "status": v.status,
@@ -94,7 +94,7 @@ def _serialize_verdict(space_name: str, v: Verdict, p: MultiPoly) -> dict:
         "evidence": _serialize_evidence(v.evidence),
     }
     if v.witness is not None:
-        out["witness"] = _serialize_witness(v.witness, p)
+        out["witness"] = _serialize_witness(v.witness)
     return out
 
 
@@ -160,7 +160,7 @@ def cmd_classify(args, text: str, config: SolverConfig) -> int:
     for space in spaces:
         verdict = classify(p, space, config)
         any_unknown = any_unknown or verdict.status == UNKNOWN
-        report["verdicts"].append(_serialize_verdict(space.value, verdict, p))
+        report["verdicts"].append(_serialize_verdict(space.value, verdict))
     if not args.no_timing:
         report["timing_seconds"] = time.perf_counter() - start
     _emit(report, args)
@@ -186,7 +186,7 @@ def cmd_periodic(args, text: str, config: SolverConfig) -> int:
     verdict = periodic_test(p, lattice, config)
     report = _base_report(p, d, default_names(p.nvars, pi_slot=d))
     report["input"]["lattice"] = [[str(x) for x in row] for row in lattice.rows]
-    report["verdicts"].append(_serialize_verdict("periodic", verdict, p))
+    report["verdicts"].append(_serialize_verdict("periodic", verdict))
     if not args.no_timing:
         report["timing_seconds"] = time.perf_counter() - start
     _emit(report, args)
@@ -232,7 +232,7 @@ def cmd_witness(args, text: str, config: SolverConfig) -> int:
             sys.stderr.write(f"error: {err}\n")
             return EXIT_INPUT_ERROR
     report = _base_report(p, d, default_names(p.nvars))
-    report["witness"] = _serialize_witness(witness, p)
+    report["witness"] = _serialize_witness(witness)
     report["lines"] = [
         f"  certificate OK, residual max {report['witness']['sampled_residual_max']:.3e}"]
     _emit(report, args)

@@ -1,8 +1,11 @@
 """Sparse multivariate polynomials over the Gaussian rationals.
 
-A polynomial is a map from exponent tuples to nonzero GaussianRational
-coefficients.  The tuple length is ``nvars``; for a PDE symbol in d spatial
-variables the convention throughout the package is
+A polynomial is a map from exponent tuples to nonzero ``GaussianRational``
+coefficients, ``(re, im)`` pairs of ints or Fractions.  All polynomial
+arithmetic lives here and works on the unpacked parts; results are built
+by the trusted :meth:`MultiPoly.from_clean`.  The tuple length is
+``nvars``; for a PDE symbol in d spatial variables the convention
+throughout the package is
 
     slots 0 .. d-1   ->  X1 .. Xd   (spatial)
     slot  nvars - 1  ->  T          (time, always last)
@@ -15,12 +18,16 @@ zero coefficients are stored, so structural equality is semantic equality.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
+from operator import add
 from typing import Mapping, Sequence
 
-from .gaussian import GaussianRational, ONE, ZERO
+from .gaussian import ZERO, GaussianRational, pair
 
 # Degree of the zero polynomial.  Compares below every integer.
 NEG_INF = float("-inf")
+
+_ONE = pair((1, 0))
 
 
 def grlex_key(exps: tuple[int, ...]):
@@ -37,31 +44,23 @@ def _coerce_coeff(c) -> GaussianRational:
 class MultiPoly:
     """Immutable sparse polynomial in ``nvars`` variables over Q(i)."""
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], object] | None = None):
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
         clean: dict[tuple[int, ...], GaussianRational] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                exps = tuple(exps)
-                if len(exps) != nvars:
-                    raise ValueError(f"exponent tuple {exps} has length != {nvars}")
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps}")
-                c = _coerce_coeff(coeff)
-                if not c.is_zero():
-                    prev = clean.get(exps)
-                    if prev is not None:
-                        c = prev + c
-                        if c.is_zero():
-                            del clean[exps]
-                            continue
-                    clean[exps] = c
+        for exps, coeff in (terms or {}).items():
+            exps = tuple(exps)
+            if len(exps) != nvars:
+                raise ValueError(f"exponent tuple {exps} has length != {nvars}")
+            if any(e < 0 for e in exps):
+                raise ValueError(f"negative exponent in {exps}")
+            c = _coerce_coeff(coeff)
+            if not c.is_zero():
+                clean[exps] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -69,12 +68,21 @@ class MultiPoly:
     # -- constructors ----------------------------------------------------
 
     @classmethod
+    def from_clean(cls, nvars: int, terms: dict) -> "MultiPoly":
+        """Trusted constructor: ``terms`` is already canonical and is not copied."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "terms", terms)
+        return p
+
+    @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
         return cls(nvars)
 
     @classmethod
     def constant(cls, nvars: int, value) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: _coerce_coeff(value)})
+        c = _coerce_coeff(value)
+        return cls.from_clean(nvars, {} if c.is_zero() else {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
@@ -82,7 +90,7 @@ class MultiPoly:
             raise ValueError(f"variable index {index} out of range for nvars={nvars}")
         exps = [0] * nvars
         exps[index] = 1
-        return cls(nvars, {tuple(exps): ONE})
+        return cls.from_clean(nvars, {tuple(exps): _ONE})
 
     # -- basic queries ---------------------------------------------------
 
@@ -94,9 +102,7 @@ class MultiPoly:
 
     def total_degree(self):
         """Max exponent sum over terms; NEG_INF for the zero polynomial."""
-        if not self.terms:
-            return NEG_INF
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.terms), default=NEG_INF)
 
     def sorted_terms(self, reverse: bool = True):
         """Terms in graded-lex order (descending by default)."""
@@ -104,69 +110,97 @@ class MultiPoly:
             yield exps, self.terms[exps]
 
     def real_terms(self) -> dict[tuple[int, ...], Fraction]:
-        """Terms as Fractions; raises if any coefficient is non-real."""
+        """Terms as Fractions, never ints; raises if any coefficient is non-real."""
         out = {}
-        for exps, c in self.terms.items():
-            if not c.is_real():
-                raise ValueError(f"non-real coefficient {c} in real_terms()")
-            out[exps] = c.re
+        for exps, (re, im) in self.terms.items():
+            if im:
+                raise ValueError(f"non-real coefficient {self.terms[exps]} in real_terms()")
+            out[exps] = re if type(re) is Fraction else Fraction(re)
         return out
 
     # -- ring operations -------------------------------------------------
 
-    def _check_same(self, other: "MultiPoly"):
-        if self.nvars != other.nvars:
-            raise ValueError(f"variable-count mismatch: {self.nvars} != {other.nvars}")
+    @classmethod
+    def sum_of(cls, nvars: int, polys) -> "MultiPoly":
+        """The sum of ``polys``, collected in one dict."""
+        out: dict[tuple[int, ...], GaussianRational] = {}
+        for p in polys:
+            if p.nvars != nvars:
+                raise ValueError(f"variable-count mismatch: {nvars} != {p.nvars}")
+            for e, c in p.terms.items():
+                prev = out.get(e)
+                if prev is not None:
+                    c = pair((prev[0] + c[0], prev[1] + c[1]))
+                    if not (c[0] or c[1]):
+                        del out[e]
+                        continue
+                out[e] = c
+        return cls.from_clean(nvars, out)
 
     def __add__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        self._check_same(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            out[exps] = out.get(exps, ZERO) + c
-        return MultiPoly(self.nvars, out)
+        return MultiPoly.sum_of(self.nvars, (self, other))
 
     def __sub__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self + (-other)
+        return self + -other if isinstance(other, MultiPoly) else NotImplemented
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly.from_clean(self.nvars, {e: pair((-c[0], -c[1]))
+                                                 for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        self._check_same(other)
-        out: dict[tuple[int, ...], GaussianRational] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
+        if self.nvars != other.nvars:
+            raise ValueError(f"variable-count mismatch: {self.nvars} != {other.nvars}")
+        for mono, poly in ((other.terms, self.terms), (self.terms, other.terms)):
+            if len(mono) == 1:
+                (shift, c), = mono.items()
+                if c[1] == 0 and c[0] == 1:
+                    return MultiPoly.from_clean(self.nvars, {tuple(map(add, e, shift)): v
+                                                             for e, v in poly.items()})
+        out: dict[tuple[int, ...], tuple] = {}
+        for e1, (ar, ai) in self.terms.items():
+            for e2, (br, bi) in other.terms.items():
+                e = tuple(map(add, e1, e2))
+                if ai or bi:
+                    re, im = ar * br - ai * bi, ar * bi + ai * br
+                else:
+                    re, im = ar * br, 0
                 prev = out.get(e)
-                out[e] = c if prev is None else prev + c
-        return MultiPoly(self.nvars, out)
+                out[e] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+        return MultiPoly.from_clean(self.nvars, {e: pair(c) for e, c in out.items()
+                                                 if c[0] or c[1]})
 
     def scale(self, scalar) -> "MultiPoly":
-        s = _coerce_coeff(scalar)
-        if s.is_zero():
-            return MultiPoly.zero(self.nvars)
-        return MultiPoly(self.nvars, {e: c * s for e, c in self.terms.items()})
+        return self * MultiPoly.constant(self.nvars, scalar)
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPoly.constant(self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        if len(self.terms) == 1 and not next(iter(self.terms.values()))[1]:
+            (e, (re, _)), = self.terms.items()
+            return MultiPoly.from_clean(self.nvars, {tuple(x * n for x in e): pair((re ** n, 0))})
+        # Left-to-right binary powering never forms a power above n.
+        result = MultiPoly.from_clean(self.nvars, {(0,) * self.nvars: _ONE})
+        for bit in f"{n:b}":
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     # -- evaluation -----------------------------------------------------
+
+    def evaluate_real(self, point: Sequence) -> tuple:
+        """Exact value at a point of ints/Fractions, as its ``(re, im)`` parts."""
+        if len(point) != self.nvars:
+            raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
+        re = im = 0
+        for exps, (cr, ci) in self.terms.items():
+            m = prod(v ** e for v, e in zip(point, exps) if e)
+            re, im = re + cr * m, im + ci * m
+        return re, im
 
     def evaluate(self, point: Sequence):
         """Exact evaluation at a point of ring elements.
@@ -176,15 +210,12 @@ class MultiPoly:
         if len(point) != self.nvars:
             raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
         pt = [GaussianRational(v) if isinstance(v, (int, Fraction)) else v for v in point]
-        acc = None
+        acc = ZERO
         for exps, c in self.terms.items():
-            term = c
             for v, e in zip(pt, exps):
                 if e:
-                    term = term * v ** e
-            acc = term if acc is None else acc + term
-        if acc is None:
-            return ZERO
+                    c = c * v ** e
+            acc = acc + c
         return acc
 
     def evaluate_complex(self, point: Sequence[complex]) -> complex:
@@ -217,7 +248,7 @@ class MultiPoly:
         coeffs: list[dict[tuple[int, ...], GaussianRational]] = [{} for _ in range(n + 1)]
         for exps, c in self.terms.items():
             coeffs[exps[-1]][exps[:-1]] = c
-        return [MultiPoly(self.nvars - 1, d) for d in coeffs]
+        return [MultiPoly.from_clean(self.nvars - 1, d) for d in coeffs]
 
     # -- equality / hashing ----------------------------------------------
 
@@ -227,11 +258,7 @@ class MultiPoly:
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.nvars, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self):
         items = ", ".join(f"{e}: {c}" for e, c in self.sorted_terms())

@@ -22,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .gaussian import GaussianRational, I
+from .gaussian import GaussianRational, pair
 from .multipoly import MultiPoly
 
 
@@ -31,6 +31,7 @@ class ParseErrorKind(Enum):
     UNKNOWN_SYMBOL = "UnknownSymbol"
     BAD_EXPONENT = "BadExponent"
     DIMENSION_EXCEEDED = "DimensionExceeded"
+    EXPANSION_LIMIT = "ExpansionLimit"
 
 
 class ParseError(Exception):
@@ -53,6 +54,9 @@ class _Tok(NamedTuple):
 _TOKEN = re.compile(r"(?P<space>\s+)|(?P<op>[-+*/^()])|(?P<int>\d+)|X(?P<X>\d+)"
                     r"|(?P<word>[^\W\d_]+)|(?P<other>.)")
 
+# Most monomials a product or power may expand to.
+MAX_TERMS = 10_000
+
 _WORD_ERRORS = {"PI": "PI is only admitted in lattice-periodic mode",
                 "X": "X must be followed by a 1-based index"}
 
@@ -70,6 +74,27 @@ def _symbol_error(value: str, pos: int, allow_pi: bool) -> ParseError:
                           f"unexpected character {value[n]!r}")
     return ParseError(pos, ParseErrorKind.UNKNOWN_SYMBOL,
                       _WORD_ERRORS.get(word, f"unknown symbol {word!r}"))
+
+
+def _binomial_capped(n: int, k: int) -> int:
+    """C(n, k), or a partial product above MAX_TERMS once it passes that."""
+    c, k = 1, min(k, n - k)
+    for j in range(1, k + 1):
+        c = c * (n - k + j) // j   # C(n - k + j, j), increasing in j
+        if c > MAX_TERMS:
+            break
+    return c
+
+
+def _check_expansion(op: _Tok, count: int, polys: tuple[MultiPoly, ...], power: int = 1) -> None:
+    """ParseError at ``op`` if the product of ``polys`` to the ``power`` may have more
+    than MAX_TERMS monomials: above ``count`` and C(D+v, v) (degree <= D, v variables)."""
+    if count <= MAX_TERMS:
+        return
+    v = sum(map(any, zip(*(e for p in polys for e in p.terms))))
+    if _binomial_capped(power * sum(p.total_degree() for p in polys) + v, v) > MAX_TERMS:
+        raise ParseError(op.pos, ParseErrorKind.EXPANSION_LIMIT,
+                         f"expansion may exceed the limit of {MAX_TERMS} monomials")
 
 
 def _tokenize(text: str, allow_pi: bool) -> list[_Tok]:
@@ -116,15 +141,15 @@ class _Parser:
                              f"expected {ch!r}")
 
     def parse_expr(self) -> MultiPoly:
-        acc = self.parse_term()
+        terms = [self.parse_term()]
         while True:
             t = self.peek()
             if t.kind == "op" and t.value in "+-":
                 self.next()
                 rhs = self.parse_term()
-                acc = acc + rhs if t.value == "+" else acc - rhs
+                terms.append(-rhs if t.value == "-" else rhs)
             else:
-                return acc
+                return MultiPoly.sum_of(self.nvars, terms)
 
     def parse_term(self) -> MultiPoly:
         acc = self.parse_factor()
@@ -132,7 +157,9 @@ class _Parser:
             t = self.peek()
             if t.kind == "op" and t.value == "*":
                 self.next()
-                acc = acc * self.parse_factor()
+                rhs = self.parse_factor()
+                _check_expansion(t, len(acc.terms) * len(rhs.terms), (acc, rhs))
+                acc = acc * rhs
             else:
                 return acc
 
@@ -150,6 +177,9 @@ class _Parser:
             if nxt.kind == "op" and nxt.value == "/":
                 raise ParseError(nxt.pos, ParseErrorKind.BAD_EXPONENT,
                                  "fractional exponents are not allowed")
+            # p^n has at most C(n + k - 1, k - 1) monomials when p has k.
+            k = len(base.terms)
+            _check_expansion(t, _binomial_capped(e.value + k - 1, k - 1), (base,), e.value)
             return base ** e.value
         return base
 
@@ -165,7 +195,7 @@ class _Parser:
         if t.kind == "PI":
             return MultiPoly.variable(self.nvars, self.pi_slot)
         if t.kind == "i":
-            return MultiPoly.constant(self.nvars, I)
+            return MultiPoly.constant(self.nvars, pair((0, 1)))
         if t.kind == "int":
             num = t.value
             nxt = self.peek()
@@ -175,8 +205,8 @@ class _Parser:
                 if den.kind != "int" or den.value == 0:
                     raise ParseError(den.pos, ParseErrorKind.UNEXPECTED_TOKEN,
                                      "expected nonzero integer denominator")
-                return MultiPoly.constant(self.nvars, Fraction(num, den.value))
-            return MultiPoly.constant(self.nvars, num)
+                num = Fraction(num, den.value)
+            return MultiPoly.constant(self.nvars, pair((num, 0)))
         if t.kind == "op" and t.value == "(":
             inner = self.parse_expr()
             self.expect_op(")")
@@ -240,9 +270,9 @@ def print_canonical(p: MultiPoly, names: list[str] | None = None) -> str:
         )
         if not mono:
             s = _coeff_str(c)
-        elif c.is_one():
+        elif c == 1:
             s = mono
-        elif c == GaussianRational(-1):
+        elif c == -1:
             s = f"-{mono}"
         else:
             s = f"{_coeff_str(c)}*{mono}"

@@ -4,7 +4,8 @@ Degree test, principal part, characteristic normals, the ideal generated
 by the T-coefficients of p, and the substitution X -> i*xi that turns the
 imaginary-axis slice of its zero set into a real polynomial system.  For
 lattice-periodic symbols (a PI slot before T) the pi-grading does the same
-for the frequencies 2*pi*v.
+for the frequencies 2*pi*v.  Both take ``i^k`` as a rotation of the
+coefficients' ``(re, im)`` pairs from a 4-entry table.
 """
 
 from __future__ import annotations
@@ -13,10 +14,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .gaussian import GaussianRational, I
+from .gaussian import GaussianRational, pair
 from .multipoly import NEG_INF, MultiPoly
 
-_TWO_I = GaussianRational(0, 2)
+# (re, im) * i^k, indexed by k mod 4.
+_I_POWER = (lambda re, im: (re, im), lambda re, im: (-im, re),
+            lambda re, im: (-re, -im), lambda re, im: (im, -re))
 
 
 @dataclass(frozen=True)
@@ -33,8 +36,8 @@ class RealPolySystem:
 
     Common real zeros correspond exactly to the points i*xi at which every
     content generator vanishes.  ``terms`` holds the polys as Fraction term
-    dicts, the form the solver works on; a non-real coefficient raises
-    ValueError here.
+    dicts (``type(c) is Fraction``), the form the solver works on; a
+    non-real coefficient raises ValueError here.
     """
 
     dimension: int
@@ -48,8 +51,8 @@ class RealPolySystem:
 
 def restrict_to_time(p: MultiPoly) -> MultiPoly:
     """p with every spatial variable set to 0 (a polynomial in T alone)."""
-    return MultiPoly(p.nvars, {e: c for e, c in p.terms.items()
-                               if all(x == 0 for x in e[:-1])})
+    return MultiPoly.from_clean(p.nvars, {e: c for e, c in p.terms.items()
+                                          if not any(e[:-1])})
 
 
 def degree_test(p: MultiPoly) -> bool:
@@ -62,7 +65,7 @@ def principal_part(p: MultiPoly) -> MultiPoly:
     if p.is_zero():
         raise ValueError("principal part of the zero polynomial is undefined")
     m = p.total_degree()
-    return MultiPoly(p.nvars, {e: c for e, c in p.terms.items() if sum(e) == m})
+    return MultiPoly.from_clean(p.nvars, {e: c for e, c in p.terms.items() if sum(e) == m})
 
 
 def is_characteristic_normal(p: MultiPoly, n: Sequence[Fraction]) -> bool:
@@ -85,8 +88,8 @@ def x_content(p: MultiPoly) -> ContentGenerators:
 
 def _real_imag_parts(a: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     """(real part, imaginary part) of a Q(i) polynomial, coefficientwise."""
-    return (MultiPoly(a.nvars, {e: c.re for e, c in a.terms.items()}),
-            MultiPoly(a.nvars, {e: c.im for e, c in a.terms.items()}))
+    return tuple(MultiPoly.from_clean(a.nvars, {e: pair((c[k], 0)) for e, c in a.terms.items()
+                                                if c[k]}) for k in (0, 1))
 
 
 def substitute_i_xi(a: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
@@ -95,20 +98,14 @@ def substitute_i_xi(a: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     Each term c * X^e picks up a factor i^|e|; the result is returned as a
     pair (real part, imaginary part), both with real coefficients.
     """
-    return _real_imag_parts(MultiPoly(a.nvars, {e: c * I ** sum(e)
-                                                for e, c in a.terms.items()}))
+    return _real_imag_parts(MultiPoly.from_clean(a.nvars, {e: pair(_I_POWER[sum(e) & 3](*c))
+                                                           for e, c in a.terms.items()}))
 
 
 def _real_system(dimension: int, parts) -> RealPolySystem:
     """System of the given real polynomials, zeros and duplicates dropped."""
-    polys: list[MultiPoly] = []
-    seen = set()
-    for part in parts:
-        if part.is_zero() or part in seen:
-            continue
-        seen.add(part)
-        polys.append(part)
-    return RealPolySystem(dimension=dimension, polys=tuple(polys))
+    return RealPolySystem(dimension=dimension,
+                          polys=tuple(dict.fromkeys(p for p in parts if not p.is_zero())))
 
 
 def imaginary_slice(content: ContentGenerators) -> RealPolySystem:
@@ -132,8 +129,10 @@ def pi_grades(a: MultiPoly) -> list[MultiPoly]:
     grades: list[dict[tuple[int, ...], GaussianRational]] = [
         {} for _ in range(max(map(sum, a.terms), default=-1) + 1)]
     for exps, c in a.terms.items():
-        grades[sum(exps)][exps[:dim]] = c * _TWO_I ** sum(exps[:dim])
-    return [MultiPoly(dim, terms) for terms in grades]
+        k = sum(exps[:dim])
+        re, im = _I_POWER[k & 3](*c)
+        grades[sum(exps)][exps[:dim]] = pair((re * 2 ** k, im * 2 ** k))
+    return [MultiPoly.from_clean(dim, terms) for terms in grades]
 
 
 def pi_graded_slice(content: ContentGenerators) -> RealPolySystem:

@@ -3,8 +3,9 @@
 A witness is the symbolic solution  exp(i<x, xi0>) (x) Theta(t), where
 Theta vanishes for t <= 0 and equals exp(-1/t) for t > 0.  It solves the
 PDE exactly because every T-coefficient of the symbol vanishes at i*xi0;
-the certificate stores those exact zero values.  Numeric evaluation is a
-sanity layer only, never part of the guarantee.
+the certificate stores those exact zero values, checked on the real and
+imaginary parts of the imaginary-axis slice (or of the pi-grades).  Numeric
+evaluation is a sanity layer only, never part of the guarantee.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .gaussian import ZERO, GaussianRational
+from .gaussian import ZERO, pair
 from .multipoly import MultiPoly
-from .symbols import pi_grades
+from .symbols import pi_grades, substitute_i_xi
 
 
 class CertificateFailure(Exception):
@@ -88,13 +89,6 @@ class Witness:
     certificate: tuple
     coeff_polys: tuple[MultiPoly, ...]
 
-    def exact_point(self) -> list:
-        """Exact evaluation point: i*xi0 for the coefficients, or v0 for the
-        pi-grades of the periodic kind."""
-        if self.pi_factor:
-            return list(self.frequency)
-        return [GaussianRational(0, f) for f in self.frequency]
-
     def complex_point(self) -> list[complex]:
         if self.pi_factor:
             pt = [2j * math.pi * float(v) for v in self.frequency]
@@ -107,19 +101,31 @@ class Witness:
         return [scale * float(v) for v in self.frequency]
 
 
-def _check_certificate(coeff_polys: Sequence[MultiPoly], point,
+def _check_certificate(coeff_polys: Sequence[MultiPoly], frequency: Sequence[Fraction],
                        pi_graded: bool = False) -> tuple:
-    """Exact zero value of each coefficient at the point, or CertificateFailure.
+    """Exact zero value of each coefficient at the frequency, or CertificateFailure.
 
-    With ``pi_graded`` the coefficients carry a PI slot and the point is v0:
-    a coefficient vanishes at 2*pi*i*v0 iff each of its pi-grades does at v0.
+    a_j(i*xi0) = 0 exactly when both parts of ``substitute_i_xi(a_j)`` vanish
+    at xi0.  With ``pi_graded`` the coefficients carry a PI slot and the
+    frequency is v0: a_j vanishes at 2*pi*i*v0 iff both parts of each of its
+    pi-grades vanish at v0.
     """
     for j, a in enumerate(coeff_polys):
-        for q in pi_grades(a) if pi_graded else (a,):
-            v = q.evaluate(point)
-            if not v.is_zero():
-                raise CertificateFailure(j, v)
+        values = ([q.evaluate_real(frequency) for q in pi_grades(a)] if pi_graded else
+                  [tuple(part.evaluate_real(frequency)[0] for part in substitute_i_xi(a))])
+        for re, im in values:
+            if re or im:
+                raise CertificateFailure(j, pair((re, im)))
     return (ZERO,) * len(coeff_polys)
+
+
+def _witness(p: MultiPoly, kind: str, frequency: tuple[Fraction, ...],
+             pi_factor: bool) -> Witness:
+    coeff_polys = tuple(p.coefficients_in_T()) or (MultiPoly.zero(p.nvars - 1),)
+    return Witness(kind=kind, frequency=frequency, pi_factor=pi_factor,
+                   theta=tuple(theta_derivatives(len(coeff_polys) - 1)),
+                   certificate=_check_certificate(coeff_polys, frequency, pi_factor),
+                   coeff_polys=coeff_polys)
 
 
 def build_witness(p: MultiPoly, frequency: Sequence[Fraction]) -> Witness:
@@ -128,15 +134,8 @@ def build_witness(p: MultiPoly, frequency: Sequence[Fraction]) -> Witness:
     freq = tuple(Fraction(f) for f in frequency)
     if len(freq) != p.nvars - 1:
         raise ValueError(f"frequency has length {len(freq)}, expected {p.nvars - 1}")
-    coeff_polys = tuple(p.coefficients_in_T())
-    if not coeff_polys:
-        coeff_polys = (MultiPoly.zero(p.nvars - 1),)
-    point = [GaussianRational(0, f) for f in freq]
-    certificate = _check_certificate(coeff_polys, point)
     kind = "ConstantTensorTheta" if all(f == 0 for f in freq) else "ExponentialTensorTheta"
-    return Witness(kind=kind, frequency=freq, pi_factor=False,
-                   theta=tuple(theta_derivatives(len(coeff_polys) - 1)),
-                   certificate=certificate, coeff_polys=coeff_polys)
+    return _witness(p, kind, freq, False)
 
 
 def build_periodic_witness(p: MultiPoly, v0: Sequence[Fraction]) -> Witness:
@@ -149,13 +148,7 @@ def build_periodic_witness(p: MultiPoly, v0: Sequence[Fraction]) -> Witness:
     v = tuple(Fraction(x) for x in v0)
     if len(v) != p.nvars - 2:
         raise ValueError(f"frequency has length {len(v)}, expected {p.nvars - 2}")
-    coeff_polys = tuple(p.coefficients_in_T())
-    if not coeff_polys:
-        coeff_polys = (MultiPoly.zero(p.nvars - 1),)
-    certificate = _check_certificate(coeff_polys, v, pi_graded=True)
-    return Witness(kind="PeriodicExponentialTheta", frequency=v, pi_factor=True,
-                   theta=tuple(theta_derivatives(len(coeff_polys) - 1)),
-                   certificate=certificate, coeff_polys=coeff_polys)
+    return _witness(p, "PeriodicExponentialTheta", v, True)
 
 
 @dataclass(frozen=True)
@@ -166,7 +159,7 @@ class ResidualReport:
     grid_points: int
 
 
-def verify_residual(w: Witness, p: MultiPoly,
+def verify_residual(w: Witness,
                     sample_grid: Sequence[tuple[Sequence[float], float]]) -> ResidualReport:
     """Exact re-check of the certificate plus a floating-point sweep.
 
@@ -174,7 +167,7 @@ def verify_residual(w: Witness, p: MultiPoly,
     |sum_j a_j(i*xi0) * Theta^(j)(t) * exp(i<x, xi0>)| with the a_j values
     recomputed in floating point, so only rounding noise remains.
     """
-    _check_certificate(w.coeff_polys, w.exact_point(), w.pi_factor)
+    _check_certificate(w.coeff_polys, w.frequency, w.pi_factor)
     cpoint = w.complex_point()
     coeff_vals = [a.evaluate_complex(cpoint) for a in w.coeff_polys]
     freq = w.frequency_floats()

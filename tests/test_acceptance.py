@@ -72,7 +72,7 @@ def test_criterion_3_mixed_derivative_fixture(capsys):
     ok = ok and all(x.is_zero() for x in w.certificate)
     grid = [((x1, x2), t) for x1 in (-1.0, 0.0, 1.0)
             for x2 in (-1.0, 0.0, 1.0) for t in (0.5, 1.0, 2.0)]
-    rep = verify_residual(w, p, grid)
+    rep = verify_residual(w, grid)
     ok = ok and rep.exact_certificate_ok and rep.max_numeric_residual < 1e-12
     report(capsys, 3, ok, f"witness frequency {tuple(map(str, w.frequency))}, "
                   f"residual {rep.max_numeric_residual:.2e}")

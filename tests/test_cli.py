@@ -52,7 +52,8 @@ def test_parse_error_exit_code_and_caret(capsys):
     (("content", "T - X0"), 6),
     (("witness", "X1*T +", "--freq", "1"), 8),
     (("classify", "X1\u00b2*T"), 4),
-], ids=["periodic", "content", "witness", "superscript"])
+    (("classify", "(X1+X2+1)^100000"), 11),
+], ids=["periodic", "content", "witness", "superscript", "expansion-limit"])
 def test_parse_error_caret_for_every_subcommand(capsys, argv, caret_at):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_INPUT_ERROR and out == ""

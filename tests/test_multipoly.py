@@ -135,6 +135,14 @@ def test_eval_homomorphism_random():
         assert (a * b).evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
 
 
+def test_evaluate_real_matches_evaluate_random():
+    rng = random.Random(19)
+    for _ in range(200):
+        a = random_multipoly(rng, 2, max_deg=5)
+        pt = [x.re for x in random_point(rng, 2, height=4, complex_coeffs=False)]
+        assert GaussianRational(*a.evaluate_real(pt)) == a.evaluate(pt)
+
+
 def test_degree_multiplicative_random():
     rng = random.Random(17)
     for _ in range(100):

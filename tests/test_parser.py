@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from nullsol.gaussian import GaussianRational
 from nullsol.multipoly import MultiPoly
 from nullsol.parser import (
+    MAX_TERMS,
     ParseError,
     ParseErrorKind,
     _tokenize,
@@ -14,7 +16,7 @@ from nullsol.parser import (
     print_canonical,
 )
 
-from helpers import random_multipoly, reference_tokenize
+from helpers import random_multipoly, random_point, reference_tokenize
 
 
 def test_diffusion():
@@ -202,3 +204,107 @@ def test_tokenizer_matches_reference_loop():
 def test_print_canonical_gaussian_coefficients(text, printed):
     # only a coefficient with both parts nonzero is parenthesized
     assert print_canonical(parse(text, dim=1)[0]) == printed
+
+
+@pytest.mark.parametrize("text, position", [
+    ("(X1+X2+1)^100000", 9),
+    ("T + (X1+X2+X3+X4+X5+X6+X7+X8+X9+X10+1)^4 * (X11+X12+X13+X14+X15+X16+X17+X18+X19+X20+1)^4",
+     41),
+], ids=["power", "product"])
+def test_expansion_limit_points_at_the_operator(text, position):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (e.value.kind, e.value.position) == (ParseErrorKind.EXPANSION_LIMIT, position)
+    assert str(MAX_TERMS) in e.value.message
+
+
+def test_expansion_limit_admits_moderate_powers():
+    p, _ = parse("(X1+X2+X3+1)^12")
+    assert len(p.terms) == 455
+
+
+def test_huge_exponent_of_a_monomial_parses_fast():
+    start = time.perf_counter()
+    p, _ = parse("X1^1000000000*T")
+    assert time.perf_counter() - start < 1.0
+    assert p == MultiPoly(2, {(1000000000, 1): 1})
+
+
+# -- differential test of the pair arithmetic ------------------------------
+# A tree is ("X", k) | ("T",) | ("i",) | ("num", Fraction) | ("neg", a)
+# | (op, a, b) for op in "+-*" | ("^", a, n).
+
+def _random_tree(rng, dim, depth):
+    if depth == 0 or rng.random() < 0.25:
+        kind = rng.choice(["X", "T", "i", "num"])
+        if kind == "X":
+            return ("X", rng.randint(1, dim))
+        if kind == "num":
+            return ("num", Fraction(rng.randint(0, 9), rng.choice([1, 1, 2, 3, 7])))
+        return (kind,)
+    op = rng.choice(["+", "-", "*", "*", "^", "neg"])
+    if op == "neg":
+        return ("neg", _random_tree(rng, dim, depth - 1))
+    if op == "^":
+        return ("^", _random_tree(rng, dim, depth - 1), rng.randint(0, 4))
+    return (op, _random_tree(rng, dim, depth - 1), _random_tree(rng, dim, depth - 1))
+
+
+def _render(tree) -> str:
+    kind = tree[0]
+    if kind == "X":
+        return f"X{tree[1]}"
+    if kind in ("T", "i"):
+        return kind
+    if kind == "num":
+        return str(tree[1])
+    if kind == "neg":
+        return f"-({_render(tree[1])})"
+    if kind == "^":
+        return f"({_render(tree[1])})^{tree[2]}"
+    return f"({_render(tree[1])}) {kind} ({_render(tree[2])})"
+
+
+def _evaluate_tree(tree, point) -> GaussianRational:
+    """The tree's value by GaussianRational ring arithmetic alone."""
+    kind = tree[0]
+    if kind == "X":
+        return point[tree[1] - 1]
+    if kind == "T":
+        return point[-1]
+    if kind == "i":
+        return GaussianRational(0, 1)
+    if kind == "num":
+        return GaussianRational(tree[1])
+    if kind == "neg":
+        return -_evaluate_tree(tree[1], point)
+    if kind == "^":
+        return _evaluate_tree(tree[1], point) ** tree[2]
+    a, b = _evaluate_tree(tree[1], point), _evaluate_tree(tree[2], point)
+    return a + b if kind == "+" else a - b if kind == "-" else a * b
+
+
+_X1, _X2 = ("X", 1), ("X", 2)
+_EDGE_CASES = [
+    ("0^0", ("^", ("num", Fraction(0)), 0)),
+    ("(X1-X1)^0", ("^", ("-", _X1, _X1), 0)),
+    ("i^4", ("^", ("i",), 4)),
+    ("(2*i)^3", ("^", ("*", ("num", Fraction(2)), ("i",)), 3)),
+    ("-X1^2", ("neg", ("^", _X1, 2))),
+    ("X1*X1*X1", ("*", ("*", _X1, _X1), _X1)),
+    ("-(1/2*X2 - i*T)^3 + X1*X2*0", ("+", ("neg", ("^", ("-", ("*", ("num", Fraction(1, 2)), _X2),
+                                                             ("*", ("i",), ("T",))), 3)),
+                                     ("*", ("*", _X1, _X2), ("num", Fraction(0))))),
+]
+
+
+def test_parse_matches_ring_arithmetic_on_random_trees():
+    rng = random.Random(71)
+    dim = 2
+    trees = [(text, tree) for text, tree in _EDGE_CASES]
+    trees += [(_render(t), t) for t in (_random_tree(rng, dim, 4) for _ in range(300))]
+    for text, tree in trees:
+        p, _ = parse(text, dim=dim)
+        for _ in range(3):
+            point = random_point(rng, dim + 1, height=5)
+            assert p.evaluate(point) == _evaluate_tree(tree, point), text

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from nullsol.gaussian import ZERO, GaussianRational
+from nullsol.gaussian import I, ZERO, GaussianRational
 from nullsol.multipoly import MultiPoly
 from nullsol.parser import parse
 from nullsol.symbols import (
@@ -154,3 +154,36 @@ def test_invariants_under_scalar_multiple():
         if all(v == 0 for v in vec):
             continue
         assert is_characteristic_normal(p, vec) == is_characteristic_normal(q, vec)
+
+
+@pytest.mark.parametrize("text", ["X1^2*T + 1", "T - X1", "(X1^2+X2^2+1)*(T+1)"])
+def test_slice_terms_are_fractions(text):
+    # Groebner divides with "/": an int/int there would silently be a float
+    sys = imaginary_slice(x_content(parse(text)[0]))
+    assert sys.terms
+    assert all(type(c) is Fraction for terms in sys.terms for c in terms.values())
+
+
+def _reference_substitute_i_xi(a):
+    rotated = {e: c * I ** sum(e) for e, c in a.terms.items()}
+    return (MultiPoly(a.nvars, {e: c.re for e, c in rotated.items()}),
+            MultiPoly(a.nvars, {e: c.im for e, c in rotated.items()}))
+
+
+def _reference_pi_grades(a):
+    dim = a.nvars - 1
+    grades = [{} for _ in range(max(map(sum, a.terms), default=-1) + 1)]
+    for exps, c in a.terms.items():
+        grades[sum(exps)][exps[:dim]] = c * GaussianRational(0, 2) ** sum(exps[:dim])
+    return [MultiPoly(dim, terms) for terms in grades]
+
+
+def test_rotation_tables_match_ring_powers():
+    # c * i^|e| and c * (2i)^|e| by GaussianRational arithmetic are the reference
+    rng = random.Random(47)
+    polys = [random_multipoly(rng, 3, max_deg=7, max_terms=8) for _ in range(200)]
+    polys += [parse("(3/2 - 5*i)*X1^3*X2^2 + i*X1*PI^2 + 7*X2^4*PI - 2", dim=2, allow_pi=True)[0]
+              .coefficients_in_T()[0]]
+    for a in polys:
+        assert substitute_i_xi(a) == _reference_substitute_i_xi(a)
+        assert pi_grades(a) == _reference_pi_grades(a)

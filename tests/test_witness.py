@@ -62,10 +62,10 @@ def test_build_witness_axis_frequency():
     w = build_witness(p, [Fraction(1), Fraction(0)])
     assert w.kind == "ExponentialTensorTheta"
     assert all(v.is_zero() for v in w.certificate)
-    report = verify_residual(w, p, [((x1, x2), t)
-                                    for x1 in (-1.0, 0.0, 1.0)
-                                    for x2 in (-1.0, 0.0, 1.0)
-                                    for t in (0.5, 1.0, 2.0)])
+    report = verify_residual(w, [((x1, x2), t)
+                                 for x1 in (-1.0, 0.0, 1.0)
+                                 for x2 in (-1.0, 0.0, 1.0)
+                                 for t in (0.5, 1.0, 2.0)])
     assert report.exact_certificate_ok
     assert report.past_ok
     assert report.grid_points == 27
@@ -88,11 +88,24 @@ def test_build_witness_rejects_bad_frequency():
         build_witness(p, [Fraction(1), Fraction(2)])
 
 
+@pytest.mark.parametrize("text, value", [
+    ("T - X1^2", GaussianRational(1)),          # a_0(i) = 1
+    ("X1*T - X1", GaussianRational(0, -1)),     # a_0(i) = -i, a purely imaginary value
+])
+def test_certificate_failure_reports_the_exact_value(text, value):
+    # the slice-part check reports a_j(i*xi0), as ring evaluation gives it
+    p, _ = parse(text)
+    with pytest.raises(CertificateFailure) as e:
+        build_witness(p, [Fraction(1)])
+    assert e.value.order == 0 and e.value.value == value
+    assert value == p.coefficients_in_T()[0].evaluate([GaussianRational(0, 1)])
+
+
 def test_verify_residual_rejects_t_zero():
     p, _ = parse("X1*X2*T")
     w = build_witness(p, [Fraction(0), Fraction(0)])
     with pytest.raises(ValueError):
-        verify_residual(w, p, [((0.0, 0.0), 0.0)])
+        verify_residual(w, [((0.0, 0.0), 0.0)])
 
 
 def test_periodic_witness():
@@ -102,8 +115,8 @@ def test_periodic_witness():
     assert w.pi_factor
     assert len(w.certificate) == 2
     assert all(isinstance(v, GaussianRational) and v.is_zero() for v in w.certificate)
-    report = verify_residual(w, p, [((x,), t) for x in (-1.0, 0.0, 1.0)
-                                    for t in (0.5, 1.0, 2.0)])
+    report = verify_residual(w, [((x,), t) for x in (-1.0, 0.0, 1.0)
+                                 for t in (0.5, 1.0, 2.0)])
     assert report.exact_certificate_ok
     assert report.max_numeric_residual < 1e-9
 
