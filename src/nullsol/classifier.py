@@ -125,18 +125,15 @@ def _zero_verdict() -> Verdict:
 
 
 def classify(p: MultiPoly, space: SolutionSpace,
-             config: SolverConfig = DEFAULT_CONFIG,
-             lattice: LatticeSpec | None = None) -> Verdict:
+             config: SolverConfig = DEFAULT_CONFIG) -> Verdict:
     """Triviality verdict for p in the given solution space.
 
-    ``p`` uses the standard slot layout X1..Xd, T.  For PERIODIC, ``p``
-    must instead come from lattice-periodic parsing (PI slot before T) and
-    a lattice must be supplied; see :func:`periodic_test`.
+    ``p`` uses the standard slot layout X1..Xd, T.  PERIODIC is not handled
+    here: its symbol carries a PI slot and its verdict needs a lattice, so
+    it has its own entry point, :func:`periodic_test`.
     """
     if space is SolutionSpace.PERIODIC:
-        if lattice is None:
-            raise ValueError("PERIODIC classification requires a lattice")
-        return periodic_test(p, lattice, config)
+        raise ValueError("PERIODIC has its own entry point: call periodic_test(p, lattice)")
 
     if p.is_zero():
         return _zero_verdict()
@@ -153,19 +150,17 @@ def classify(p: MultiPoly, space: SolutionSpace,
             return Verdict(TRIVIAL, rule="degree-preservation", evidence=evidence)
         return Verdict(NONTRIVIAL, rule="characteristic-time-normal", evidence=evidence)
 
-    if space is SolutionSpace.SPATIALLY_TEMPERED:
-        system = imaginary_slice(x_content(p))
-        emptiness = decide_emptiness(system, config)
-        evidence = {"emptiness": emptiness}
-        if emptiness.status == EMPTY:
-            return Verdict(TRIVIAL, rule="content-variety-empty", evidence=evidence)
-        if emptiness.status == NONEMPTY:
-            w = build_witness(p, emptiness.witness)
-            return Verdict(NONTRIVIAL, rule="content-variety-nonempty",
-                           witness=w, evidence=evidence)
-        return Verdict(UNKNOWN, rule="content-variety-undecided", evidence=evidence)
-
-    raise ValueError(f"unhandled solution space {space}")
+    # SPATIALLY_TEMPERED, the one space left.
+    system = imaginary_slice(x_content(p))
+    emptiness = decide_emptiness(system, config)
+    evidence = {"emptiness": emptiness}
+    if emptiness.status == EMPTY:
+        return Verdict(TRIVIAL, rule="content-variety-empty", evidence=evidence)
+    if emptiness.status == NONEMPTY:
+        w = build_witness(p, emptiness.witness)
+        return Verdict(NONTRIVIAL, rule="content-variety-nonempty",
+                       witness=w, evidence=evidence)
+    return Verdict(UNKNOWN, rule="content-variety-undecided", evidence=evidence)
 
 
 # -- periodic lattice test -------------------------------------------------

@@ -92,14 +92,19 @@ def _real_imag_parts(a: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
                                                 if c[k]}) for k in (0, 1))
 
 
+def at_i_xi(a: MultiPoly) -> MultiPoly:
+    """a(i*xi) as a Q(i) polynomial in xi: each term c * X^e picks up i^|e|."""
+    return MultiPoly.from_clean(a.nvars, {e: pair(_I_POWER[sum(e) & 3](*c))
+                                          for e, c in a.terms.items()})
+
+
 def substitute_i_xi(a: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     """Split a(i*xi) into real and imaginary part polynomials in xi.
 
-    Each term c * X^e picks up a factor i^|e|; the result is returned as a
-    pair (real part, imaginary part), both with real coefficients.
+    The result is the pair (real part, imaginary part) of :func:`at_i_xi`,
+    both with real coefficients.
     """
-    return _real_imag_parts(MultiPoly.from_clean(a.nvars, {e: pair(_I_POWER[sum(e) & 3](*c))
-                                                           for e, c in a.terms.items()}))
+    return _real_imag_parts(at_i_xi(a))
 
 
 def _real_system(dimension: int, parts) -> RealPolySystem:

@@ -180,6 +180,47 @@ def test_witness_auto(capsys):
     assert report["witness"]["exact_certificate_ok"] is True
 
 
+def _witness_line_residual(out: str, prefix: str) -> float:
+    [line] = [ln for ln in out.splitlines() if ln.startswith(prefix)]
+    return float(line[len(prefix):])
+
+
+def test_text_output_names_the_witness(capsys):
+    code, out, _ = run(capsys, "classify", "X1*X2*T", "--no-timing")
+    assert code == EXIT_OK
+    assert "  tempered         NONTRIVIAL  [content-variety-nonempty]\n" in out
+    prefix = "    witness ConstantTensorTheta: frequency (0, 0), residual max "
+    assert _witness_line_residual(out, prefix) < 1e-12
+    code, out, _ = run(capsys, "periodic", "X1^2*T + 4*PI^2*T", "--lattice", "1",
+                       "--no-timing")
+    assert code == EXIT_OK
+    prefix = "    witness PeriodicExponentialTheta: frequency 2*pi * (1), residual max "
+    assert _witness_line_residual(out, prefix) < 1e-9
+
+
+def test_text_output_lines(capsys):
+    code, out, _ = run(capsys, "content", "T - X1^2")
+    assert (code, out) == (EXIT_OK, "symbol: -X1^2 + T   (d = 1)\n"
+                                     "  generator a_0: -X1^2\n  generator a_1: 1\n")
+    code, out, _ = run(capsys, "content", "0", "--dim", "1")
+    assert (code, out) == (EXIT_OK, "symbol: 0   (d = 1)\n  zero ideal\n")
+    code, out, _ = run(capsys, "witness", "(X1^2+X2^2+1)*(T+1)", "--freq", "1,0")
+    assert code == EXIT_OK
+    assert out.startswith("symbol: X1^2*T + X2^2*T + X1^2 + X2^2 + T + 1   (d = 2)\n")
+    assert _witness_line_residual(out, "  certificate OK, residual max ") < 1e-12
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--auto"], "error: no witness available: verdict is TRIVIAL [content-variety-empty]\n"),
+    ([], "error: supply --freq or --auto\n"),
+    (["--freq", "1,2"], "error: frequency needs 1 coordinates\n"),
+    (["--freq", "1/0"], "error: --freq must be comma-separated rationals\n"),
+])
+def test_witness_input_errors(capsys, argv, message):
+    code, out, err = run(capsys, "witness", "T - X1^2", *argv)
+    assert (code, out, err) == (EXIT_INPUT_ERROR, "", message)
+
+
 def test_stdin_expression(capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO("T - X1^2"))

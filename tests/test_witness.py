@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from nullsol.parser import parse
 from nullsol.gaussian import GaussianRational
 from nullsol.witness import (
     CertificateFailure,
+    Witness,
     build_periodic_witness,
     build_witness,
     theta_derivatives,
@@ -25,6 +27,9 @@ def test_recurrence_first_polys():
     assert polys[2].coeffs == (0, 0, 0, -2, 1)     # s^4 - 2*s^3
     # P3 = s^6 - 6*s^5 + 6*s^4
     assert polys[3].coeffs == (0, 0, 0, 0, 6, -6, 1)
+    # the recurrence keeps the leading coefficient 1, in degree 2j
+    for j, p in enumerate(theta_derivatives(12)):
+        assert len(p.coeffs) == 2 * j + 1 and p.coeffs[-1] == 1
 
 
 def test_derivatives_match_finite_differences():
@@ -99,6 +104,32 @@ def test_certificate_failure_reports_the_exact_value(text, value):
         build_witness(p, [Fraction(1)])
     assert e.value.order == 0 and e.value.value == value
     assert value == p.coefficients_in_T()[0].evaluate([GaussianRational(0, 1)])
+
+
+def test_witness_is_checked_when_constructed():
+    # no Witness exists unchecked: direct construction and dataclasses.replace
+    # run the exact certificate check too
+    p, _ = parse("T - X1^2")
+    coeffs = tuple(p.coefficients_in_T())
+    with pytest.raises(CertificateFailure) as e:
+        Witness((Fraction(1),), False, coeffs)
+    assert (e.value.order, e.value.value) == (0, GaussianRational(1))
+    w = Witness((Fraction(0),), False, coeffs[:1])  # the symbol -X1^2
+    assert (w.kind, w.certificate, len(w.theta)) == ("ConstantTensorTheta", (0,), 1)
+    with pytest.raises(CertificateFailure):
+        dataclasses.replace(w, coeff_polys=coeffs)
+    with pytest.raises(ValueError):
+        dataclasses.replace(w, certificate=(0,))
+    with pytest.raises(ValueError):
+        Witness((Fraction(0), Fraction(0)), False, coeffs[:1])
+
+
+def test_periodic_witness_kind_at_zero_frequency():
+    # pi_factor decides the kind, even at v0 = 0
+    p, _ = parse("X1*X2*T - X1*X2", dim=2, allow_pi=True)
+    w = build_periodic_witness(p, [Fraction(0), Fraction(0)])
+    assert w.kind == "PeriodicExponentialTheta"
+    assert w == Witness((0, 0), True, tuple(p.coefficients_in_T()))
 
 
 def test_verify_residual_rejects_t_zero():
