@@ -1,22 +1,39 @@
-"""Buchberger's algorithm over Q, graded-reverse-lexicographic order.
+"""Buchberger's algorithm over Z, graded-reverse-lexicographic order.
 
-Polynomials are term dicts ``{exponent tuple: nonzero Fraction}``, the form
-``RealPolySystem.terms`` holds.  Used only as a sound shortcut: if the ideal
-generated by a real system contains a nonzero constant, the system has no
-common complex zero, hence no common real zero.  A reduction-step cap keeps
-runtime bounded; hitting the cap is reported as inconclusive, never as a
-verdict.
+At the boundary polynomials are term dicts ``{exponent tuple: nonzero
+Fraction}``, the form ``RealPolySystem.terms`` holds.  Inside, each one is
+cleared once to a primitive integer polynomial (integer coefficients with
+gcd 1) whose monomials are keyed by the grevlex encoding
+``(deg, -e_n, ..., -e_1)``: a plain ``max`` is the leading monomial, the
+encoding of a product of monomials is the sum of their encodings, and the
+lcm of two monomials is its own pair-heap key.  S-polynomials and
+reduction steps use integer cofactors instead of dividing by leading
+coefficients (the fraction-free form of Buchberger's algorithm; Cox,
+Little & O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2), so each
+polynomial is a nonzero integer multiple of the one the algorithm over Q
+forms, with the same monomials, the same reduction steps and the same
+basis up to scaling.  No Fraction arithmetic runs inside.
+
+Used only as a sound shortcut: if the ideal generated by a real system
+contains a nonzero constant, the system has no common complex zero, hence
+no common real zero.  A reduction-step cap keeps runtime bounded; hitting
+the cap is reported as inconclusive, never as a verdict.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from fractions import Fraction
+from operator import add, ge, sub
 
 Terms = dict[tuple[int, ...], Fraction]
-# A basis element with its cached leading monomial and coefficient.
-_Entry = tuple[tuple[int, ...], Fraction, Terms]
+# An integer polynomial keyed by encoded monomials.
+_Poly = dict[tuple[int, ...], int]
+# A basis element: encoded leading monomial, its negated exponents
+# (the encoding without the degree), leading coefficient, polynomial.
+_Entry = tuple[tuple[int, ...], tuple[int, ...], int, _Poly]
 
 
 class GroebnerCapExceeded(Exception):
@@ -32,27 +49,44 @@ def leading_term(p: Terms) -> tuple[tuple[int, ...], Fraction]:
     return exps, p[exps]
 
 
-def _entry(p: Terms) -> _Entry:
-    return (*leading_term(p), p)
-
-
 def _is_constant(p: Terms) -> bool:
     return all(sum(e) == 0 for e in p)
 
 
-def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+def add_multiple(acc: dict, p: dict, exps: tuple[int, ...], coeff) -> None:
+    """acc += coeff * X^exps * p, in place, dropping cancelled terms.
 
-
-def add_multiple(acc: Terms, p: Terms, exps: tuple[int, ...], coeff: Fraction) -> None:
-    """acc += coeff * X^exps * p, in place, dropping cancelled terms."""
+    Works on exponent tuples and on grevlex encodings alike, since both
+    add under multiplication of monomials.
+    """
     for e, c in p.items():
-        m = tuple(a + b for a, b in zip(e, exps))
+        m = tuple(map(add, e, exps))
         v = acc.get(m, 0) + coeff * c
         if v:
             acc[m] = v
         else:
             del acc[m]
+
+
+def _primitive(p: _Poly) -> _Poly:
+    g = math.gcd(*p.values())
+    return p if g == 1 else {m: c // g for m, c in p.items()}
+
+
+def _cleared(p: Terms) -> _Poly:
+    """The primitive integer multiple of a term dict, on encoded monomials."""
+    den = math.lcm(*(c.denominator for c in p.values()))
+    return _primitive({(sum(e), *(-x for x in reversed(e))): c.numerator * (den // c.denominator)
+                       for e, c in p.items()})
+
+
+def _terms(p: _Poly) -> Terms:
+    return {tuple(-x for x in reversed(m[1:])): Fraction(c) for m, c in p.items()}
+
+
+def _entry(p: _Poly) -> _Entry:
+    lead = max(p)
+    return lead, lead[1:], p[lead], p
 
 
 class _Budget:
@@ -67,59 +101,70 @@ class _Budget:
             raise GroebnerCapExceeded()
 
 
-def _normal_form(f: Terms, basis: list[_Entry], budget: _Budget | None) -> Terms:
-    """Full normal form: each leading term is reduced by the first basis
-    element whose leading monomial divides it, one budget step each."""
-    remainder: Terms = {}
+def _normal_form(f: _Poly, basis: list[_Entry], budget: _Budget | None) -> _Poly:
+    """Full normal form, up to a nonzero integer factor: each leading term is
+    reduced by the first basis element whose leading monomial divides it,
+    one budget step each.  A step scales the work and the remainder by
+    ``g_c/gcd`` and subtracts ``(lt_c/gcd) * X^delta * g``."""
+    remainder: _Poly = {}
     work = dict(f)
     while work:
-        lt_e, lt_c = leading_term(work)
-        for g_e, g_c, g in basis:
-            if _divides(g_e, lt_e):
+        lead = max(work)
+        lt_c = work[lead]
+        tail = lead[1:]
+        for g_lead, g_tail, g_c, g in basis:
+            if all(map(ge, g_tail, tail)):
                 if budget is not None:
                     budget.spend()
-                add_multiple(work, g, tuple(a - b for a, b in zip(lt_e, g_e)), -lt_c / g_c)
+                d = math.gcd(lt_c, g_c)
+                scale = g_c // d
+                if scale != 1:
+                    for m in work:
+                        work[m] *= scale
+                    for m in remainder:
+                        remainder[m] *= scale
+                add_multiple(work, g, tuple(map(sub, lead, g_lead)), -(lt_c // d))
                 break
         else:
-            remainder[lt_e] = lt_c
-            del work[lt_e]
+            remainder[lead] = lt_c
+            del work[lead]
     return remainder
 
 
 def reduce_poly(f: Terms, basis: list[Terms], budget: _Budget | None = None) -> Terms:
-    """Full normal form of f modulo basis (leading-term reduction)."""
-    return _normal_form(f, [_entry(g) for g in basis], budget)
+    """Full normal form of f modulo basis (leading-term reduction), up to a
+    nonzero rational factor: it is returned primitive over Z."""
+    r = _normal_form(_cleared(f), [_entry(_cleared(g)) for g in basis], budget)
+    return _terms(_primitive(r))
 
 
-def _s_poly(f: _Entry, g: _Entry) -> Terms:
-    (f_e, f_c, f_terms), (g_e, g_c, g_terms) = f, g
-    lcm = tuple(map(max, f_e, g_e))
-    s: Terms = {}
-    add_multiple(s, f_terms, tuple(a - b for a, b in zip(lcm, f_e)), 1 / f_c)
-    add_multiple(s, g_terms, tuple(a - b for a, b in zip(lcm, g_e)), -1 / g_c)
+def _s_poly(f: _Entry, g: _Entry) -> _Poly:
+    (f_lead, f_tail, f_c, f_p), (g_lead, g_tail, g_c, g_p) = f, g
+    lcm_tail = tuple(map(min, f_tail, g_tail))
+    lcm = (-sum(lcm_tail), *lcm_tail)
+    d = math.gcd(f_c, g_c)
+    s: _Poly = {}
+    add_multiple(s, f_p, tuple(map(sub, lcm, f_lead)), g_c // d)
+    add_multiple(s, g_p, tuple(map(sub, lcm, g_lead)), -(f_c // d))
     return s
 
 
 def s_polynomial(f: Terms, g: Terms) -> Terms:
-    return _s_poly(_entry(f), _entry(g))
+    """The S-polynomial of f and g, up to a nonzero rational factor."""
+    return _terms(_s_poly(_entry(_cleared(f)), _entry(_cleared(g))))
 
 
-def buchberger(polys: list[Terms], cap: int = 50000) -> list[Terms]:
-    """Groebner basis (grevlex) of the given generators.
-
-    Pairs are taken by least grevlex lcm, ties in the order they were
-    formed.  Raises GroebnerCapExceeded when the reduction budget runs out.
-    """
-    basis = [_entry(p) for p in polys if p]
-    if not basis:
-        return []
+def _basis(polys: list[Terms], cap: int) -> list[_Entry]:
+    """Groebner basis entries of the nonzero generators; the unit alone once
+    a nonzero constant turns up."""
+    basis = [_entry(_cleared(p)) for p in polys if p]
     budget = _Budget(cap)
     pairs: list = []
     formed = itertools.count()
 
     def add_pair(i: int, j: int) -> None:
-        lcm = tuple(map(max, basis[i][0], basis[j][0]))
-        heapq.heappush(pairs, (grevlex_key(lcm), next(formed), i, j))
+        lcm_tail = tuple(map(min, basis[i][1], basis[j][1]))
+        heapq.heappush(pairs, ((-sum(lcm_tail), *lcm_tail), next(formed), i, j))
 
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
@@ -127,18 +172,27 @@ def buchberger(polys: list[Terms], cap: int = 50000) -> list[Terms]:
     while pairs:
         _, _, i, j = heapq.heappop(pairs)
         # Buchberger's first criterion: coprime leading monomials.
-        if all(min(a, b) == 0 for a, b in zip(basis[i][0], basis[j][0])):
+        if not any(map(max, basis[i][1], basis[j][1])):
             continue
         r = _normal_form(_s_poly(basis[i], basis[j]), basis, budget)
         if r:
-            entry = _entry(r)
-            if not any(entry[0]):
+            entry = _entry(_primitive(r))
+            if not entry[0][0]:
                 # Unit in the ideal; basis is the whole ring.
-                return [{entry[0]: Fraction(1)}]
+                return [_entry({entry[0]: 1})]
             basis.append(entry)
             for m in range(len(basis) - 1):
                 add_pair(m, len(basis) - 1)
-    return [g for _, _, g in basis]
+    return basis
+
+
+def buchberger(polys: list[Terms], cap: int = 50000) -> list[Terms]:
+    """Groebner basis (grevlex) of the given generators, each primitive over Z.
+
+    Pairs are taken by least grevlex lcm, ties in the order they were
+    formed.  Raises GroebnerCapExceeded when the reduction budget runs out.
+    """
+    return [_terms(p) for _, _, _, p in _basis(polys, cap)]
 
 
 def unit_ideal_test(polys: list[Terms], cap: int = 50000) -> bool | None:
@@ -149,7 +203,7 @@ def unit_ideal_test(polys: list[Terms], cap: int = 50000) -> bool | None:
     if any(map(_is_constant, nonzero)):
         return True
     try:
-        basis = buchberger(nonzero, cap)
+        basis = _basis(nonzero, cap)
     except GroebnerCapExceeded:
         return None
-    return any(map(_is_constant, basis))
+    return any(not lead[0] for lead, _, _, _ in basis)

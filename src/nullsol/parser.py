@@ -17,6 +17,7 @@ just before T, so the time variable stays the last slot.
 
 from __future__ import annotations
 
+import math
 import re
 from enum import Enum
 from fractions import Fraction
@@ -56,6 +57,14 @@ _TOKEN = re.compile(r"(?P<space>\s+)|(?P<op>[-+*/^()])|(?P<int>\d+)|X(?P<X>\d+)"
 
 # Most monomials a product or power may expand to.
 MAX_TERMS = 10_000
+# Most bits a coefficient of a power may reach.
+MAX_COEFF_BITS = 10_000
+# Most term products a product or power may cost, each weighted by
+# 1 + (bits * bits) / 2^20 for the sizes of the two coefficients it multiplies.
+MAX_WORK = 1_000_000
+# A product of at most this many term pairs is admitted without reading its
+# coefficients: it costs at most that many big-integer products.
+_UNWEIGHED = 64
 
 _WORD_ERRORS = {"PI": "PI is only admitted in lattice-periodic mode",
                 "X": "X must be followed by a 1-based index"}
@@ -95,6 +104,54 @@ def _check_expansion(op: _Tok, count: int, polys: tuple[MultiPoly, ...], power: 
     if _binomial_capped(power * sum(p.total_degree() for p in polys) + v, v) > MAX_TERMS:
         raise ParseError(op.pos, ParseErrorKind.EXPANSION_LIMIT,
                          f"expansion may exceed the limit of {MAX_TERMS} monomials")
+
+
+def _bits(p: MultiPoly) -> float:
+    """log2 of the largest |numerator| * denominator of a coefficient part."""
+    return max((math.log2(abs(x.numerator) * x.denominator)
+                for c in p.terms.values() for x in c if x), default=0.0)
+
+
+def _work(products: int, bits_a: float, bits_b: float) -> float:
+    return products * (1 + bits_a * bits_b / 2 ** 20)
+
+
+def _check_work(op: _Tok, work: float) -> None:
+    if work > MAX_WORK:
+        raise ParseError(op.pos, ParseErrorKind.EXPANSION_LIMIT,
+                         f"expansion may exceed the limit of {MAX_WORK} weighted term products")
+
+
+def _check_power(op: _Tok, base: MultiPoly, n: int) -> None:
+    """ParseError at ``op`` if ``base ** n`` may pass MAX_TERMS monomials,
+    MAX_COEFF_BITS bits in a coefficient or MAX_WORK.
+
+    With k terms whose coefficients have b bits, a coefficient of p^m is a sum
+    of at most k^m products of m of them: it has about m*(b + log2 k) bits.
+    The work is estimated as that of the last squaring and the last product
+    by p, doubled for the earlier steps of binary powering.
+    """
+    k = len(base.terms)
+    if k == 1 and next(iter(base.terms.values())) == (1, 0):
+        return  # a monic monomial stays one
+    # p^m has at most C(m + k - 1, k - 1) monomials, and at most C(m*D + v, v).
+    _check_expansion(op, _binomial_capped(n + k - 1, k - 1), (base,), n)
+    if k == 0:
+        return
+    b = _bits(base) + math.log2(k)
+    if n * b > MAX_COEFF_BITS:
+        raise ParseError(op.pos, ParseErrorKind.EXPANSION_LIMIT,
+                         f"coefficients may exceed the limit of {MAX_COEFF_BITS} bits")
+    if k == 1:
+        return
+    v = sum(map(any, zip(*base.terms)))
+    degree = base.total_degree()
+
+    def terms(m: int) -> int:
+        return min(_binomial_capped(m + k - 1, k - 1), _binomial_capped(m * degree + v, v))
+
+    h = n // 2
+    _check_work(op, 2 * (_work(terms(h) ** 2, h * b, h * b) + _work(terms(n) * k, n * b, b)))
 
 
 def _tokenize(text: str, allow_pi: bool) -> list[_Tok]:
@@ -158,7 +215,10 @@ class _Parser:
             if t.kind == "op" and t.value == "*":
                 self.next()
                 rhs = self.parse_factor()
-                _check_expansion(t, len(acc.terms) * len(rhs.terms), (acc, rhs))
+                count = len(acc.terms) * len(rhs.terms)
+                _check_expansion(t, count, (acc, rhs))
+                if count > _UNWEIGHED:
+                    _check_work(t, _work(count, _bits(acc), _bits(rhs)))
                 acc = acc * rhs
             else:
                 return acc
@@ -177,9 +237,7 @@ class _Parser:
             if nxt.kind == "op" and nxt.value == "/":
                 raise ParseError(nxt.pos, ParseErrorKind.BAD_EXPONENT,
                                  "fractional exponents are not allowed")
-            # p^n has at most C(n + k - 1, k - 1) monomials when p has k.
-            k = len(base.terms)
-            _check_expansion(t, _binomial_capped(e.value + k - 1, k - 1), (base,), e.value)
+            _check_power(t, base, e.value)
             return base ** e.value
         return base
 

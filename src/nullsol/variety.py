@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .config import DEFAULT_CONFIG, SolverConfig
-from .groebner import add_multiple, unit_ideal_test
+from .groebner import unit_ideal_test
 from .intervals import (
     Box,
     DyadicBox,
@@ -61,7 +62,7 @@ _SPHERE_DEPTH = 12
 _BOX_BUDGET = 100000
 
 
-def _certify_positive_on_faces(top_terms: dict[tuple[int, ...], Fraction],
+def _certify_positive_on_faces(top_terms: dict[tuple[int, ...], int],
                                dim: int) -> Fraction | None:
     """Certified positive lower bound of a form on the max-norm unit sphere.
 
@@ -88,34 +89,41 @@ def _certify_positive_on_faces(top_terms: dict[tuple[int, ...], Fraction],
 def boundedness_radius(sys: RealPolySystem) -> Fraction | None:
     """Exact radius R0 with every common real zero in [-R0, R0]^d, or None.
 
-    Works on F = sum of squares of the system polynomials.  If the top
-    homogeneous part of F is certified >= c > 0 on the max-norm unit
-    sphere (searched on its d faces x_k = 1, the others being their mirror
-    images), then F(xi) >= c*r^(2D) - sum_j C_j*r^j for ||xi||_max = r >= 1,
-    where C_j sums |coefficients| of the degree-j part of F; the smallest
-    integer r making that positive bounds all real zeros.  The search for r
-    compares integers: c and the C_j are cleared to one denominator first.
+    Works on F = L^2 * (sum of squares of the system polynomials), built on
+    integers: every polynomial is cleared to the one common denominator L
+    first, and no Fraction arithmetic runs.  If the top homogeneous part of
+    F is certified >= c > 0 on the max-norm unit sphere (searched on its d
+    faces x_k = 1, the others being their mirror images), then
+    F(xi) >= c*r^(2D) - sum_j C_j*r^j for ||xi||_max = r >= 1, where C_j
+    sums |coefficients| of the degree-j part of F; the smallest integer r
+    making that positive bounds all real zeros.  The factor L^2 scales c and
+    every C_j alike, so it leaves r unchanged.  The search for r compares
+    integers: c is cleared to its denominator first.
     """
     if all(sum(e) == 0 for p in sys.terms for e in p):
         raise ValueError("system must contain a nonconstant polynomial")
-    terms: dict[tuple[int, ...], Fraction] = {}
+    den = math.lcm(*(c.denominator for p in sys.terms for c in p.values()))
+    terms: dict[tuple[int, ...], int] = {}
     for p in sys.terms:
-        for e, c in p.items():
-            add_multiple(terms, p, e, c)
-    deg = max(sum(e) for e in terms)
-    top = {e: c for e, c in terms.items() if sum(e) == deg}
-    lower_weight: dict[int, Fraction] = {}
+        items = [(e, c.numerator * (den // c.denominator)) for e, c in p.items()]
+        # (sum c*x^e)^2, each unordered pair of terms once
+        for k, (e1, c1) in enumerate(items):
+            for e2, c2 in items[k:]:
+                m = tuple(map(add, e1, e2))
+                terms[m] = terms.get(m, 0) + (c1 * c2 if e1 is e2 else 2 * c1 * c2)
+    deg = max(map(sum, terms))
+    top = {e: c for e, c in terms.items() if c and sum(e) == deg}
+    lower_weight: dict[int, int] = {}
     for e, c in terms.items():
         j = sum(e)
         if j < deg:
-            lower_weight[j] = lower_weight.get(j, Fraction(0)) + abs(c)
+            lower_weight[j] = lower_weight.get(j, 0) + abs(c)
 
     c = _certify_positive_on_faces(top, sys.dimension)
     if c is None:
         return None
-    den = math.lcm(c.denominator, *(w.denominator for w in lower_weight.values()))
-    lead = int(c * den)
-    weights = [(int(w * den), j) for j, w in lower_weight.items()]
+    lead = c.numerator
+    weights = [(w * c.denominator, j) for j, w in lower_weight.items()]
 
     def dominates(r: int) -> bool:
         return lead * r ** deg > sum(w * r ** j for w, j in weights)

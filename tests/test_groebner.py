@@ -1,3 +1,5 @@
+import heapq
+import itertools
 import random
 
 import pytest
@@ -95,3 +97,118 @@ def test_buchberger_criterion_random():
                 assert reduce_poly(s, basis) == {}
                 checked += 1
     assert checked > 0
+
+
+# -- the Buchberger algorithm over Q, as a reference ------------------------
+# The Fraction form the integer core replaced, kept to pin it: the same pair
+# order, coprime criterion and first-divisor rule, one step per reduction.
+
+def _q_leading_term(p):
+    exps = max(p, key=grevlex_key)
+    return exps, p[exps]
+
+
+def _q_add_multiple(acc, p, exps, coeff):
+    for e, c in p.items():
+        m = tuple(a + b for a, b in zip(e, exps))
+        v = acc.get(m, 0) + coeff * c
+        if v:
+            acc[m] = v
+        else:
+            del acc[m]
+
+
+class _QCapExceeded(Exception):
+    pass
+
+
+def _q_normal_form(f, basis, budget):
+    remainder, work = {}, dict(f)
+    while work:
+        lt_e, lt_c = _q_leading_term(work)
+        for g_e, g_c, g in basis:
+            if all(x <= y for x, y in zip(g_e, lt_e)):
+                budget[0] += 1
+                if budget[0] > budget[1]:
+                    raise _QCapExceeded()
+                _q_add_multiple(work, g, tuple(a - b for a, b in zip(lt_e, g_e)), -lt_c / g_c)
+                break
+        else:
+            remainder[lt_e] = lt_c
+            del work[lt_e]
+    return remainder
+
+
+def _q_s_poly(f, g):
+    (f_e, f_c, f_terms), (g_e, g_c, g_terms) = f, g
+    lcm = tuple(map(max, f_e, g_e))
+    s = {}
+    _q_add_multiple(s, f_terms, tuple(a - b for a, b in zip(lcm, f_e)), 1 / f_c)
+    _q_add_multiple(s, g_terms, tuple(a - b for a, b in zip(lcm, g_e)), -1 / g_c)
+    return s
+
+
+def _q_unit_ideal_test(polys, cap):
+    """``(unit_ideal_test over Q, reduction steps it took)``; the answer is
+    None once the steps pass ``cap``."""
+    polys = [p for p in polys if p]
+    if not polys:
+        return False, 0
+    if any(all(sum(e) == 0 for e in p) for p in polys):
+        return True, 0
+    basis = [(*_q_leading_term(p), p) for p in polys]
+    budget = [0, cap]
+    pairs, formed = [], itertools.count()
+
+    def add_pair(i, j):
+        lcm = tuple(map(max, basis[i][0], basis[j][0]))
+        heapq.heappush(pairs, (grevlex_key(lcm), next(formed), i, j))
+
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            add_pair(i, j)
+    try:
+        while pairs:
+            _, _, i, j = heapq.heappop(pairs)
+            if all(min(a, b) == 0 for a, b in zip(basis[i][0], basis[j][0])):
+                continue
+            r = _q_normal_form(_q_s_poly(basis[i], basis[j]), basis, budget)
+            if r:
+                entry = (*_q_leading_term(r), r)
+                if not any(entry[0]):
+                    return True, budget[0]
+                basis.append(entry)
+                for m in range(len(basis) - 1):
+                    add_pair(m, len(basis) - 1)
+    except _QCapExceeded:
+        return None, budget[0]
+    return False, budget[0]
+
+
+def _random_system(rng, dim, count):
+    """``count`` nonconstant random polynomials in ``dim`` variables."""
+    polys = []
+    while len(polys) < count:
+        q = random_multipoly(rng, dim, max_deg=3, max_terms=4, complex_coeffs=False)
+        if not q.is_constant():
+            polys.append(q.real_terms())
+    return polys
+
+
+def test_integer_core_matches_rational_reference():
+    # Same verdict, and the same least cap that gives one: the reduction
+    # sequence over Z is the one over Q, step for step.
+    rng = random.Random(2027)
+    cap = 100
+    verdicts = {True: 0, False: 0, None: 0}
+    for _ in range(240):
+        polys = _random_system(rng, rng.randint(1, 3), rng.randint(2, 4))
+        unit, steps = _q_unit_ideal_test(polys, cap)
+        verdicts[unit] += 1
+        if unit is None:
+            assert unit_ideal_test(polys, cap=cap) is None
+            continue
+        assert unit_ideal_test(polys, cap=steps) is unit
+        if steps:
+            assert unit_ideal_test(polys, cap=steps - 1) is None
+    assert min(verdicts.values()) > 0 and verdicts[True] + verdicts[False] >= 200

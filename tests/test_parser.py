@@ -7,7 +7,9 @@ import pytest
 from nullsol.gaussian import GaussianRational
 from nullsol.multipoly import MultiPoly
 from nullsol.parser import (
+    MAX_COEFF_BITS,
     MAX_TERMS,
+    MAX_WORK,
     ParseError,
     ParseErrorKind,
     _tokenize,
@@ -228,6 +230,28 @@ def test_huge_exponent_of_a_monomial_parses_fast():
     p, _ = parse("X1^1000000000*T")
     assert time.perf_counter() - start < 1.0
     assert p == MultiPoly(2, {(1000000000, 1): 1})
+
+
+
+@pytest.mark.parametrize("text, position, limit", [
+    # each power is admitted; their product of 10^6 pairs of 1000-bit binomials is not
+    ("(X1+1)^1000*(X1+1)^1000*T", 11, MAX_WORK),
+    ("(X1+1)^2000*(X1+1)^2000*T", 6, MAX_WORK),
+    # Fraction coefficients with growing denominators
+    ("(1/3*X1+2/7)^800", 12, MAX_WORK),
+    ("2^100000000*T", 1, MAX_COEFF_BITS),
+    ("(X1-1/3)^5000", 8, MAX_COEFF_BITS),
+], ids=["product", "power", "rational-power", "constant-power", "binomial-power"])
+def test_work_and_coefficient_limits_point_at_the_operator(text, position, limit):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (e.value.kind, e.value.position) == (ParseErrorKind.EXPANSION_LIMIT, position)
+    assert str(limit) in e.value.message
+
+
+def test_work_and_coefficient_limits_admit_large_coefficients():
+    assert parse("2^9999*T")[0] == MultiPoly(1, {(1,): 2 ** 9999})
+    assert len(parse("(X1+1)^500*(X1+2)^5*T")[0].terms) == 506
 
 
 # -- differential test of the pair arithmetic ------------------------------

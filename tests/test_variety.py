@@ -23,7 +23,7 @@ from nullsol.variety import (
     subdivision_search,
 )
 
-from helpers import exact_common_zero, random_rational, substitute_value
+from helpers import exact_common_zero, random_multipoly, random_rational, substitute_value
 
 CIRCLE = MultiPoly(2, {(2, 0): -1, (0, 2): -1, (0, 0): 1})   # 1 - x^2 - y^2
 POSDEF = MultiPoly(1, {(2,): 1, (0,): 1})                    # x^2 + 1
@@ -154,6 +154,61 @@ def test_pinned_face_equals_substituted_face(enclose_calls):
                                   nullsol.variety._FACE_BOX_BUDGET)
             results.append((r.kind, r.margin, r.stats, len(enclose_calls)))
         assert results[0] == results[1] == results[2], (top, axis)
+
+
+
+def _fraction_radius(sys):
+    """The radius with F = sum p^2 built on Fraction term dicts, as before the
+    integer form: the reference for :func:`boundedness_radius`."""
+    terms: dict = {}
+    for p in sys.terms:
+        for e, c in p.items():
+            add_multiple(terms, p, e, c)
+    deg = max(sum(e) for e in terms)
+    top = {e: c for e, c in terms.items() if sum(e) == deg}
+    lower_weight: dict = {}
+    for e, c in terms.items():
+        if sum(e) < deg:
+            lower_weight[sum(e)] = lower_weight.get(sum(e), Fraction(0)) + abs(c)
+    c = nullsol.variety._certify_positive_on_faces(top, sys.dimension)
+    if c is None:
+        return None
+    r = 1
+    while c * r ** deg <= sum(w * r ** j for j, w in lower_weight.items()):
+        r += 1
+        if r > 1 << 40:
+            return None
+    return Fraction(r)
+
+
+def _random_bounded_poly(rng, dim):
+    """A nonconstant random polynomial, half the time plus a random multiple
+    of sum x_i^(2k): mixed degrees, rational coefficients."""
+    p = random_multipoly(rng, dim, max_deg=3, max_terms=4, height=9, complex_coeffs=False)
+    if rng.random() < 0.5:
+        k = rng.randint(1, 2)
+        p = p + MultiPoly(dim, {tuple(2 * k * (j == i) for j in range(dim)):
+                                Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                                for i in range(dim)})
+    return _random_bounded_poly(rng, dim) if p.is_constant() else p
+
+
+def test_integer_sum_of_squares_matches_fraction_reference(enclose_calls):
+    # Clearing to one denominator scales c and every C_j by L^2: the same
+    # radius (or None) after the same enclosures.
+    rng = random.Random(13)
+    radii = 0
+    for _ in range(120):
+        dim = rng.choice((1, 1, 2, 2, 3))
+        system = sys_of(*(_random_bounded_poly(rng, dim) for _ in range(rng.randint(1, 3))))
+        enclose_calls.clear()
+        radius = boundedness_radius(system)
+        calls = len(enclose_calls)
+        enclose_calls.clear()
+        assert radius == _fraction_radius(system), system
+        assert calls == len(enclose_calls)
+        radii += radius is not None
+    assert radii >= 60
 
 
 def test_subdivision_no_zero():
