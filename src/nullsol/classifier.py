@@ -21,6 +21,7 @@ from .config import DEFAULT_CONFIG, SolverConfig
 from .groebner import unit_ideal_test
 from .intervals import clear, enclose
 from .multipoly import MultiPoly
+from .parser import MAX_DIM
 from .symbols import degree_test, imaginary_slice, pi_graded_slice, restrict_to_time, x_content
 from .variety import (
     EMPTY,
@@ -70,6 +71,8 @@ class LatticeSpec:
         d = len(self.rows)
         if d == 0 or any(len(row) != d for row in self.rows):
             raise ValueError("lattice matrix must be square and nonempty")
+        if d > MAX_DIM:
+            raise ValueError(f"lattice dimension must be at most {MAX_DIM}, got {d}")
         object.__setattr__(self, "_inverse", _gauss_jordan_inverse(self.rows))
 
     @classmethod

@@ -1,9 +1,9 @@
-"""Buchberger's algorithm over Z, graded-reverse-lexicographic order.
+"""The weak-Nullstellensatz unit-ideal test, by Buchberger's algorithm over Z.
 
-At the boundary polynomials are term dicts ``{exponent tuple: nonzero
-Fraction}``, the form ``RealPolySystem.terms`` holds.  Inside, each one is
-cleared once to a primitive integer polynomial (integer coefficients with
-gcd 1) whose monomials are keyed by the grevlex encoding
+The input is term dicts ``{exponent tuple: nonzero int or Fraction}``, the
+form ``RealPolySystem.terms`` holds.  Each one is cleared once, through
+``numerator``/``denominator``, to a primitive integer polynomial (integer
+coefficients with gcd 1) whose monomials are keyed by the grevlex encoding
 ``(deg, -e_n, ..., -e_1)``: a plain ``max`` is the leading monomial, the
 encoding of a product of monomials is the sum of their encodings, and the
 lcm of two monomials is its own pair-heap key.  S-polynomials and
@@ -27,8 +27,11 @@ import itertools
 import math
 from fractions import Fraction
 from operator import add, ge, sub
+from typing import Iterator
 
-Terms = dict[tuple[int, ...], Fraction]
+from .config import DEFAULT_CONFIG
+
+Terms = dict[tuple[int, ...], int | Fraction]
 # An integer polynomial keyed by encoded monomials.
 _Poly = dict[tuple[int, ...], int]
 # A basis element: encoded leading monomial, its negated exponents
@@ -38,19 +41,6 @@ _Entry = tuple[tuple[int, ...], tuple[int, ...], int, _Poly]
 
 class GroebnerCapExceeded(Exception):
     """Reduction budget exhausted before the basis stabilized."""
-
-
-def grevlex_key(exps: tuple[int, ...]):
-    return (sum(exps), tuple(-e for e in reversed(exps)))
-
-
-def leading_term(p: Terms) -> tuple[tuple[int, ...], Fraction]:
-    exps = max(p, key=grevlex_key)
-    return exps, p[exps]
-
-
-def _is_constant(p: Terms) -> bool:
-    return all(sum(e) == 0 for e in p)
 
 
 def add_multiple(acc: dict, p: dict, exps: tuple[int, ...], coeff) -> None:
@@ -80,32 +70,17 @@ def _cleared(p: Terms) -> _Poly:
                        for e, c in p.items()})
 
 
-def _terms(p: _Poly) -> Terms:
-    return {tuple(-x for x in reversed(m[1:])): Fraction(c) for m, c in p.items()}
-
-
 def _entry(p: _Poly) -> _Entry:
     lead = max(p)
     return lead, lead[1:], p[lead], p
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, cap: int):
-        self.left = cap
-
-    def spend(self):
-        self.left -= 1
-        if self.left < 0:
-            raise GroebnerCapExceeded()
-
-
-def _normal_form(f: _Poly, basis: list[_Entry], budget: _Budget | None) -> _Poly:
+def _normal_form(f: _Poly, basis: list[_Entry], steps: Iterator[int], cap: int) -> _Poly:
     """Full normal form, up to a nonzero integer factor: each leading term is
-    reduced by the first basis element whose leading monomial divides it,
-    one budget step each.  A step scales the work and the remainder by
-    ``g_c/gcd`` and subtracts ``(lt_c/gcd) * X^delta * g``."""
+    reduced by the first basis element whose leading monomial divides it.
+    Each step takes the next number from ``steps`` and raises
+    GroebnerCapExceeded once that passes ``cap``.  A step scales the work and
+    the remainder by ``g_c/gcd`` and subtracts ``(lt_c/gcd) * X^delta * g``."""
     remainder: _Poly = {}
     work = dict(f)
     while work:
@@ -114,8 +89,8 @@ def _normal_form(f: _Poly, basis: list[_Entry], budget: _Budget | None) -> _Poly
         tail = lead[1:]
         for g_lead, g_tail, g_c, g in basis:
             if all(map(ge, g_tail, tail)):
-                if budget is not None:
-                    budget.spend()
+                if next(steps) > cap:
+                    raise GroebnerCapExceeded()
                 d = math.gcd(lt_c, g_c)
                 scale = g_c // d
                 if scale != 1:
@@ -131,13 +106,6 @@ def _normal_form(f: _Poly, basis: list[_Entry], budget: _Budget | None) -> _Poly
     return remainder
 
 
-def reduce_poly(f: Terms, basis: list[Terms], budget: _Budget | None = None) -> Terms:
-    """Full normal form of f modulo basis (leading-term reduction), up to a
-    nonzero rational factor: it is returned primitive over Z."""
-    r = _normal_form(_cleared(f), [_entry(_cleared(g)) for g in basis], budget)
-    return _terms(_primitive(r))
-
-
 def _s_poly(f: _Entry, g: _Entry) -> _Poly:
     (f_lead, f_tail, f_c, f_p), (g_lead, g_tail, g_c, g_p) = f, g
     lcm_tail = tuple(map(min, f_tail, g_tail))
@@ -149,16 +117,15 @@ def _s_poly(f: _Entry, g: _Entry) -> _Poly:
     return s
 
 
-def s_polynomial(f: Terms, g: Terms) -> Terms:
-    """The S-polynomial of f and g, up to a nonzero rational factor."""
-    return _terms(_s_poly(_entry(_cleared(f)), _entry(_cleared(g))))
-
-
 def _basis(polys: list[Terms], cap: int) -> list[_Entry]:
-    """Groebner basis entries of the nonzero generators; the unit alone once
-    a nonzero constant turns up."""
-    basis = [_entry(_cleared(p)) for p in polys if p]
-    budget = _Budget(cap)
+    """Groebner basis entries of nonzero generators; the unit alone once a
+    nonzero constant turns up.
+
+    Pairs are taken by least grevlex lcm, ties in the order they were
+    formed.  Raises GroebnerCapExceeded on reduction step ``cap + 1``.
+    """
+    basis = [_entry(_cleared(p)) for p in polys]
+    steps = itertools.count(1)
     pairs: list = []
     formed = itertools.count()
 
@@ -174,7 +141,7 @@ def _basis(polys: list[Terms], cap: int) -> list[_Entry]:
         # Buchberger's first criterion: coprime leading monomials.
         if not any(map(max, basis[i][1], basis[j][1])):
             continue
-        r = _normal_form(_s_poly(basis[i], basis[j]), basis, budget)
+        r = _normal_form(_s_poly(basis[i], basis[j]), basis, steps, cap)
         if r:
             entry = _entry(_primitive(r))
             if not entry[0][0]:
@@ -186,21 +153,12 @@ def _basis(polys: list[Terms], cap: int) -> list[_Entry]:
     return basis
 
 
-def buchberger(polys: list[Terms], cap: int = 50000) -> list[Terms]:
-    """Groebner basis (grevlex) of the given generators, each primitive over Z.
-
-    Pairs are taken by least grevlex lcm, ties in the order they were
-    formed.  Raises GroebnerCapExceeded when the reduction budget runs out.
-    """
-    return [_terms(p) for _, _, _, p in _basis(polys, cap)]
-
-
-def unit_ideal_test(polys: list[Terms], cap: int = 50000) -> bool | None:
+def unit_ideal_test(polys: list[Terms], cap: int = DEFAULT_CONFIG.groebner_cap) -> bool | None:
     """True/False for a decided unit-ideal question; None if cap exceeded."""
     nonzero = [p for p in polys if p]
     if not nonzero:
         return False
-    if any(map(_is_constant, nonzero)):
+    if any(all(sum(e) == 0 for e in p) for p in nonzero):
         return True
     try:
         basis = _basis(nonzero, cap)

@@ -45,12 +45,12 @@ def dyadic(box: Box) -> tuple[int, DyadicBox]:
     return q, (0, tuple((int(lo * q), int(hi * q)) for lo, hi in box))
 
 
-def clear(terms: dict[tuple[int, ...], Fraction], q: int) -> IntPoly:
+def clear(terms: dict[tuple[int, ...], int | Fraction], q: int) -> IntPoly:
     """A term dict cleared to integers for boxes and points over ``q``."""
     degree = max((sum(e) for e in terms), default=0)
     lcm = math.lcm(*(c.denominator for c in terms.values()))
-    return IntPoly(tuple((int(c * lcm) * q ** (degree - sum(e)), degree - sum(e),
-                          tuple((i, n) for i, n in enumerate(e) if n))
+    return IntPoly(tuple((c.numerator * (lcm // c.denominator) * q ** (degree - sum(e)),
+                          degree - sum(e), tuple((i, n) for i, n in enumerate(e) if n))
                          for e, c in terms.items()), degree, lcm)
 
 

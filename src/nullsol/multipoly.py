@@ -109,14 +109,12 @@ class MultiPoly:
         for exps in sorted(self.terms, key=grlex_key, reverse=reverse):
             yield exps, self.terms[exps]
 
-    def real_terms(self) -> dict[tuple[int, ...], Fraction]:
-        """Terms as Fractions, never ints; raises if any coefficient is non-real."""
-        out = {}
-        for exps, (re, im) in self.terms.items():
-            if im:
-                raise ValueError(f"non-real coefficient {self.terms[exps]} in real_terms()")
-            out[exps] = re if type(re) is Fraction else Fraction(re)
-        return out
+    def real_terms(self) -> dict[tuple[int, ...], int | Fraction]:
+        """Real parts as ints or Fractions; raises if any coefficient is non-real."""
+        bad = next((c for c in self.terms.values() if c[1]), None)
+        if bad is not None:
+            raise ValueError(f"non-real coefficient {bad} in real_terms()")
+        return {exps: re for exps, (re, _) in self.terms.items()}
 
     # -- ring operations -------------------------------------------------
 

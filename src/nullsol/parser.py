@@ -51,20 +51,31 @@ class _Tok(NamedTuple):
     pos: int
 
 
-# One alternative per token class, tried in this order at each position.
-_TOKEN = re.compile(r"(?P<space>\s+)|(?P<op>[-+*/^()])|(?P<int>\d+)|X(?P<X>\d+)"
-                    r"|(?P<word>[^\W\d_]+)|(?P<other>.)")
-
 # Most monomials a product or power may expand to.
 MAX_TERMS = 10_000
-# Most bits a coefficient of a power may reach.
+# Most bits a coefficient of a literal, product or power may reach.
 MAX_COEFF_BITS = 10_000
+# Most spatial variables: X1 .. X32.
+MAX_DIM = 32
 # Most term products a product or power may cost, each weighted by
 # 1 + (bits * bits) / 2^20 for the sizes of the two coefficients it multiplies.
 MAX_WORK = 1_000_000
 # A product of at most this many term pairs is admitted without reading its
 # coefficients: it costs at most that many big-integer products.
 _UNWEIGHED = 64
+# Most digits of a literal: 10^n has n*log2(10) bits.
+_MAX_DIGITS = int(MAX_COEFF_BITS / math.log2(10))
+
+# One alternative per token class, tried in this order at each position.  A
+# literal past _MAX_DIGITS is "long"; an index past it, leading zeros aside,
+# is cut there, which leaves it far above MAX_DIM.
+_TOKEN = re.compile(r"(?P<space>\s+)|(?P<op>[-+*/^()])|(?P<long>\d{%d,})|(?P<int>\d+)"
+                    r"|X0*(?P<X>\d{1,%d})|(?P<word>[^\W\d_]+)|(?P<other>.)"
+                    % (_MAX_DIGITS + 1, _MAX_DIGITS))
+
+# Token kinds that start a power of one variable or of i: one term whose
+# coefficient is a unit.
+_UNIT_BASES = frozenset(("T", "X", "PI", "i"))
 
 _WORD_ERRORS = {"PI": "PI is only admitted in lattice-periodic mode",
                 "X": "X must be followed by a 1-based index"}
@@ -169,6 +180,9 @@ def _tokenize(text: str, allow_pi: bool) -> list[_Tok]:
             raise ParseError(pos, ParseErrorKind.UNKNOWN_SYMBOL, "X indices are 1-based")
         elif kind == "word" and value in symbols:
             toks.append(_Tok(value, None, pos))
+        elif kind == "long":
+            raise ParseError(pos, ParseErrorKind.EXPANSION_LIMIT,
+                             f"literal may exceed the limit of {MAX_COEFF_BITS} bits")
         elif kind != "space":
             raise _symbol_error(value, pos, allow_pi)
     toks.append(_Tok("end", None, len(text)))
@@ -209,14 +223,28 @@ class _Parser:
                 return MultiPoly.sum_of(self.nvars, terms)
 
     def parse_term(self) -> MultiPoly:
+        """A product, whose running coefficient size ``bits`` may not pass
+        MAX_COEFF_BITS: a coefficient of ``acc * rhs`` is a sum of at most
+        min(k_acc, k_rhs) products of coefficients.  A factor that starts
+        with a variable or ``i`` has a unit coefficient, of size 0."""
+        unit = self.peek().kind in _UNIT_BASES
         acc = self.parse_factor()
+        bits = None
         while True:
             t = self.peek()
             if t.kind == "op" and t.value == "*":
                 self.next()
+                rhs_unit = self.peek().kind in _UNIT_BASES
                 rhs = self.parse_factor()
                 count = len(acc.terms) * len(rhs.terms)
                 _check_expansion(t, count, (acc, rhs))
+                if count and not rhs_unit:
+                    if bits is None:
+                        bits = 0 if unit else _bits(acc)
+                    bits += _bits(rhs) + math.log2(min(len(acc.terms), len(rhs.terms)))
+                    if bits > MAX_COEFF_BITS:
+                        raise ParseError(t.pos, ParseErrorKind.EXPANSION_LIMIT,
+                                         f"coefficients may exceed the limit of {MAX_COEFF_BITS} bits")
                 if count > _UNWEIGHED:
                     _check_work(t, _work(count, _bits(acc), _bits(rhs)))
                 acc = acc * rhs
@@ -281,13 +309,19 @@ def parse(text: str, dim: int | None = None, allow_pi: bool = False) -> tuple[Mu
     Without PI the result has ``dim + 1`` slots (X1..Xd, T).  With
     ``allow_pi`` it always has ``dim + 2`` slots (X1..Xd, PI, T), whether
     or not PI occurs.  Raises :class:`ParseError` on invalid input and
-    ``ValueError`` on a negative ``dim``.
+    ``ValueError`` on a ``dim`` below 0 or above MAX_DIM.
     """
     if dim is not None and dim < 0:
         raise ValueError(f"dimension must be nonnegative, got {dim}")
+    if dim is not None and dim > MAX_DIM:
+        raise ValueError(f"dimension must be at most {MAX_DIM}, got {dim}")
     toks = _tokenize(text, allow_pi)
     if dim is None:
         dim = max((t.value for t in toks if t.kind == "X"), default=0)
+        if dim > MAX_DIM:
+            pos = next(t.pos for t in toks if t.kind == "X" and t.value > MAX_DIM)
+            raise ParseError(pos, ParseErrorKind.DIMENSION_EXCEEDED,
+                             f"variable index exceeds the limit of {MAX_DIM} dimensions")
     nvars = dim + 2 if allow_pi else dim + 1
     pi_slot = dim if allow_pi else None
     p = _Parser(toks, nvars, dim, pi_slot)

@@ -35,14 +35,15 @@ class RealPolySystem:
     """Real-coefficient polynomials in xi1..xid.
 
     Common real zeros correspond exactly to the points i*xi at which every
-    content generator vanishes.  ``terms`` holds the polys as Fraction term
-    dicts (``type(c) is Fraction``), the form the solver works on; a
-    non-real coefficient raises ValueError here.
+    content generator vanishes.  ``terms`` holds the polys as term dicts of
+    ints or Fractions, the form the solver works on (it reads each
+    coefficient through ``numerator``/``denominator``); a non-real
+    coefficient raises ValueError here.
     """
 
     dimension: int
     polys: tuple[MultiPoly, ...]
-    terms: tuple[dict[tuple[int, ...], Fraction], ...] = field(
+    terms: tuple[dict[tuple[int, ...], int | Fraction], ...] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):

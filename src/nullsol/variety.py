@@ -263,9 +263,9 @@ def decide_emptiness(sys: RealPolySystem,
     """Three-valued emptiness decision; see module docstring for pipeline."""
     diagnostics: dict = {"pipeline": []}
 
-    sys = RealPolySystem(sys.dimension,
-                         tuple(p for p in sys.polys if not p.is_zero()))
-    if not sys.polys:
+    # A zero polynomial is passed through: the unit-ideal test drops it, it
+    # adds nothing to the sum of squares, and its enclosure never discards.
+    if not any(sys.terms):
         # Vacuous system: every point is a common zero.
         origin = tuple(Fraction(0) for _ in range(sys.dimension))
         return EmptinessVerdict(NONEMPTY, witness=origin,

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import nullsol.classifier
 from nullsol.classifier import (
     NONTRIVIAL,
     TRIVIAL,
@@ -17,7 +18,7 @@ from nullsol.classifier import (
 from nullsol.config import SolverConfig
 from nullsol.gaussian import GaussianRational
 from nullsol.multipoly import MultiPoly
-from nullsol.parser import parse
+from nullsol.parser import MAX_DIM, parse
 from nullsol.symbols import pi_graded_slice, x_content
 from nullsol.variety import boundedness_radius
 
@@ -107,6 +108,20 @@ def test_lattice_spec_validation():
         LatticeSpec.from_rows([[1, 2], [2, 4]])  # singular
     with pytest.raises(ValueError):
         LatticeSpec.from_rows([])
+
+
+def test_lattice_dimension_limit_before_the_inverse(monkeypatch):
+    def identity(d):
+        return [[int(i == j) for j in range(d)] for i in range(d)]
+
+    assert LatticeSpec.from_rows(identity(MAX_DIM)).dimension == MAX_DIM
+
+    def no_inverse(rows):
+        raise AssertionError("inverse computed")
+
+    monkeypatch.setattr(nullsol.classifier, "_gauss_jordan_inverse", no_inverse)
+    with pytest.raises(ValueError, match="at most 32"):
+        LatticeSpec.from_rows(identity(MAX_DIM + 1))
 
 
 def test_lattice_inverse_and_frequency():

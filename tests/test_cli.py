@@ -124,6 +124,22 @@ def test_input_error_names_the_flag(capsys, argv, named):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, caret", [
+    (("classify", "7" * 4301 + "*T"), 0),
+    (("classify", "2^9999*2^9999*T"), 6),
+    (("classify", "X33*T"), 0),
+    (("classify", "X1*T", "--dim", "33"), None),
+    (("periodic", "X1*T", "--lattice", ";".join(",".join(str(int(i == j)) for j in range(33))
+                                                for i in range(33))), None),
+], ids=["literal", "product", "variable", "dim", "lattice"])
+def test_input_limits_exit_1(capsys, argv, caret):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert err.startswith("error:")
+    if caret is not None:
+        assert err.splitlines()[-1] == "  " + " " * caret + "^"
+
+
 def test_unknown_exit_code(capsys):
     # unbounded pi-graded zero set: the truncated lattice search stays UNKNOWN
     code, out, _ = run(capsys, "periodic", "(X1^2 - X2^2 + PI^2)*T",

@@ -1,17 +1,11 @@
 import heapq
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from nullsol.groebner import (
-    buchberger,
-    grevlex_key,
-    leading_term,
-    reduce_poly,
-    s_polynomial,
-    unit_ideal_test,
-)
+from nullsol.groebner import _basis, _cleared, _entry, _normal_form, _s_poly, unit_ideal_test
 from nullsol.multipoly import MultiPoly
 from nullsol.parser import parse
 
@@ -23,21 +17,33 @@ def _terms(expr: str, dim: int) -> dict:
     return parse(expr, dim=dim)[0].coefficients_in_T()[0].real_terms()
 
 
+def _reduce(f, basis) -> dict:
+    """Normal form of an integer polynomial modulo basis entries, uncapped."""
+    return _normal_form(f, basis, itertools.count(1), float("inf"))
+
+
 def test_grevlex_order():
-    # grevlex: grade first, then reverse-lex on reversed negated exponents
-    assert grevlex_key((2, 0)) > grevlex_key((1, 1)) > grevlex_key((0, 2))
-    assert grevlex_key((1, 1, 0)) > grevlex_key((1, 0, 1)) > grevlex_key((0, 1, 1))
+    # grevlex: grade first, then reverse-lex on reversed negated exponents;
+    # the cleared keys keep the term order, and decrease along it
+    for order in [[(2, 0), (1, 1), (0, 2)], [(1, 1, 0), (1, 0, 1), (0, 1, 1)]]:
+        keys = list(_cleared({e: 1 for e in order}))
+        assert len(keys) == 3 and keys == sorted(keys, reverse=True)
 
 
 def test_leading_term():
-    exps, c = leading_term(_terms("X1^2 + 3*X1*X2 - 1", 2))
-    assert exps == (2, 0)
+    lead, _, c, _ = _entry(_cleared(_terms("X1^2 + 3*X1*X2 - 1", 2)))
+    assert lead == (2, 0, -2)   # X1^2: degree 2, then -e2, -e1
     assert c == 1
 
 
+def test_cleared_is_primitive_integer_multiple():
+    p = _cleared({(1, 0): Fraction(2, 3), (0, 1): Fraction(-4, 9), (0, 0): 2})
+    assert p == {(1, 0, -1): 3, (1, -1, 0): -2, (0, 0, 0): 9}   # 9/2 times p
+
+
 def test_reduce_to_zero_in_ideal():
-    basis = [_terms("X1", 2), _terms("X2", 2)]
-    assert reduce_poly(_terms("X1*X2 + 3*X1 - X2", 2), basis) == {}
+    basis = [_entry(_cleared(_terms(g, 2))) for g in ("X1", "X2")]
+    assert _reduce(_cleared(_terms("X1*X2 + 3*X1 - X2", 2)), basis) == {}
 
 
 def test_unit_ideal_examples():
@@ -90,11 +96,10 @@ def test_buchberger_criterion_random():
         polys = [p for p in polys if p]
         if not polys:
             continue
-        basis = buchberger(polys, cap=20000)
+        basis = _basis(polys, cap=20000)
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
-                s = s_polynomial(basis[i], basis[j])
-                assert reduce_poly(s, basis) == {}
+                assert _reduce(_s_poly(basis[i], basis[j]), basis) == {}
                 checked += 1
     assert checked > 0
 
@@ -103,8 +108,12 @@ def test_buchberger_criterion_random():
 # The Fraction form the integer core replaced, kept to pin it: the same pair
 # order, coprime criterion and first-divisor rule, one step per reduction.
 
+def _q_grevlex_key(exps):
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
 def _q_leading_term(p):
-    exps = max(p, key=grevlex_key)
+    exps = max(p, key=_q_grevlex_key)
     return exps, p[exps]
 
 
@@ -151,7 +160,7 @@ def _q_s_poly(f, g):
 def _q_unit_ideal_test(polys, cap):
     """``(unit_ideal_test over Q, reduction steps it took)``; the answer is
     None once the steps pass ``cap``."""
-    polys = [p for p in polys if p]
+    polys = [{e: Fraction(c) for e, c in p.items()} for p in polys if p]
     if not polys:
         return False, 0
     if any(all(sum(e) == 0 for e in p) for p in polys):
@@ -162,7 +171,7 @@ def _q_unit_ideal_test(polys, cap):
 
     def add_pair(i, j):
         lcm = tuple(map(max, basis[i][0], basis[j][0]))
-        heapq.heappush(pairs, (grevlex_key(lcm), next(formed), i, j))
+        heapq.heappush(pairs, (_q_grevlex_key(lcm), next(formed), i, j))
 
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):

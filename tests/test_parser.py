@@ -8,6 +8,7 @@ from nullsol.gaussian import GaussianRational
 from nullsol.multipoly import MultiPoly
 from nullsol.parser import (
     MAX_COEFF_BITS,
+    MAX_DIM,
     MAX_TERMS,
     MAX_WORK,
     ParseError,
@@ -252,6 +253,48 @@ def test_work_and_coefficient_limits_point_at_the_operator(text, position, limit
 def test_work_and_coefficient_limits_admit_large_coefficients():
     assert parse("2^9999*T")[0] == MultiPoly(1, {(1,): 2 ** 9999})
     assert len(parse("(X1+1)^500*(X1+2)^5*T")[0].terms) == 506
+
+
+@pytest.mark.parametrize("text, position", [
+    # past 4,300 digits int() itself refuses the literal
+    ("T + " + "7" * 4301 + "*T", 4),
+    ("7" * 3011, 0),
+    ("X1^" + "1" * 5000, 3),
+    ("1/" + "3" * 3011, 2),
+    # each power is admitted, their product's coefficient is not
+    ("2^9999*2^9999*T", 6),
+    ("2^10000*2*T", 7),
+], ids=["4301-digits", "3011-digits", "exponent", "denominator", "power-product", "times-2"])
+def test_literal_and_product_bits_point_at_the_token(text, position):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (e.value.kind, e.value.position) == (ParseErrorKind.EXPANSION_LIMIT, position)
+    assert str(MAX_COEFF_BITS) in e.value.message
+
+
+def test_literal_and_product_bits_admit_the_limit():
+    assert parse("7" * 3010 + "*T")[0] == MultiPoly(1, {(1,): int("7" * 3010)})
+    assert parse("2^10000*T")[0] == MultiPoly(1, {(1,): 2 ** 10000})
+    assert parse("2^5000*2^5000*T")[0] == MultiPoly(1, {(1,): 2 ** 10000})
+
+
+@pytest.mark.parametrize("text, position", [
+    ("X33*T", 0),
+    ("T + X1*X40 - X50", 7),
+    ("X" + "9" * 5000 + "*T", 0),
+])
+def test_dimension_limit_points_at_the_variable(text, position):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (e.value.kind, e.value.position) == (ParseErrorKind.DIMENSION_EXCEEDED, position)
+    assert str(MAX_DIM) in e.value.message
+
+
+def test_dimension_limit_on_a_declared_dimension():
+    assert parse("X32*T")[1] == MAX_DIM
+    assert parse("T", dim=MAX_DIM)[0].nvars == MAX_DIM + 1
+    with pytest.raises(ValueError, match="at most 32"):
+        parse("X1*T", dim=MAX_DIM + 1)
 
 
 # -- differential test of the pair arithmetic ------------------------------

@@ -17,6 +17,7 @@ from nullsol.symbols import (
     substitute_i_xi,
     x_content,
 )
+from nullsol.variety import decide_emptiness
 
 from helpers import random_multipoly, random_point, random_rational
 
@@ -157,11 +158,18 @@ def test_invariants_under_scalar_multiple():
 
 
 @pytest.mark.parametrize("text", ["X1^2*T + 1", "T - X1", "(X1^2+X2^2+1)*(T+1)"])
-def test_slice_terms_are_fractions(text):
-    # Groebner divides with "/": an int/int there would silently be a float
+def test_slice_terms_are_exact(text):
+    # The solver reads coefficients through numerator/denominator: ints and
+    # Fractions both serve, a float would not, and the type never changes
+    # a decision.
     sys = imaginary_slice(x_content(parse(text)[0]))
     assert sys.terms
-    assert all(type(c) is Fraction for terms in sys.terms for c in terms.values())
+    assert all(type(c) in (int, Fraction) for terms in sys.terms for c in terms.values())
+    as_fractions = RealPolySystem(sys.dimension, tuple(
+        MultiPoly(sys.dimension, {e: Fraction(c) for e, c in terms.items()})
+        for terms in sys.terms))
+    assert all(type(c) is Fraction for terms in as_fractions.terms for c in terms.values())
+    assert decide_emptiness(as_fractions) == decide_emptiness(sys)
 
 
 def _reference_substitute_i_xi(a):

@@ -317,6 +317,23 @@ def test_decide_ignores_zero_polys():
     assert verdict.status == NONEMPTY
 
 
+@pytest.mark.parametrize("polys", [
+    (MultiPoly.constant(2, 1),),
+    (CIRCLE,),
+    (HYPERBOLA_AXES, CIRCLE),
+    (MultiPoly(2, {(2, 0): 1, (0, 2): 1, (0, 0): 1}),),
+    (MultiPoly(2, {(2, 0): 1, (0, 0): -2}),),
+    (MultiPoly(2, {(1, 0): 1, (0, 1): -1}), MultiPoly(2, {(4, 0): 1, (0, 0): 1})),
+    (),
+], ids=["unit", "circle", "axes-circle", "posdef", "x2-2", "unbounded", "vacuous"])
+def test_zero_polys_change_no_decision(polys):
+    # Same status, witness, certificate and diagnostics with zero
+    # polynomials in front and at the end as without them.
+    zero = MultiPoly.zero(2)
+    expected = decide_emptiness(RealPolySystem(2, polys))
+    assert decide_emptiness(RealPolySystem(2, (zero, *polys, zero))) == expected
+
+
 def test_decide_unknown_is_honest():
     # sqrt(2) point: no rational zero exists, zero set bounded but the
     # candidate generator can never certify it; verdict must be UNKNOWN
