@@ -66,16 +66,9 @@ _UNWEIGHED = 64
 # Most digits of a literal: 10^n has n*log2(10) bits.
 _MAX_DIGITS = int(MAX_COEFF_BITS / math.log2(10))
 
-# One alternative per token class, tried in this order at each position.  A
-# literal past _MAX_DIGITS is "long"; an index past it, leading zeros aside,
-# is cut there, which leaves it far above MAX_DIM.
-_TOKEN = re.compile(r"(?P<space>\s+)|(?P<op>[-+*/^()])|(?P<long>\d{%d,})|(?P<int>\d+)"
-                    r"|X0*(?P<X>\d{1,%d})|(?P<word>[^\W\d_]+)|(?P<other>.)"
-                    % (_MAX_DIGITS + 1, _MAX_DIGITS))
-
-# Token kinds that start a power of one variable or of i: one term whose
-# coefficient is a unit.
-_UNIT_BASES = frozenset(("T", "X", "PI", "i"))
+# One alternative per token class, tried in this order at each position.
+_TOKEN = re.compile(r"(?P<space>\s+)|(?P<op>[-+*/^()])|(?P<int>\d+)|X(?P<X>\d+)"
+                    r"|(?P<word>[^\W\d_]+)|(?P<other>.)")
 
 _WORD_ERRORS = {"PI": "PI is only admitted in lattice-periodic mode",
                 "X": "X must be followed by a 1-based index"}
@@ -119,8 +112,10 @@ def _check_expansion(op: _Tok, count: int, polys: tuple[MultiPoly, ...], power: 
 
 def _bits(p: MultiPoly) -> float:
     """log2 of the largest |numerator| * denominator of a coefficient part."""
-    return max((math.log2(abs(x.numerator) * x.denominator)
-                for c in p.terms.values() for x in c if x), default=0.0)
+    m = 1
+    for x, y in p.terms.values():
+        m = max(m, abs(x.numerator) * x.denominator, abs(y.numerator) * y.denominator)
+    return math.log2(m)
 
 
 def _work(products: int, bits_a: float, bits_b: float) -> float:
@@ -172,17 +167,20 @@ def _tokenize(text: str, allow_pi: bool) -> list[_Tok]:
         kind, value, pos = m.lastgroup, m[m.lastgroup], m.start()
         if kind == "op":
             toks.append(_Tok("op", value, pos))
-        elif kind == "int":
-            toks.append(_Tok("int", int(value), pos))
-        elif kind == "X" and int(value) >= 1:
-            toks.append(_Tok("X", int(value), pos))
-        elif kind == "X":
-            raise ParseError(pos, ParseErrorKind.UNKNOWN_SYMBOL, "X indices are 1-based")
-        elif kind == "word" and value in symbols:
-            toks.append(_Tok(value, None, pos))
-        elif kind == "long":
+        elif kind == "int" and len(value) > _MAX_DIGITS:
             raise ParseError(pos, ParseErrorKind.EXPANSION_LIMIT,
                              f"literal may exceed the limit of {MAX_COEFF_BITS} bits")
+        elif kind == "int":
+            toks.append(_Tok("int", int(value), pos))
+        elif kind == "X" and not value.strip("0"):
+            raise ParseError(pos, ParseErrorKind.UNKNOWN_SYMBOL, "X indices are 1-based")
+        elif kind == "X" and len(value.lstrip("0")) > _MAX_DIGITS:
+            raise ParseError(pos, ParseErrorKind.DIMENSION_EXCEEDED,
+                             f"variable index exceeds the limit of {MAX_DIM} dimensions")
+        elif kind == "X":
+            toks.append(_Tok("X", int(value.lstrip("0")), pos))
+        elif kind == "word" and value in symbols:
+            toks.append(_Tok(value, None, pos))
         elif kind != "space":
             raise _symbol_error(value, pos, allow_pi)
     toks.append(_Tok("end", None, len(text)))
@@ -225,28 +223,25 @@ class _Parser:
     def parse_term(self) -> MultiPoly:
         """A product, whose running coefficient size ``bits`` may not pass
         MAX_COEFF_BITS: a coefficient of ``acc * rhs`` is a sum of at most
-        min(k_acc, k_rhs) products of coefficients.  A factor that starts
-        with a variable or ``i`` has a unit coefficient, of size 0."""
-        unit = self.peek().kind in _UNIT_BASES
+        min(k_acc, k_rhs) products of coefficients."""
         acc = self.parse_factor()
         bits = None
         while True:
             t = self.peek()
             if t.kind == "op" and t.value == "*":
                 self.next()
-                rhs_unit = self.peek().kind in _UNIT_BASES
                 rhs = self.parse_factor()
                 count = len(acc.terms) * len(rhs.terms)
                 _check_expansion(t, count, (acc, rhs))
-                if count and not rhs_unit:
-                    if bits is None:
-                        bits = 0 if unit else _bits(acc)
-                    bits += _bits(rhs) + math.log2(min(len(acc.terms), len(rhs.terms)))
+                if count:
+                    acc_bits = _bits(acc) if bits is None else bits
+                    rhs_bits = _bits(rhs)
+                    bits = acc_bits + rhs_bits + math.log2(min(len(acc.terms), len(rhs.terms)))
                     if bits > MAX_COEFF_BITS:
                         raise ParseError(t.pos, ParseErrorKind.EXPANSION_LIMIT,
                                          f"coefficients may exceed the limit of {MAX_COEFF_BITS} bits")
-                if count > _UNWEIGHED:
-                    _check_work(t, _work(count, _bits(acc), _bits(rhs)))
+                    if count > _UNWEIGHED:
+                        _check_work(t, _work(count, acc_bits, rhs_bits))
                 acc = acc * rhs
             else:
                 return acc

@@ -264,7 +264,10 @@ def test_work_and_coefficient_limits_admit_large_coefficients():
     # each power is admitted, their product's coefficient is not
     ("2^9999*2^9999*T", 6),
     ("2^10000*2*T", 7),
-], ids=["4301-digits", "3011-digits", "exponent", "denominator", "power-product", "times-2"])
+    # a unit factor is checked like any other
+    ("(1/3^6300 + 1/5^4300)*T", 21),
+], ids=["4301-digits", "3011-digits", "exponent", "denominator", "power-product", "times-2",
+        "times-T"])
 def test_literal_and_product_bits_point_at_the_token(text, position):
     with pytest.raises(ParseError) as e:
         parse(text)
@@ -282,6 +285,7 @@ def test_literal_and_product_bits_admit_the_limit():
     ("X33*T", 0),
     ("T + X1*X40 - X50", 7),
     ("X" + "9" * 5000 + "*T", 0),
+    ("T + X" + "3" * 3011, 4),
 ])
 def test_dimension_limit_points_at_the_variable(text, position):
     with pytest.raises(ParseError) as e:
@@ -292,6 +296,7 @@ def test_dimension_limit_points_at_the_variable(text, position):
 
 def test_dimension_limit_on_a_declared_dimension():
     assert parse("X32*T")[1] == MAX_DIM
+    assert parse("X" + "0" * 5000 + "2*T")[1] == 2
     assert parse("T", dim=MAX_DIM)[0].nvars == MAX_DIM + 1
     with pytest.raises(ValueError, match="at most 32"):
         parse("X1*T", dim=MAX_DIM + 1)
