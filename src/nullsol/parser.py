@@ -53,7 +53,7 @@ class _Tok(NamedTuple):
 
 # Most monomials a product or power may expand to.
 MAX_TERMS = 10_000
-# Most bits a coefficient of a literal, product or power may reach.
+# Most bits a coefficient of a literal, product, power or sum may reach.
 MAX_COEFF_BITS = 10_000
 # Most spatial variables: X1 .. X32.
 MAX_DIM = 32
@@ -210,15 +210,23 @@ class _Parser:
                              f"expected {ch!r}")
 
     def parse_expr(self) -> MultiPoly:
+        """A sum, whose coefficients may not pass MAX_COEFF_BITS (adding
+        fractions multiplies denominators); the error is at its first operator."""
         terms = [self.parse_term()]
+        first = None
         while True:
             t = self.peek()
             if t.kind == "op" and t.value in "+-":
                 self.next()
+                first = first or t
                 rhs = self.parse_term()
                 terms.append(-rhs if t.value == "-" else rhs)
             else:
-                return MultiPoly.sum_of(self.nvars, terms)
+                total = MultiPoly.sum_of(self.nvars, terms)
+                if first and _bits(total) > MAX_COEFF_BITS:
+                    raise ParseError(first.pos, ParseErrorKind.EXPANSION_LIMIT,
+                                     f"coefficients exceed the limit of {MAX_COEFF_BITS} bits")
+                return total
 
     def parse_term(self) -> MultiPoly:
         """A product, whose running coefficient size ``bits`` may not pass

@@ -1,22 +1,27 @@
 """Certified three-valued emptiness decision for real polynomial systems.
 
 Pipeline: unit-ideal shortcut (no common complex zero implies no common
-real zero), then a boundedness reduction that confines all real zeros to
-an exact cube, then certified branch-and-bound subdivision with exact
-interval arithmetic on integers.  NONEMPTY always carries an exact rational
-common zero; EMPTY always carries a machine-checkable certificate;
-UNKNOWN is an honest inconclusive outcome, never silently coerced.
+real zero), then an exact presolve (affine elimination, free variables,
+sign-definite generators; see :func:`_presolve`), then a boundedness
+reduction that confines all real zeros of the (reduced) system to an exact
+cube, then certified branch-and-bound subdivision with exact interval
+arithmetic on integers.  NONEMPTY always carries an exact rational common
+zero of the original system; EMPTY always carries a machine-checkable
+certificate; UNKNOWN is an honest inconclusive outcome, never silently
+coerced.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
+from typing import NamedTuple
 
 from .config import DEFAULT_CONFIG, SolverConfig
-from .groebner import unit_ideal_test
+from .groebner import add_multiple, unit_ideal_test
 from .intervals import (
     Box,
     DyadicBox,
@@ -60,6 +65,9 @@ _FACE_BOX_BUDGET = 2 * 4096
 _SPHERE_DEPTH = 12
 # Survivors past half of this on one wave end a subdivision search.
 _BOX_BUDGET = 100000
+# Most term products, and most coefficient bits added, that one affine
+# substitution of the presolve may cost; past either it stops eliminating.
+_SUBSTITUTION_LIMIT = 10_000
 
 
 def _certify_positive_on_faces(top_terms: dict[tuple[int, ...], int],
@@ -258,27 +266,86 @@ def subdivision_search(sys: RealPolySystem, box: Box,
     return _branch_and_bound(sys.terms, box, config.max_depth, _BOX_BUDGET)
 
 
-def decide_emptiness(sys: RealPolySystem,
-                     config: SolverConfig = DEFAULT_CONFIG) -> EmptinessVerdict:
-    """Three-valued emptiness decision; see module docstring for pipeline."""
-    diagnostics: dict = {"pipeline": []}
+class _Presolved(NamedTuple):
+    """A presolved system, in the two fields the later stages read."""
 
-    # A zero polynomial is passed through: the unit-ideal test drops it, it
-    # adds nothing to the sum of squares, and its enclosure never discards.
-    if not any(sys.terms):
-        # Vacuous system: every point is a common zero.
-        origin = tuple(Fraction(0) for _ in range(sys.dimension))
-        return EmptinessVerdict(NONEMPTY, witness=origin,
-                                certificate={"kind": "ExactPoint"},
-                                diagnostics={"pipeline": ["empty-system"]})
+    dimension: int
+    terms: tuple[dict[tuple[int, ...], int | Fraction], ...]  # on the kept axes
+    kept: list[int]
+    free: list[int]
+    steps: list[tuple[int, int, int, dict]]  # (poly, axis, a, s): x_axis = s(x) / a
+    certificate: dict | None                 # EMPTY without a search
 
-    unit = unit_ideal_test(list(sys.terms), config.groebner_cap)
-    diagnostics["pipeline"].append("groebner")
-    diagnostics["groebner_unit"] = unit
-    if unit:
-        return EmptinessVerdict(EMPTY, certificate={"kind": "UnitIdeal"},
-                                diagnostics=diagnostics)
 
+def _sign_definite(p: dict) -> bool:
+    """Even exponents, coefficients of one sign and a nonzero constant term."""
+    c0 = p.get((0,) * len(next(iter(p))))
+    return (bool(c0) and all((c > 0) == (c0 > 0) for c in p.values())
+            and not any(x & 1 for e in p for x in e))
+
+
+def _eliminate(polys: list[dict], j: int, steps: list) -> bool:
+    """Solve the degree-1 ``polys[j]`` for its lowest-index variable x_k and
+    substitute into each other ``q``, times ``a^D`` (``a`` the cleared x_k
+    coefficient, ``D`` the degree of ``q`` in x_k): an integer polynomial
+    stays one.  False, changing nothing, past _SUBSTITUTION_LIMIT."""
+    p = polys[j]
+    unit = max(e for e in p if any(e))  # a unit vector, the lowest axis in p
+    k = unit.index(1)
+    den = math.lcm(*(c.denominator for c in p.values()))
+    s = {e: -c.numerator * (den // c.denominator) for e, c in p.items()}
+    a = -s.pop(unit)
+    targets = [i for i, q in enumerate(polys) if i != j and any(e[k] for e in q)]
+    # s^n has at most C(n + m - 1, n) terms, with coefficients at most (m * max|c|)^n
+    m = max(len(s), 1)
+    top = max((e[k] for i in targets for e in polys[i]), default=0)
+    work = top + sum(math.comb(e[k] + m - 1, e[k]) for i in targets for e in polys[i])
+    if max(work, top * math.log2(m * max(map(abs, (a, *s.values()))))) > _SUBSTITUTION_LIMIT:
+        return False
+    powers = [{(0,) * len(unit): 1}]
+    for _ in range(top):
+        powers.append({})
+        for e, c in s.items():
+            add_multiple(powers[-1], powers[-2], e, c)
+    for i in targets:
+        deg = max(e[k] for e in polys[i])
+        out: dict = {}
+        for e, c in polys[i].items():
+            add_multiple(out, powers[e[k]], e[:k] + (0,) + e[k + 1:], c * a ** (deg - e[k]))
+        polys[i] = out
+    polys[j] = {}
+    steps.append((j, k, a, s))
+    return True
+
+
+def _presolve(terms, dim: int) -> _Presolved | None:
+    """Exact reductions before the radius proof; None if none applies.
+
+    While some polynomial has degree 1, it is solved for its lowest-index
+    variable, which is substituted into the others and dropped.  Every
+    variable that occurs in no polynomial is projected out (a zero of the
+    rest extends by 0), and a sign-definite polynomial, a nonzero constant
+    among them, decides EMPTY.  A polynomial index is a position in ``terms``.
+    """
+    polys, steps = list(terms), []
+    while (j := next((j for j, p in enumerate(polys) if p and max(map(sum, p)) == 1),
+                     None)) is not None and _eliminate(polys, j, steps):
+        pass
+    occurs = list(map(any, zip(*(e for p in polys for e in p)))) or [False] * dim
+    eliminated = {k for _, k, _, _ in steps}
+    free = [k for k in range(dim) if not occurs[k] and k not in eliminated]
+    signed = next((j for j, p in enumerate(polys) if p and _sign_definite(p)), None)
+    if any(polys) and not steps and not free and signed is None:
+        return None
+    kept = [k for k in range(dim) if occurs[k]]
+    return _Presolved(len(kept), tuple({tuple(e[k] for k in kept): c for e, c in p.items()}
+                                       for p in polys if p), kept, free, steps,
+                      None if signed is None else {"kind": "SignDefinite", "poly": signed})
+
+
+def _search(sys: RealPolySystem | _Presolved, config: SolverConfig,
+            diagnostics: dict) -> EmptinessVerdict:
+    """Boundedness radius, then subdivision of its cube (or the default cube)."""
     radius = boundedness_radius(sys)
     diagnostics["pipeline"].append("boundedness")
     diagnostics["radius"] = None if radius is None else str(radius)
@@ -306,3 +373,51 @@ def decide_emptiness(sys: RealPolySystem,
     else:
         diagnostics["reason"] = "box-budget"
     return EmptinessVerdict(UNKNOWN, diagnostics=diagnostics)
+
+
+def decide_emptiness(sys: RealPolySystem,
+                     config: SolverConfig = DEFAULT_CONFIG) -> EmptinessVerdict:
+    """Three-valued emptiness decision; see module docstring for pipeline."""
+    diagnostics: dict = {"pipeline": []}
+
+    # A zero polynomial is passed through: the unit-ideal test drops it, and
+    # the presolve keeps it out of the reduced system.  With no nonzero
+    # polynomial, every axis is free and the origin is a zero.
+    unit = unit_ideal_test(list(sys.terms), config.groebner_cap)
+    diagnostics["pipeline"].append("groebner")
+    diagnostics["groebner_unit"] = unit
+    if unit:
+        return EmptinessVerdict(EMPTY, certificate={"kind": "UnitIdeal"},
+                                diagnostics=diagnostics)
+
+    pre = _presolve(sys.terms, sys.dimension)
+    if pre is None:
+        return _search(sys, config, diagnostics)
+    diagnostics["pipeline"].append("presolve")
+    diagnostics["presolve"] = {"eliminated": [k for _, k, _, _ in pre.steps],
+                               "free": pre.free}
+    if pre.certificate is not None:
+        verdict = EmptinessVerdict(EMPTY, certificate=pre.certificate, diagnostics=diagnostics)
+    elif not pre.terms:
+        verdict = EmptinessVerdict(NONEMPTY, witness=(), certificate={"kind": "ExactPoint"},
+                                   diagnostics=diagnostics)
+    else:
+        verdict = _search(pre, config, diagnostics)
+    if verdict.status == NONEMPTY:
+        # back to all coordinates: free ones 0, eliminated ones in reverse order
+        x = [Fraction(0)] * sys.dimension
+        for k, v in zip(pre.kept, verdict.witness):
+            x[k] = v
+        for _, k, a, s in reversed(pre.steps):
+            x[k] = Fraction(sum(c * x[e.index(1)] if any(e) else c for e, c in s.items()), a)
+        point, den = tuple(x), math.lcm(*(v.denominator for v in x))
+        if not _is_exact_common_zero([clear(p, den) for p in sys.terms],
+                                     tuple(int(v * den) for v in x), 1):
+            raise ArithmeticError(f"presolved witness {point} is not a zero of the system")
+        return dataclasses.replace(verdict, witness=point)
+    if verdict.status == EMPTY and (pre.steps or pre.free):
+        certificate = {"kind": "Presolve",
+                       "eliminated": [{"poly": j, "axis": k} for j, k, _, _ in pre.steps],
+                       "free": pre.free, "reduced": verdict.certificate}
+        return dataclasses.replace(verdict, certificate=certificate)
+    return verdict

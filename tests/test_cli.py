@@ -127,11 +127,12 @@ def test_input_error_names_the_flag(capsys, argv, named):
 @pytest.mark.parametrize("argv, caret", [
     (("classify", "7" * 4301 + "*T"), 0),
     (("classify", "2^9999*2^9999*T"), 6),
+    (("classify", "1/3^6300*T + 1/5^4300*T", "--space", "tempered"), 11),
     (("classify", "X33*T"), 0),
     (("classify", "X1*T", "--dim", "33"), None),
     (("periodic", "X1*T", "--lattice", ";".join(",".join(str(int(i == j)) for j in range(33))
                                                 for i in range(33))), None),
-], ids=["literal", "product", "variable", "dim", "lattice"])
+], ids=["literal", "product", "sum", "variable", "dim", "lattice"])
 def test_input_limits_exit_1(capsys, argv, caret):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_INPUT_ERROR and out == ""

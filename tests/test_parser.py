@@ -264,15 +264,26 @@ def test_work_and_coefficient_limits_admit_large_coefficients():
     # each power is admitted, their product's coefficient is not
     ("2^9999*2^9999*T", 6),
     ("2^10000*2*T", 7),
-    # a unit factor is checked like any other
-    ("(1/3^6300 + 1/5^4300)*T", 21),
+    # the sum in the unit factor's operand passes the limit before the `*`
+    ("(1/3^6300 + 1/5^4300)*T", 10),
+    # adding fractions multiplies denominators: each term is admitted, the
+    # sum is not, at its first operator
+    ("1/3^6300*T + 1/5^4300*T", 11),
+    ("X1 + 1/3^6300*T - X1 + 1/5^4300*T", 3),
 ], ids=["4301-digits", "3011-digits", "exponent", "denominator", "power-product", "times-2",
-        "times-T"])
+        "times-T", "sum", "sum-of-four"])
 def test_literal_and_product_bits_point_at_the_token(text, position):
     with pytest.raises(ParseError) as e:
         parse(text)
     assert (e.value.kind, e.value.position) == (ParseErrorKind.EXPANSION_LIMIT, position)
     assert str(MAX_COEFF_BITS) in e.value.message
+
+
+def test_sum_bits_are_those_of_the_result():
+    assert parse("1/3^6300*T + 1/3^6300*T")[0] == MultiPoly(1, {(1,): Fraction(2, 3 ** 6300)})
+    # only the whole sum is bounded, not a partial one
+    assert parse("1/3^6300*T + 1/5^4300*T - 1/5^4300*T")[0] == MultiPoly(
+        1, {(1,): Fraction(1, 3 ** 6300)})
 
 
 def test_literal_and_product_bits_admit_the_limit():

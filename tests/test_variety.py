@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -295,7 +296,9 @@ def test_decide_empty_unit_generator():
 
 
 def test_decide_empty_posdef():
-    verdict = decide_emptiness(sys_of(POSDEF))
+    # (x - 1)^2 + 1: positive, but not sign-definite term by term, so the
+    # radius proof and the subdivision decide it
+    verdict = decide_emptiness(sys_of(MultiPoly(1, {(2,): 1, (1,): -2, (0,): 2})))
     assert verdict.status == EMPTY
     assert verdict.certificate["kind"] == "ExhaustiveSubdivision"
 
@@ -328,10 +331,20 @@ def test_decide_ignores_zero_polys():
 ], ids=["unit", "circle", "axes-circle", "posdef", "x2-2", "unbounded", "vacuous"])
 def test_zero_polys_change_no_decision(polys):
     # Same status, witness, certificate and diagnostics with zero
-    # polynomials in front and at the end as without them.
+    # polynomials in front and at the end as without them; a polynomial
+    # index in the certificate moves by the one zero in front.
     zero = MultiPoly.zero(2)
     expected = decide_emptiness(RealPolySystem(2, polys))
+    expected = dataclasses.replace(expected, certificate=_shift_polys(expected.certificate))
     assert decide_emptiness(RealPolySystem(2, (zero, *polys, zero))) == expected
+
+
+def _shift_polys(cert):
+    if isinstance(cert, dict):
+        return {k: v + 1 if k == "poly" else _shift_polys(v) for k, v in cert.items()}
+    if isinstance(cert, list):
+        return [_shift_polys(v) for v in cert]
+    return cert
 
 
 def test_decide_unknown_is_honest():
@@ -349,9 +362,10 @@ X2_MINUS_2 = MultiPoly(1, {(2,): 1, (0,): -2})
 @pytest.mark.parametrize("system, box_budget, reason, unresolved", [
     (sys_of(X2_MINUS_2), None, "depth-cap", 2),
     (sys_of(X2_MINUS_2), 3, "box-budget", 2),
-    # no real zero, but x^4 vanishes at (0, +-1): no radius, and the cleared
-    # fallback box proves nothing
-    (sys_of(X2 - Y2, X2 * X2 + const(2, 1)), None, "unbounded-no-radius", 0),
+    # no real zero ((xy)^2 - xy + 1 >= 3/4), but the top form x^4*y^4 of its
+    # square vanishes on the faces: no radius, and the cleared fallback box
+    # proves nothing
+    (sys_of(X2 * X2 * Y2 * Y2 - X2 * Y2 + const(2, 1)), None, "unbounded-no-radius", 0),
 ], ids=["depth-cap", "box-budget", "unbounded-no-radius"])
 def test_unknown_reason(monkeypatch, system, box_budget, reason, unresolved):
     if box_budget is not None:
@@ -362,15 +376,17 @@ def test_unknown_reason(monkeypatch, system, box_budget, reason, unresolved):
     assert verdict.diagnostics["unresolved_boxes"] == unresolved
 
 
+CIRCLE_21 = (X2 - const(2, 2)) ** 2 + (Y2 + const(2, 1)) ** 2 - const(2, 1)
+
+
 @pytest.mark.parametrize("system, status, radius, stats, calls", [
-    # the circle misses the line x + y = 7/2 by a gap
-    (sys_of((X2 - const(2, 2)) ** 2 + (Y2 + const(2, 1)) ** 2 - const(2, 1),
-            X2 + Y2 - const(2, Fraction(7, 2))), EMPTY, "27",
-     {"boxes_processed": 105, "boxes_discarded": 53, "depth_reached": 15}, 170),
+    # the circle around (2, -1) misses the unit circle by a gap
+    (sys_of(CIRCLE_21, X2 * X2 + Y2 * Y2 - const(2, 1)), EMPTY, "14",
+     {"boxes_processed": 105, "boxes_discarded": 53, "depth_reached": 17}, 182),
     (sys_of(X2_MINUS_2), UNKNOWN, "3",
      {"boxes_processed": 95, "boxes_discarded": 46, "depth_reached": 24,
       "unresolved_boxes": 2}, 96),
-], ids=["circle-misses-line", "x2-2"])
+], ids=["circle-misses-circle", "x2-2"])
 def test_decide_wave_loop_counts(enclose_calls, system, status, radius, stats, calls):
     verdict = decide_emptiness(system)
     assert verdict.status == status
@@ -401,3 +417,167 @@ def test_monotone_in_depth():
     decisive = [s for s in statuses if s != UNKNOWN]
     assert len(set(decisive)) <= 1
     assert statuses[-1] == NONEMPTY
+
+
+# -- presolve ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("system, status, witness, certificate, presolve", [
+    (sys_of(X3 + Z3 - const(3, 1), const(3, 1) - Y3, -Z3), NONEMPTY, (1, 1, 0),
+     {"kind": "ExactPoint"}, {"eliminated": [0, 1, 2], "free": []}),
+    # x = y leaves y^2 + 1
+    (sys_of(X2 - Y2, X2 * X2 + const(2, 1)), EMPTY, None,
+     {"kind": "Presolve", "eliminated": [{"poly": 0, "axis": 0}], "free": [],
+      "reduced": {"kind": "SignDefinite", "poly": 1}}, {"eliminated": [0], "free": []}),
+    (sys_of(Y2 ** 4 + X2 * X2 + const(2, 3)), EMPTY, None,
+     {"kind": "SignDefinite", "poly": 0}, {"eliminated": [], "free": []}),
+    # x = 7/2 - y leaves 8y^2 - 4y + 9, which has no real zero
+    (sys_of(CIRCLE_21, X2 + Y2 - const(2, Fraction(7, 2))), EMPTY, None,
+     {"kind": "Presolve", "eliminated": [{"poly": 1, "axis": 0}], "free": [],
+      "reduced": {"kind": "ExhaustiveSubdivision", "radius": "3"}},
+     {"eliminated": [0], "free": []}),
+    # y and z are free: the zero of 1 - x^2 extends by 0
+    (sys_of(const(3, 1) - X3 * X3), NONEMPTY, (-1, 0, 0),
+     {"kind": "ExactPoint"}, {"eliminated": [], "free": [1, 2]}),
+    (sys_of(X3 * X3 + const(3, 1)), EMPTY, None,
+     {"kind": "Presolve", "eliminated": [], "free": [1, 2],
+      "reduced": {"kind": "SignDefinite", "poly": 0}}, {"eliminated": [], "free": [1, 2]}),
+    # an irrational zero stays undecided after the elimination
+    (sys_of(X2 - Y2, X2 * X2 - const(2, 3)), UNKNOWN, None, None,
+     {"eliminated": [0], "free": []}),
+], ids=["affine-point", "line-misses-x2+1", "sign-definite", "circle-misses-line",
+        "free-axes", "free-axes-empty", "irrational"])
+def test_presolve_verdicts(system, status, witness, certificate, presolve):
+    verdict = decide_emptiness(system)
+    assert verdict.status == status
+    assert verdict.witness == (None if witness is None else tuple(map(Fraction, witness)))
+    assert verdict.certificate == certificate
+    assert verdict.diagnostics["presolve"] == presolve
+    assert verdict.diagnostics["pipeline"][:2] == ["groebner", "presolve"]
+    assert json.loads(json.dumps(verdict.certificate)) == verdict.certificate
+
+
+def test_presolve_nonzero_constant_past_the_groebner_cap():
+    # With the cap hit, x = 1 - y and y = 1/2 leave x^2 + y - 5 a nonzero
+    # constant, which is sign-definite.
+    system = sys_of(X2 + Y2 - const(2, 1), X2 - Y2, X2 * X2 + Y2 - const(2, 5))
+    verdict = decide_emptiness(system, dataclasses.replace(DEFAULT_CONFIG, groebner_cap=1))
+    assert verdict.diagnostics["groebner_unit"] is None
+    assert verdict.certificate == {
+        "kind": "Presolve", "eliminated": [{"poly": 0, "axis": 0}, {"poly": 1, "axis": 1}],
+        "free": [], "reduced": {"kind": "SignDefinite", "poly": 2}}
+
+
+def test_presolve_leaves_other_systems_alone():
+    for system in (sys_of(CIRCLE), sys_of(X2_MINUS_2), sys_of(HYPERBOLA_AXES, CIRCLE)):
+        assert nullsol.variety._presolve(system.terms, system.dimension) is None
+        assert "presolve" not in decide_emptiness(system).diagnostics["pipeline"]
+
+
+@pytest.mark.parametrize("dim, polys", [
+    # x1 = -(x2 + ... + x8) into x1^12 would build C(19, 7) = 50,388 monomials
+    (8, lambda x: (sum(x[1:], x[0]), x[0] ** 12 - const(8, 1))),
+    # x = 1 into x^20000 would take 20,000 powers of 1
+    (1, lambda x: (x[0] - const(1, 1), x[0] ** 20000 - const(1, 1))),
+    # x = 3/2 into x^7000 would add about 7000 * log2(3) = 11,095 coefficient bits
+    (1, lambda x: (const(1, 2) * x[0] - const(1, 3), x[0] ** 7000 + const(1, 1))),
+], ids=["terms", "powers", "bits"])
+def test_presolve_stops_at_the_substitution_bound(dim, polys):
+    system = RealPolySystem(dim, polys([MultiPoly.variable(dim, k) for k in range(dim)]))
+    pre = nullsol.variety._presolve(system.terms, system.dimension)
+    assert pre is None or not pre.steps
+
+
+def _real_value(p, point):
+    return sum(c * math.prod(map(pow, point, e)) for e, c in p.real_terms().items())
+
+
+def _planted_affine_system(rng):
+    """Affine equations in echelon form through a rational point z, plus
+    polynomials through z.  With an axis left undetermined, half the time
+    1 + x^2 + ... is added, and the system has no real zero; with none, z is
+    its only real zero.  Returns (system, z, empty, determined)."""
+    dim = rng.randint(1, 4)
+    z = [random_rational(rng, 4) for _ in range(dim)]
+    x = [MultiPoly.variable(dim, k) for k in range(dim)]
+    pivots = rng.sample(range(dim), rng.randint(1, dim))
+    polys = []
+    for i, pivot in enumerate(pivots):
+        form = const(dim, Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))) * x[pivot]
+        for k in range(dim):
+            if k not in pivots[:i + 1] and rng.random() < 0.5:
+                form = form + const(dim, random_rational(rng, 4)) * x[k]
+        polys.append(form - const(dim, _real_value(form, z)))
+    for _ in range(rng.randint(0, 2)):
+        q = random_multipoly(rng, dim, max_deg=3, max_terms=3, height=5, complex_coeffs=False)
+        polys.append(q - const(dim, _real_value(q, z)))
+    empty = len(pivots) < dim and rng.random() < 0.5
+    if empty:
+        polys.append(sum((const(dim, rng.randint(1, 3)) * xk * xk for xk in x), const(dim, 1)))
+    rng.shuffle(polys)
+    system = RealPolySystem(dim, tuple(p for p in polys if not p.is_zero()))
+    return system, z, empty, len(pivots) == dim
+
+
+def _replay(system, steps):
+    """The system after ``steps``, by MultiPoly composition: x_k = (a*x_k - p)/a."""
+    dim = system.dimension
+    polys = list(system.polys)
+    for step in steps:
+        p, k = polys[step["poly"]], step["axis"]
+        unit = tuple(int(i == k) for i in range(dim))
+        a = p.real_terms()[unit]
+        value = (MultiPoly(dim, {unit: a}) - p) * const(dim, 1 / Fraction(a))
+        polys = [sum((MultiPoly(dim, {e[:k] + (0,) + e[k + 1:]: c}) * value ** e[k]
+                      for e, c in q.terms.items()), MultiPoly.zero(dim)) for q in polys]
+    return polys
+
+
+def _proportional(p, q):
+    if set(p) != set(q):
+        return False
+    return len({Fraction(p[e]) / Fraction(q[e]) for e in p}) <= 1
+
+
+def test_presolve_on_planted_affine_systems():
+    rng = random.Random(15)
+    counts = {"NONEMPTY": 0, "EMPTY": 0, "UNKNOWN": 0, "replayed": 0}
+    for _ in range(150):
+        system, z, empty, determined = _planted_affine_system(rng)
+        verdict = decide_emptiness(system)
+        counts[verdict.status] += 1
+        assert verdict.status != (NONEMPTY if empty else EMPTY), system
+        if determined:
+            assert verdict.witness == tuple(z)
+        if verdict.status == NONEMPTY:
+            assert exact_common_zero(system, verdict.witness)
+        cert = verdict.certificate
+        if verdict.status != EMPTY or cert["kind"] == "UnitIdeal":
+            continue
+        if cert["kind"] != "Presolve":
+            cert = {"eliminated": [], "free": [], "reduced": cert}
+        replayed = _replay(system, cert["eliminated"])
+        eliminated = {step["axis"] for step in cert["eliminated"]}
+        kept = sorted({k for q in replayed for e in q.terms for k in range(len(e)) if e[k]})
+        assert [k for k in range(system.dimension)
+                if k not in eliminated and k not in kept] == cert["free"]
+        projected = RealPolySystem(len(kept), tuple(
+            MultiPoly(len(kept), {tuple(e[k] for k in kept): c for e, c in q.terms.items()})
+            for q in replayed if not q.is_zero()))
+        pre = nullsol.variety._presolve(system.terms, system.dimension)
+        assert [{"poly": j, "axis": k} for j, k, _, _ in pre.steps] == cert["eliminated"]
+        assert len(pre.terms) == len(projected.terms)
+        assert all(map(_proportional, pre.terms, projected.terms))
+        reduced = cert["reduced"]
+        if reduced["kind"] == "ExhaustiveSubdivision":
+            box = cube(len(kept), Fraction(reduced["radius"]))
+            assert subdivision_search(projected, box).kind == "NoZeroInBox"
+        else:
+            terms = replayed[reduced["poly"]].real_terms()
+            constant = terms.get((0,) * system.dimension, 0)
+            assert constant != 0
+            assert reduced["kind"] == "SignDefinite"
+            assert all(c * constant > 0 for c in terms.values())
+            assert all(x % 2 == 0 for e in terms for x in e)
+        counts["replayed"] += 1
+    assert counts["UNKNOWN"] <= 15 and counts["EMPTY"] >= 20 and counts["replayed"] >= 20, counts
