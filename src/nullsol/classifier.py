@@ -24,6 +24,7 @@ from .multipoly import MultiPoly
 from .parser import MAX_DIM
 from .symbols import degree_test, imaginary_slice, pi_graded_slice, restrict_to_time, x_content
 from .variety import (
+    BOX_BUDGET,
     EMPTY,
     NONEMPTY,
     boundedness_radius,
@@ -168,10 +169,6 @@ def classify(p: MultiPoly, space: SolutionSpace,
 
 # -- periodic lattice test -------------------------------------------------
 
-# Boxes the lattice search may pop before it gives up (UNKNOWN box-budget).
-_LATTICE_BOX_BUDGET = 100_000
-
-
 def _shell_key(box) -> tuple[int, tuple[int, ...]]:
     """The least (max-norm, descending lexicographic) key of a point of ``box``."""
     return max(max(a, -b, 0) for a, b in box), tuple(-b for _, b in box)
@@ -187,7 +184,7 @@ def periodic_test(p: MultiPoly, lattice: LatticeSpec,
     graded system are certified bounded, the search covers every k that can
     resonate and the verdict is decisive; otherwise it stops at
     ``config.lattice_radius`` and may return UNKNOWN.  Either way it gives up
-    with UNKNOWN after ``_LATTICE_BOX_BUDGET`` boxes.  It is a best-first
+    with UNKNOWN after ``BOX_BUDGET`` boxes.  It is a best-first
     branch-and-bound over integer boxes of k that drops a box when a grade's
     exact enclosure over its image excludes 0, and it reports the first
     resonance in shell order: least max-norm, then k = 1 before k = -1.
@@ -221,7 +218,7 @@ def periodic_test(p: MultiPoly, lattice: LatticeSpec,
     polys = [clear(terms, den) for terms in system.terms]
     cube = ((-search_radius, search_radius),) * dim
     heap = [(_shell_key(cube), cube)]
-    budget = _LATTICE_BOX_BUDGET
+    budget = BOX_BUDGET
     while heap:
         if not budget:
             evidence["reason"] = "box-budget"

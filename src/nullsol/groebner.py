@@ -14,10 +14,17 @@ polynomial is a nonzero integer multiple of the one the algorithm over Q
 forms, with the same monomials, the same reduction steps and the same
 basis up to scaling.  No Fraction arithmetic runs inside.
 
+Each S-polynomial is top-reduced: reduction stops once its leading term
+is irreducible, and its lower terms are left as they are (Becker &
+Weispfenning, *Groebner Bases*, 1993).  A Groebner basis needs no
+reduction of lower terms, and whether it contains a unit does not depend
+on one.
+
 Used only as a sound shortcut: if the ideal generated by a real system
 contains a nonzero constant, the system has no common complex zero, hence
-no common real zero.  A reduction-step cap keeps runtime bounded; hitting
-the cap is reported as inconclusive, never as a verdict.
+no common real zero.  The cap counts reduction steps, each of which
+cancels one leading term, so it bounds every pass of the reduction loop;
+hitting the cap is reported as inconclusive, never as a verdict.
 """
 
 from __future__ import annotations
@@ -76,12 +83,12 @@ def _entry(p: _Poly) -> _Entry:
 
 
 def _normal_form(f: _Poly, basis: list[_Entry], steps: Iterator[int], cap: int) -> _Poly:
-    """Full normal form, up to a nonzero integer factor: each leading term is
-    reduced by the first basis element whose leading monomial divides it.
-    Each step takes the next number from ``steps`` and raises
-    GroebnerCapExceeded once that passes ``cap``.  A step scales the work and
-    the remainder by ``g_c/gcd`` and subtracts ``(lt_c/gcd) * X^delta * g``."""
-    remainder: _Poly = {}
+    """Top-reduced form, up to a nonzero integer factor: while the leading
+    term is divisible by the leading monomial of a basis element, the first
+    such element cancels it; lower terms are left as they are.  Each step
+    takes the next number from ``steps`` and raises GroebnerCapExceeded once
+    that passes ``cap``.  A step scales the polynomial by ``g_c/gcd`` and
+    subtracts ``(lt_c/gcd) * X^delta * g``."""
     work = dict(f)
     while work:
         lead = max(work)
@@ -89,21 +96,18 @@ def _normal_form(f: _Poly, basis: list[_Entry], steps: Iterator[int], cap: int) 
         tail = lead[1:]
         for g_lead, g_tail, g_c, g in basis:
             if all(map(ge, g_tail, tail)):
-                if next(steps) > cap:
-                    raise GroebnerCapExceeded()
-                d = math.gcd(lt_c, g_c)
-                scale = g_c // d
-                if scale != 1:
-                    for m in work:
-                        work[m] *= scale
-                    for m in remainder:
-                        remainder[m] *= scale
-                add_multiple(work, g, tuple(map(sub, lead, g_lead)), -(lt_c // d))
                 break
         else:
-            remainder[lead] = lt_c
-            del work[lead]
-    return remainder
+            return work
+        if next(steps) > cap:
+            raise GroebnerCapExceeded()
+        d = math.gcd(lt_c, g_c)
+        scale = g_c // d
+        if scale != 1:
+            for m in work:
+                work[m] *= scale
+        add_multiple(work, g, tuple(map(sub, lead, g_lead)), -(lt_c // d))
+    return work
 
 
 def _s_poly(f: _Entry, g: _Entry) -> _Poly:

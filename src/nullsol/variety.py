@@ -59,12 +59,11 @@ class SubdivisionResult:
     margin: Fraction | None = None
 
 
-# Survivors past 4096 on one face wave give up the positivity certificate.
-_FACE_BOX_BUDGET = 2 * 4096
-# Depth cap of each face search.
+# Depth cap of each face search: at most 2^13 - 1 boxes, inside BOX_BUDGET.
 _SPHERE_DEPTH = 12
-# Survivors past half of this on one wave end a subdivision search.
-_BOX_BUDGET = 100000
+# The most boxes one branch-and-bound may process, here and in the lattice
+# search of the periodic test; past it the search gives up (box-budget).
+BOX_BUDGET = 100_000
 # Most term products, and most coefficient bits added, that one affine
 # substitution of the presolve may cost; past either it stops eliminating.
 _SUBSTITUTION_LIMIT = 10_000
@@ -86,8 +85,7 @@ def _certify_positive_on_faces(top_terms: dict[tuple[int, ...], int],
     margins = []
     for axis in range(dim):
         face = cube(axis, 1) + ((Fraction(1), Fraction(1)),) + cube(dim - axis - 1, 1)
-        result = _branch_and_bound([top_terms], face, _SPHERE_DEPTH,
-                                   _FACE_BOX_BUDGET)
+        result = _branch_and_bound([top_terms], face, _SPHERE_DEPTH)
         if result.kind != "NoZeroInBox":
             return None
         margins.append(result.margin)
@@ -206,8 +204,7 @@ def _is_exact_common_zero(polys: list[IntPoly], numerators: tuple[int, ...],
     return True
 
 
-def _branch_and_bound(terms_list, box: Box, max_depth: int,
-                      box_budget: int) -> SubdivisionResult:
+def _branch_and_bound(terms_list, box: Box, max_depth: int) -> SubdivisionResult:
     """Branch-and-bound over a box with exact interval arithmetic.
 
     The box and the polynomials go over to integers once (see
@@ -217,8 +214,9 @@ def _branch_and_bound(terms_list, box: Box, max_depth: int,
     its simplest rational point (the smallest-denominator rational in every
     coordinate interval); an exact common zero among them yields ExactZero
     (the lexicographically smallest zero found in that wave, so the result
-    is independent of processing order).  CandidateBoxes when the depth or
-    box cap is hit.
+    is independent of processing order).  CandidateBoxes when the depth cap
+    is hit, or when the next wave would take the boxes processed past
+    ``BOX_BUDGET``.
     """
     q, start = dyadic(box)
     polys = [clear(terms, q) for terms in terms_list]
@@ -253,7 +251,7 @@ def _branch_and_bound(terms_list, box: Box, max_depth: int,
                                      stats=stats, margin=margin)
         if not survivors:
             return SubdivisionResult("NoZeroInBox", stats=stats, margin=margin)
-        if depth >= max_depth or 2 * len(survivors) > box_budget:
+        if depth >= max_depth or processed + 2 * len(survivors) > BOX_BUDGET:
             stats["unresolved_boxes"] = len(survivors)
             return SubdivisionResult("CandidateBoxes", stats=stats, margin=margin)
         wave = [half for b in survivors for half in split(b)]
@@ -263,7 +261,7 @@ def _branch_and_bound(terms_list, box: Box, max_depth: int,
 def subdivision_search(sys: RealPolySystem, box: Box,
                        config: SolverConfig = DEFAULT_CONFIG) -> SubdivisionResult:
     """Subdivision search for a common zero of ``sys`` in ``box``."""
-    return _branch_and_bound(sys.terms, box, config.max_depth, _BOX_BUDGET)
+    return _branch_and_bound(sys.terms, box, config.max_depth)
 
 
 class _Presolved(NamedTuple):

@@ -44,17 +44,14 @@ class ThetaDerivPoly:
     order: int
     coeffs: tuple[int, ...]
 
-    def eval_at(self, s: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * s + c
-        return acc
-
     def theta_value(self, t: float) -> float:
         """Theta^(order)(t); identically 0 for t <= 0."""
         if t <= 0:
             return 0.0
-        return self.eval_at(1.0 / t) * math.exp(-1.0 / t)
+        s, acc = 1.0 / t, 0.0
+        for c in reversed(self.coeffs):
+            acc = acc * s + c
+        return acc * math.exp(-s)
 
 
 def theta_derivatives(n: int) -> list[ThetaDerivPoly]:

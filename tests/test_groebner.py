@@ -18,7 +18,8 @@ def _terms(expr: str, dim: int) -> dict:
 
 
 def _reduce(f, basis) -> dict:
-    """Normal form of an integer polynomial modulo basis entries, uncapped."""
+    """Top-reduced form of an integer polynomial modulo basis entries,
+    uncapped; it is {} exactly when the full normal form is."""
     return _normal_form(f, basis, itertools.count(1), float("inf"))
 
 
@@ -76,7 +77,7 @@ def test_cap_returns_none():
     (["X1^3*X2 + X1", "X2^3*X1 + X2"], 2, 14, False),
     (["X1^2 - X2*X3", "X2^2 - X1*X3", "X3^2 - X1*X2 - 1"], 3, 7, False),
     (["X1^2 + X2^2 + X3^2 - 1", "X1*X2 - X3", "X1 + X2 + X3 - 2", "X3^2 - 1/2"], 3, 6, True),
-    (["X1^2 + X2^2 - 1", "X1^3 - X2", "X1*X2^2 + 2"], 2, 5, True),
+    (["X1^2 + X2^2 - 1", "X1^3 - X2", "X1*X2^2 + 2"], 2, 6, True),
     (["7/3*X1^4 + 3/7*X1^3 + 3", "4*X1^4 - X1^2 + 3/7*X1"], 1, 3, True),
 ])
 def test_unit_ideal_reduction_counts(exprs, dim, steps, unit):
@@ -107,6 +108,8 @@ def test_buchberger_criterion_random():
 # -- the Buchberger algorithm over Q, as a reference ------------------------
 # The Fraction form the integer core replaced, kept to pin it: the same pair
 # order, coprime criterion and first-divisor rule, one step per reduction.
+# With ``top=True`` it stops reducing at an irreducible leading term, as the
+# integer core does; with ``top=False`` it computes the full normal form.
 
 def _q_grevlex_key(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
@@ -131,7 +134,7 @@ class _QCapExceeded(Exception):
     pass
 
 
-def _q_normal_form(f, basis, budget):
+def _q_normal_form(f, basis, budget, top):
     remainder, work = {}, dict(f)
     while work:
         lt_e, lt_c = _q_leading_term(work)
@@ -143,6 +146,8 @@ def _q_normal_form(f, basis, budget):
                 _q_add_multiple(work, g, tuple(a - b for a, b in zip(lt_e, g_e)), -lt_c / g_c)
                 break
         else:
+            if top:
+                return work
             remainder[lt_e] = lt_c
             del work[lt_e]
     return remainder
@@ -157,7 +162,7 @@ def _q_s_poly(f, g):
     return s
 
 
-def _q_unit_ideal_test(polys, cap):
+def _q_unit_ideal_test(polys, cap, top):
     """``(unit_ideal_test over Q, reduction steps it took)``; the answer is
     None once the steps pass ``cap``."""
     polys = [{e: Fraction(c) for e, c in p.items()} for p in polys if p]
@@ -181,7 +186,7 @@ def _q_unit_ideal_test(polys, cap):
             _, _, i, j = heapq.heappop(pairs)
             if all(min(a, b) == 0 for a, b in zip(basis[i][0], basis[j][0])):
                 continue
-            r = _q_normal_form(_q_s_poly(basis[i], basis[j]), basis, budget)
+            r = _q_normal_form(_q_s_poly(basis[i], basis[j]), basis, budget, top)
             if r:
                 entry = (*_q_leading_term(r), r)
                 if not any(entry[0]):
@@ -206,14 +211,18 @@ def _random_system(rng, dim, count):
 
 def test_integer_core_matches_rational_reference():
     # Same verdict, and the same least cap that gives one: the reduction
-    # sequence over Z is the one over Q, step for step.
+    # sequence over Z is the top-reducing one over Q, step for step.  The
+    # full normal form over Q gives the verdict an uncapped run must give.
     rng = random.Random(2027)
     cap = 100
     verdicts = {True: 0, False: 0, None: 0}
     for _ in range(240):
         polys = _random_system(rng, rng.randint(1, 3), rng.randint(2, 4))
-        unit, steps = _q_unit_ideal_test(polys, cap)
+        unit, steps = _q_unit_ideal_test(polys, cap, top=True)
+        full, _ = _q_unit_ideal_test(polys, cap, top=False)
         verdicts[unit] += 1
+        if full is not None:
+            assert unit_ideal_test(polys) is full
         if unit is None:
             assert unit_ideal_test(polys, cap=cap) is None
             continue

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from nullsol.config import DEFAULT_CONFIG
-from nullsol.groebner import add_multiple
+from nullsol.groebner import add_multiple, unit_ideal_test
 from nullsol.intervals import cube
 from nullsol.multipoly import MultiPoly
 from nullsol.symbols import RealPolySystem
@@ -151,8 +151,7 @@ def test_pinned_face_equals_substituted_face(enclose_calls):
                 (cube(axis, 1) + ((Fraction(-1), Fraction(-1)),)
                  + cube(dim - axis - 1, 1), top)]:
             enclose_calls.clear()
-            r = _branch_and_bound([terms], box, nullsol.variety._SPHERE_DEPTH,
-                                  nullsol.variety._FACE_BOX_BUDGET)
+            r = _branch_and_bound([terms], box, nullsol.variety._SPHERE_DEPTH)
             results.append((r.kind, r.margin, r.stats, len(enclose_calls)))
         assert results[0] == results[1] == results[2], (top, axis)
 
@@ -369,11 +368,24 @@ X2_MINUS_2 = MultiPoly(1, {(2,): 1, (0,): -2})
 ], ids=["depth-cap", "box-budget", "unbounded-no-radius"])
 def test_unknown_reason(monkeypatch, system, box_budget, reason, unresolved):
     if box_budget is not None:
-        monkeypatch.setattr(nullsol.variety, "_BOX_BUDGET", box_budget)
+        monkeypatch.setattr(nullsol.variety, "BOX_BUDGET", box_budget)
     verdict = decide_emptiness(system)
     assert verdict.status == UNKNOWN
     assert verdict.diagnostics["reason"] == reason
     assert verdict.diagnostics["unresolved_boxes"] == unresolved
+
+
+def test_box_budget_bounds_boxes_processed():
+    # {x1 + ... + x8, x1^12 - 1}: not a unit ideal, too large for the
+    # presolve, and without a radius; the search ends at the budget on the
+    # total boxes processed, not after many waves under a per-wave bound
+    xs = [MultiPoly.variable(8, k) for k in range(8)]
+    system = sys_of(sum(xs[1:], xs[0]), xs[0] ** 12 - const(8, 1))
+    assert unit_ideal_test(list(system.terms)) is False
+    verdict = decide_emptiness(system)
+    assert verdict.status == UNKNOWN
+    assert verdict.diagnostics["reason"] == "box-budget"
+    assert verdict.diagnostics["subdivision"]["boxes_processed"] <= nullsol.variety.BOX_BUDGET
 
 
 CIRCLE_21 = (X2 - const(2, 2)) ** 2 + (Y2 + const(2, 1)) ** 2 - const(2, 1)
