@@ -1,12 +1,12 @@
 """The weak-Nullstellensatz unit-ideal test, by Buchberger's algorithm over Z.
 
-The input is term dicts ``{exponent tuple: nonzero int or Fraction}``, the
-form ``RealPolySystem.terms`` holds.  Each one is cleared once, through
-``numerator``/``denominator``, to a primitive integer polynomial (integer
-coefficients with gcd 1) whose monomials are keyed by the grevlex encoding
-``(deg, -e_n, ..., -e_1)``: a plain ``max`` is the leading monomial, the
-encoding of a product of monomials is the sum of their encodings, and the
-lcm of two monomials is its own pair-heap key.  S-polynomials and
+The input is integer term dicts ``{exponent tuple: nonzero int}``, the
+form ``RealPolySystem.terms`` holds: the system is cleared of denominators
+there, once.  Each one is divided by its content to a primitive polynomial
+(integer coefficients with gcd 1) whose monomials are keyed by the grevlex
+encoding ``(deg, -e_n, ..., -e_1)``: a plain ``max`` is the leading
+monomial, the encoding of a product of monomials is the sum of their
+encodings, and the lcm of two monomials is its own pair-heap key.  S-polynomials and
 reduction steps use integer cofactors instead of dividing by leading
 coefficients (the fraction-free form of Buchberger's algorithm; Cox,
 Little & O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2), so each
@@ -32,13 +32,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from fractions import Fraction
 from operator import add, ge, sub
 from typing import Iterator
 
 from .config import DEFAULT_CONFIG
 
-Terms = dict[tuple[int, ...], int | Fraction]
+Terms = dict[tuple[int, ...], int]
 # An integer polynomial keyed by encoded monomials.
 _Poly = dict[tuple[int, ...], int]
 # A basis element: encoded leading monomial, its negated exponents
@@ -71,10 +70,8 @@ def _primitive(p: _Poly) -> _Poly:
 
 
 def _cleared(p: Terms) -> _Poly:
-    """The primitive integer multiple of a term dict, on encoded monomials."""
-    den = math.lcm(*(c.denominator for c in p.values()))
-    return _primitive({(sum(e), *(-x for x in reversed(e))): c.numerator * (den // c.denominator)
-                       for e, c in p.items()})
+    """The primitive part of an integer term dict, on encoded monomials."""
+    return _primitive({(sum(e), *(-x for x in reversed(e))): c for e, c in p.items()})
 
 
 def _entry(p: _Poly) -> _Entry:

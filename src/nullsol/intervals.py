@@ -3,9 +3,10 @@
 The solver's boxes are dyadic subdivisions of one rational box.  With ``q``
 the lcm of that box's endpoint denominators, a box is ``(k, ((a, b), ...))``
 with integer numerators: coordinate i ranges over ``[a/(q*2^k), b/(q*2^k)]``.
-A polynomial with rational coefficients is cleared to integers once per box
-tree (:func:`clear`), and :func:`enclose` returns integers ``(lo, hi)`` that
-bound it on a box up to the positive factor ``1/scale(poly, q, k)``.
+An integer polynomial (``RealPolySystem.terms``, cleared of denominators
+once) is put over ``q`` once per box tree (:func:`clear`), and
+:func:`enclose` returns integers ``(lo, hi)`` that bound it on a box up to
+the positive factor ``1/scale(poly, q, k)``.
 
 No directed rounding is needed and nothing is approximated: the integer
 enclosure is exactly the rational interval enclosure times that factor, so
@@ -26,12 +27,11 @@ DyadicBox = tuple[int, tuple[tuple[int, int], ...]]
 
 
 class IntPoly(NamedTuple):
-    """A polynomial cleared for boxes over ``q``: one integer term
-    ``(c * L * q^(D-|e|), D-|e|, ((axis, e), ...))`` per monomial ``c * x^e``."""
+    """An integer polynomial cleared for boxes over ``q``: one term
+    ``(c * q^(D-|e|), D-|e|, ((axis, e), ...))`` per monomial ``c * x^e``."""
 
     terms: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
     degree: int   # D, the total degree
-    lcm: int      # L, the lcm of the coefficient denominators
 
 
 def cube(dim: int, halfwidth) -> Box:
@@ -45,18 +45,17 @@ def dyadic(box: Box) -> tuple[int, DyadicBox]:
     return q, (0, tuple((int(lo * q), int(hi * q)) for lo, hi in box))
 
 
-def clear(terms: dict[tuple[int, ...], int | Fraction], q: int) -> IntPoly:
-    """A term dict cleared to integers for boxes and points over ``q``."""
+def clear(terms: dict[tuple[int, ...], int], q: int) -> IntPoly:
+    """An integer term dict cleared for boxes and points over ``q``."""
     degree = max((sum(e) for e in terms), default=0)
-    lcm = math.lcm(*(c.denominator for c in terms.values()))
-    return IntPoly(tuple((c.numerator * (lcm // c.denominator) * q ** (degree - sum(e)),
-                          degree - sum(e), tuple((i, n) for i, n in enumerate(e) if n))
-                         for e, c in terms.items()), degree, lcm)
+    return IntPoly(tuple((c * q ** (degree - sum(e)), degree - sum(e),
+                          tuple((i, n) for i, n in enumerate(e) if n))
+                         for e, c in terms.items()), degree)
 
 
 def scale(poly: IntPoly, q: int, k: int) -> int:
-    """``L*(q*2^k)^D``: an enclosure on a level-k box, divided by this, bounds p."""
-    return poly.lcm * (q << k) ** poly.degree
+    """``(q*2^k)^D``: an enclosure on a level-k box, divided by this, bounds p."""
+    return (q << k) ** poly.degree
 
 
 def midpoint(box: DyadicBox) -> tuple[tuple[int, ...], int]:

@@ -10,6 +10,7 @@ coefficients' ``(re, im)`` pairs from a 4-entry table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -35,19 +36,23 @@ class RealPolySystem:
     """Real-coefficient polynomials in xi1..xid.
 
     Common real zeros correspond exactly to the points i*xi at which every
-    content generator vanishes.  ``terms`` holds the polys as term dicts of
-    ints or Fractions, the form the solver works on (it reads each
-    coefficient through ``numerator``/``denominator``); a non-real
-    coefficient raises ValueError here.
+    content generator vanishes.  ``terms`` is the form the solver works on,
+    the system cleared to integers once: every polynomial times L, the lcm
+    of all coefficient denominators, as a term dict of ints.  One common
+    factor changes no zero set and no ratio between the polynomials, so no
+    later stage reads a denominator.  A non-real coefficient raises
+    ValueError here.
     """
 
     dimension: int
     polys: tuple[MultiPoly, ...]
-    terms: tuple[dict[tuple[int, ...], int | Fraction], ...] = field(
-        init=False, repr=False, compare=False)
+    terms: tuple[dict[tuple[int, ...], int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(p.real_terms() for p in self.polys))
+        real = [p.real_terms() for p in self.polys]
+        lcm = math.lcm(*(c.denominator for p in real for c in p.values()))
+        object.__setattr__(self, "terms", tuple(
+            {e: c.numerator * (lcm // c.denominator) for e, c in p.items()} for p in real))
 
 
 def restrict_to_time(p: MultiPoly) -> MultiPoly:
@@ -78,7 +83,7 @@ def is_characteristic_normal(p: MultiPoly, n: Sequence[Fraction]) -> bool:
         raise ValueError(f"normal has length {len(vec)}, expected {p.nvars}")
     if all(x == 0 for x in vec):
         raise ValueError("normal vector must be nonzero")
-    return principal_part(p).evaluate(vec).is_zero()
+    return principal_part(p).evaluate_real(vec) == (0, 0)
 
 
 def x_content(p: MultiPoly) -> ContentGenerators:

@@ -95,23 +95,20 @@ def _certify_positive_on_faces(top_terms: dict[tuple[int, ...], int],
 def boundedness_radius(sys: RealPolySystem) -> Fraction | None:
     """Exact radius R0 with every common real zero in [-R0, R0]^d, or None.
 
-    Works on F = L^2 * (sum of squares of the system polynomials), built on
-    integers: every polynomial is cleared to the one common denominator L
-    first, and no Fraction arithmetic runs.  If the top homogeneous part of
-    F is certified >= c > 0 on the max-norm unit sphere (searched on its d
-    faces x_k = 1, the others being their mirror images), then
+    Works on F, the sum of squares of the integer system polynomials, so no
+    Fraction arithmetic runs.  If the top homogeneous part of F is certified
+    >= c > 0 on the max-norm unit sphere (searched on its d faces x_k = 1,
+    the others being their mirror images), then
     F(xi) >= c*r^(2D) - sum_j C_j*r^j for ||xi||_max = r >= 1, where C_j
     sums |coefficients| of the degree-j part of F; the smallest integer r
-    making that positive bounds all real zeros.  The factor L^2 scales c and
-    every C_j alike, so it leaves r unchanged.  The search for r compares
+    making that positive bounds all real zeros.  The search for r compares
     integers: c is cleared to its denominator first.
     """
     if all(sum(e) == 0 for p in sys.terms for e in p):
         raise ValueError("system must contain a nonconstant polynomial")
-    den = math.lcm(*(c.denominator for p in sys.terms for c in p.values()))
     terms: dict[tuple[int, ...], int] = {}
     for p in sys.terms:
-        items = [(e, c.numerator * (den // c.denominator)) for e, c in p.items()]
+        items = list(p.items())
         # (sum c*x^e)^2, each unordered pair of terms once
         for k, (e1, c1) in enumerate(items):
             for e2, c2 in items[k:]:
@@ -268,7 +265,7 @@ class _Presolved(NamedTuple):
     """A presolved system, in the two fields the later stages read."""
 
     dimension: int
-    terms: tuple[dict[tuple[int, ...], int | Fraction], ...]  # on the kept axes
+    terms: tuple[dict[tuple[int, ...], int], ...]  # on the kept axes
     kept: list[int]
     free: list[int]
     steps: list[tuple[int, int, int, dict]]  # (poly, axis, a, s): x_axis = s(x) / a
@@ -284,14 +281,13 @@ def _sign_definite(p: dict) -> bool:
 
 def _eliminate(polys: list[dict], j: int, steps: list) -> bool:
     """Solve the degree-1 ``polys[j]`` for its lowest-index variable x_k and
-    substitute into each other ``q``, times ``a^D`` (``a`` the cleared x_k
-    coefficient, ``D`` the degree of ``q`` in x_k): an integer polynomial
-    stays one.  False, changing nothing, past _SUBSTITUTION_LIMIT."""
+    substitute into each other ``q``, times ``a^D`` (``a`` the x_k
+    coefficient, ``D`` the degree of ``q`` in x_k), so it stays an integer
+    polynomial.  False, changing nothing, past _SUBSTITUTION_LIMIT."""
     p = polys[j]
     unit = max(e for e in p if any(e))  # a unit vector, the lowest axis in p
     k = unit.index(1)
-    den = math.lcm(*(c.denominator for c in p.values()))
-    s = {e: -c.numerator * (den // c.denominator) for e, c in p.items()}
+    s = {e: -c for e, c in p.items()}
     a = -s.pop(unit)
     targets = [i for i, q in enumerate(polys) if i != j and any(e[k] for e in q)]
     # s^n has at most C(n + m - 1, n) terms, with coefficients at most (m * max|c|)^n

@@ -77,13 +77,27 @@ def fraction_enclose(terms: dict[tuple[int, ...], Fraction],
     return acc_lo, acc_hi
 
 
+def integer_terms(terms: dict[tuple[int, ...], Fraction],
+                  lcm: int | None = None) -> dict[tuple[int, ...], int]:
+    """``lcm`` times a term dict, as ints: the form the solver reads.
+
+    ``lcm`` defaults to the lcm of the dict's own coefficient denominators,
+    which is what ``RealPolySystem.terms`` holds for a one-polynomial system.
+    """
+    if lcm is None:
+        lcm = math.lcm(*(c.denominator for c in terms.values()))
+    return {e: int(c * lcm) for e, c in terms.items()}
+
+
 def rational_enclose(terms: dict[tuple[int, ...], Fraction],
                      box) -> tuple[Fraction, Fraction]:
-    """The integer enclosure of a term dict over a Fraction-pair box, as rationals."""
+    """The integer enclosure of a rational term dict over a Fraction-pair
+    box, as rationals."""
     q, start = dyadic(box)
-    poly = clear(terms, q)
+    lcm = math.lcm(*(c.denominator for c in terms.values()))
+    poly = clear(integer_terms(terms, lcm), q)
     lo, hi = enclose(poly, start)
-    s = scale(poly, q, 0)
+    s = lcm * scale(poly, q, 0)
     return Fraction(lo, s), Fraction(hi, s)
 
 
@@ -128,8 +142,7 @@ def grid_min_sum_squares(system: RealPolySystem, lo: float, hi: float,
     axis = np.arange(lo, hi + step / 2, step)
     d = system.dimension
     if d == 0:
-        val = sum(float(c) ** 2 for terms in system.terms for c in terms.values())
-        return val
+        return sum(float(c.re) ** 2 for p in system.polys for c in p.terms.values())
     best = np.inf
     chunk = max(1, int(4e6 // max(1, len(axis) ** (d - 1))))
     for start in range(0, len(axis), chunk):
@@ -181,8 +194,8 @@ def lattice_zeros(system: RealPolySystem, lattice: LatticeSpec,
     """Every k in [-radius, radius]^d with A^-1 k a common zero of ``system``.
 
     Dense exact evaluation on the whole cube: with A^-1 = inv/den, each
-    polynomial times ``L*den^D`` is an integer sum at ``inv @ k``, computed
-    on numpy object arrays of Python ints.
+    integer polynomial of ``system.terms`` times ``den^D`` is an integer sum
+    at ``inv @ k``, computed on numpy object arrays of Python ints.
     """
     den = math.lcm(*(x.denominator for row in lattice.inverse() for x in row))
     inv = np.array([[int(x * den) for x in row] for row in lattice.inverse()], dtype=object)
@@ -192,10 +205,9 @@ def lattice_zeros(system: RealPolySystem, lattice: LatticeSpec,
     zero = np.ones(len(ks), dtype=bool)
     for terms in system.terms:
         degree = max(sum(e) for e in terms)
-        lcm = math.lcm(*(c.denominator for c in terms.values()))
         acc = 0
         for exps, c in terms.items():
-            value = int(c * lcm) * den ** (degree - sum(exps))
+            value = c * den ** (degree - sum(exps))
             for axis, n in enumerate(exps):
                 if n:
                     value = value * nums[:, axis] ** n

@@ -9,12 +9,12 @@ from nullsol.groebner import _basis, _cleared, _entry, _normal_form, _s_poly, un
 from nullsol.multipoly import MultiPoly
 from nullsol.parser import parse
 
-from helpers import random_multipoly
+from helpers import integer_terms, random_multipoly
 
 
 def _terms(expr: str, dim: int) -> dict:
-    """Term dict of a T-free real expression in X1..Xdim."""
-    return parse(expr, dim=dim)[0].coefficients_in_T()[0].real_terms()
+    """Integer term dict of a T-free real expression in X1..Xdim."""
+    return integer_terms(parse(expr, dim=dim)[0].coefficients_in_T()[0].real_terms())
 
 
 def _reduce(f, basis) -> dict:
@@ -38,7 +38,7 @@ def test_leading_term():
 
 
 def test_cleared_is_primitive_integer_multiple():
-    p = _cleared({(1, 0): Fraction(2, 3), (0, 1): Fraction(-4, 9), (0, 0): 2})
+    p = _cleared(integer_terms({(1, 0): Fraction(2, 3), (0, 1): Fraction(-4, 9), (0, 0): 2}))
     assert p == {(1, 0, -1): 3, (1, -1, 0): -2, (0, 0, 0): 9}   # 9/2 times p
 
 
@@ -64,7 +64,8 @@ def test_unit_ideal_inconsistent_pair_random():
         if q.is_constant():
             continue
         c = MultiPoly.constant(2, rng.randint(1, 5))
-        assert unit_ideal_test([q.real_terms(), (q + c).real_terms()]) is True
+        assert unit_ideal_test([integer_terms(q.real_terms()),
+                                integer_terms((q + c).real_terms())]) is True
 
 
 def test_cap_returns_none():
@@ -92,8 +93,9 @@ def test_buchberger_criterion_random():
     rng = random.Random(47)
     checked = 0
     for _ in range(20):
-        polys = [random_multipoly(rng, 2, max_deg=2, max_terms=3,
-                                  complex_coeffs=False).real_terms() for _ in range(2)]
+        polys = [integer_terms(random_multipoly(rng, 2, max_deg=2, max_terms=3,
+                                                complex_coeffs=False).real_terms())
+                 for _ in range(2)]
         polys = [p for p in polys if p]
         if not polys:
             continue
@@ -205,7 +207,7 @@ def _random_system(rng, dim, count):
     while len(polys) < count:
         q = random_multipoly(rng, dim, max_deg=3, max_terms=4, complex_coeffs=False)
         if not q.is_constant():
-            polys.append(q.real_terms())
+            polys.append(integer_terms(q.real_terms()))
     return polys
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from nullsol.intervals import clear, cube, dyadic, enclose, midpoint, scale, split
 
-from helpers import fraction_enclose, random_multipoly, rational_enclose
+from helpers import fraction_enclose, integer_terms, random_multipoly, rational_enclose
 
 ONE = Fraction(1)
 
@@ -55,13 +55,13 @@ def test_enclose_example():
     terms = {(2, 0): Fraction(1), (0, 1): Fraction(1)}
     box = ((Fraction(-1), Fraction(1)), (Fraction(0), Fraction(2)))
     assert rational_enclose(terms, box) == (0, 3)
-    # on integers: p = x^2/4 + y over [-1,1] x [0,2] at level 1 (x = X/2,
-    # y = Y/2) has L = 4 and 1/S = L * (1*2)^2 = 16, and 16p = X^2 + 8Y is
-    # [0,4] + [0,32] over [-2,2] x [0,4]
-    poly = clear({(2, 0): Fraction(1, 4), (0, 1): Fraction(1)}, 1)
-    assert poly.degree == 2 and poly.lcm == 4
+    # on integers: p = x^2 + 4y over [-1,1] x [0,2] at level 1 (x = X/2,
+    # y = Y/2) has 1/S = (1*2)^2 = 4, and 4p = X^2 + 8Y is [0,4] + [0,32]
+    # over [-2,2] x [0,4]
+    poly = clear({(2, 0): 1, (0, 1): 4}, 1)
+    assert poly.degree == 2
     assert enclose(poly, (1, ((-2, 2), (0, 4)))) == (0, 36)
-    assert scale(poly, 1, 1) == 16
+    assert scale(poly, 1, 1) == 4
 
 
 def test_enclosure_property_random():
@@ -89,7 +89,8 @@ def test_integer_enclosure_equals_rational_reference():
     rng = random.Random(7)
     for _ in range(500):
         d = rng.randint(1, 3)
-        terms = random_multipoly(rng, d, max_deg=4, complex_coeffs=False).real_terms()
+        terms = integer_terms(random_multipoly(rng, d, max_deg=4,
+                                               complex_coeffs=False).real_terms())
         ends = [sorted(Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(2))
                 for _ in range(d)]
         q, box = dyadic(tuple((lo, hi) for lo, hi in ends))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from nullsol.symbols import (
 )
 from nullsol.variety import decide_emptiness
 
-from helpers import random_multipoly, random_point, random_rational
+from helpers import integer_terms, random_multipoly, random_point, random_rational
 
 DIFFUSION = parse("T - (X1^2+X2^2+X3^2)")[0]
 KLEIN_GORDON = parse("T^2 - (X1^2+X2^2+X3^2) + 1")[0]
@@ -96,9 +97,26 @@ def test_substitute_i_xi():
 
 def test_real_poly_system_terms_and_non_real_rejection():
     sys = RealPolySystem(1, (MultiPoly(1, {(1,): Fraction(1, 2), (0,): -3}),))
-    assert sys.terms == ({(1,): Fraction(1, 2), (0,): Fraction(-3)},)
+    assert sys.terms == ({(1,): 1, (0,): -6},)
     with pytest.raises(ValueError, match="non-real"):
         RealPolySystem(1, (MultiPoly(1, {(1,): 1, (0,): GaussianRational(0, 1)}),))
+
+
+def test_real_poly_system_terms_are_one_common_integer_multiple():
+    # Every polynomial times the same L, the lcm of all denominators in the
+    # system: the ratios between the polynomials are kept.
+    sys = RealPolySystem(2, (MultiPoly(2, {(1, 0): Fraction(1, 2), (0, 0): Fraction(-1, 3)}),
+                             MultiPoly(2, {(0, 2): Fraction(1, 5)})))
+    assert sys.terms == ({(1, 0): 15, (0, 0): -10}, {(0, 2): 6})
+    rng = random.Random(59)
+    for _ in range(100):
+        d = rng.randint(1, 3)
+        polys = tuple(random_multipoly(rng, d, complex_coeffs=False)
+                      for _ in range(rng.randint(0, 3)))
+        lcm = math.lcm(*(c.denominator for p in polys for c in p.real_terms().values()))
+        terms = RealPolySystem(d, polys).terms
+        assert terms == tuple(integer_terms(p.real_terms(), lcm) for p in polys)
+        assert all(type(c) is int for p in terms for c in p.values())
 
 
 def test_imaginary_slice_dedup():
@@ -159,16 +177,16 @@ def test_invariants_under_scalar_multiple():
 
 @pytest.mark.parametrize("text", ["X1^2*T + 1", "T - X1", "(X1^2+X2^2+1)*(T+1)"])
 def test_slice_terms_are_exact(text):
-    # The solver reads coefficients through numerator/denominator: ints and
-    # Fractions both serve, a float would not, and the type never changes
-    # a decision.
+    # The solver reads ints only: the system is cleared to them once, and
+    # Fraction coefficients give the same ints and the same decision.
     sys = imaginary_slice(x_content(parse(text)[0]))
     assert sys.terms
-    assert all(type(c) in (int, Fraction) for terms in sys.terms for c in terms.values())
+    assert all(type(c) is int for terms in sys.terms for c in terms.values())
     as_fractions = RealPolySystem(sys.dimension, tuple(
         MultiPoly(sys.dimension, {e: Fraction(c) for e, c in terms.items()})
         for terms in sys.terms))
-    assert all(type(c) is Fraction for terms in as_fractions.terms for c in terms.values())
+    assert as_fractions.terms == sys.terms
+    assert all(type(c) is int for terms in as_fractions.terms for c in terms.values())
     assert decide_emptiness(as_fractions) == decide_emptiness(sys)
 
 

@@ -24,7 +24,13 @@ from nullsol.variety import (
     subdivision_search,
 )
 
-from helpers import exact_common_zero, random_multipoly, random_rational, substitute_value
+from helpers import (
+    exact_common_zero,
+    integer_terms,
+    random_multipoly,
+    random_rational,
+    substitute_value,
+)
 
 CIRCLE = MultiPoly(2, {(2, 0): -1, (0, 2): -1, (0, 0): 1})   # 1 - x^2 - y^2
 POSDEF = MultiPoly(1, {(2,): 1, (0,): 1})                    # x^2 + 1
@@ -117,7 +123,8 @@ def test_boundedness_stops_at_exact_face_zero(enclose_calls):
 
 
 def _random_top_form(rng, dim):
-    """The top form of a random sum of squares: forms of one degree, squared."""
+    """The top form of a random sum of squares: forms of one degree, squared,
+    cleared to integers."""
     deg = rng.randint(1, 2)
     monomials = [e for e in itertools.product(range(deg + 1), repeat=dim)
                  if sum(e) == deg]
@@ -128,7 +135,7 @@ def _random_top_form(rng, dim):
         form = {e: c for e, c in form.items() if c}
         for e, c in form.items():
             add_multiple(top, form, e, c)
-    return {e: c for e, c in top.items() if c}
+    return integer_terms({e: c for e, c in top.items() if c})
 
 
 def test_pinned_face_equals_substituted_face(enclose_calls):
@@ -145,7 +152,7 @@ def test_pinned_face_equals_substituted_face(enclose_calls):
         axis = rng.randrange(dim)
         results = []
         for box, terms in [
-                (cube(dim - 1, 1), substitute_value(top, axis, Fraction(1))),
+                (cube(dim - 1, 1), integer_terms(substitute_value(top, axis, Fraction(1)))),
                 (cube(axis, 1) + ((Fraction(1), Fraction(1)),)
                  + cube(dim - axis - 1, 1), top),
                 (cube(axis, 1) + ((Fraction(-1), Fraction(-1)),)
