@@ -14,8 +14,10 @@ class SolverConfig:
     groebner_cap: int = 50000
 
     def __post_init__(self):
-        for name in ("max_depth", "lattice_radius", "groebner_cap"):
-            if getattr(self, name) < (0 if name == "max_depth" else 1):
+        if self.max_depth < 0:
+            raise ValueError("max_depth must be nonnegative")
+        for name in ("lattice_radius", "groebner_cap"):
+            if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if self.default_box_halfwidth <= 0:
             raise ValueError("default_box_halfwidth must be positive")

@@ -6,13 +6,13 @@ there, once.  Each one is divided by its content to a primitive polynomial
 (integer coefficients with gcd 1) whose monomials are keyed by the grevlex
 encoding ``(deg, -e_n, ..., -e_1)``: a plain ``max`` is the leading
 monomial, the encoding of a product of monomials is the sum of their
-encodings, and the lcm of two monomials is its own pair-heap key.  S-polynomials and
-reduction steps use integer cofactors instead of dividing by leading
-coefficients (the fraction-free form of Buchberger's algorithm; Cox,
-Little & O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2), so each
-polynomial is a nonzero integer multiple of the one the algorithm over Q
-forms, with the same monomials, the same reduction steps and the same
-basis up to scaling.  No Fraction arithmetic runs inside.
+encodings, and the lcm of two monomials is its own pair-heap key.
+S-polynomials and reduction steps use integer cofactors instead of
+dividing by leading coefficients (the fraction-free form of Buchberger's
+algorithm; Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*,
+ch. 2), so each polynomial is a nonzero integer multiple of the one the
+algorithm over Q forms, with the same monomials, the same reduction steps
+and the same basis up to scaling.  No Fraction arithmetic runs inside.
 
 Each S-polynomial is top-reduced: reduction stops once its leading term
 is irreducible, and its lower terms are left as they are (Becker &

@@ -171,9 +171,6 @@ class MultiPoly:
         return MultiPoly.from_clean(self.nvars, {e: pair(c) for e, c in out.items()
                                                  if c[0] or c[1]})
 
-    def scale(self, scalar) -> "MultiPoly":
-        return self * MultiPoly.constant(self.nvars, scalar)
-
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")

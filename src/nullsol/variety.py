@@ -280,13 +280,15 @@ def _sign_definite(p: dict) -> bool:
 
 
 def _eliminate(polys: list[dict], j: int, steps: list) -> bool:
-    """Solve the degree-1 ``polys[j]`` for its lowest-index variable x_k and
-    substitute into each other ``q``, times ``a^D`` (``a`` the x_k
-    coefficient, ``D`` the degree of ``q`` in x_k), so it stays an integer
-    polynomial.  False, changing nothing, past _SUBSTITUTION_LIMIT."""
+    """Solve the degree-1 ``polys[j]`` for its variable x_k that occurs in
+    the fewest other polynomials (lowest index on ties) and substitute into
+    each other ``q``, times ``a^D`` (``a`` the x_k coefficient, ``D`` the
+    degree of ``q`` in x_k), so it stays an integer polynomial.  False,
+    changing nothing, past _SUBSTITUTION_LIMIT."""
     p = polys[j]
-    unit = max(e for e in p if any(e))  # a unit vector, the lowest axis in p
-    k = unit.index(1)
+    k = min((e.index(1) for e in p if any(e)),
+            key=lambda k: (sum(any(e[k] for e in q) for q in polys), k))
+    unit = next(e for e in p if any(e) and e[k])
     s = {e: -c for e, c in p.items()}
     a = -s.pop(unit)
     targets = [i for i, q in enumerate(polys) if i != j and any(e[k] for e in q)]
@@ -315,8 +317,9 @@ def _eliminate(polys: list[dict], j: int, steps: list) -> bool:
 def _presolve(terms, dim: int) -> _Presolved | None:
     """Exact reductions before the radius proof; None if none applies.
 
-    While some polynomial has degree 1, it is solved for its lowest-index
-    variable, which is substituted into the others and dropped.  Every
+    While some polynomial has degree 1, it is solved for the variable of it
+    that occurs in the fewest other polynomials (lowest index on ties),
+    which is substituted into the others and dropped.  Every
     variable that occurs in no polynomial is projected out (a zero of the
     rest extends by 0), and a sign-definite polynomial, a nonzero constant
     among them, decides EMPTY.  A polynomial index is a position in ``terms``.

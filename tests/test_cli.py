@@ -278,6 +278,7 @@ def test_closed_stdout_pipe_exits_quietly():
     (["classify", "X1*T", "--max-depth", "abc"], EXIT_INPUT_ERROR),
     (["--help"], EXIT_OK),
     (["--version"], EXIT_OK),
+    (["classify", "X1*T", "--max-depth", "-1"], EXIT_INPUT_ERROR),
 ])
 def test_usage_error_exit_code(capsys, monkeypatch, argv, expected):
     # argparse's own exit status 2 would read as an UNKNOWN verdict
@@ -285,3 +286,10 @@ def test_usage_error_exit_code(capsys, monkeypatch, argv, expected):
     with pytest.raises(SystemExit) as exit_info:
         console_main()
     assert exit_info.value.code == expected
+
+
+def test_negative_max_depth_message_names_the_bound(capsys):
+    # --max-depth 0 is admitted, so the message says nonnegative
+    assert run(capsys, "classify", "X1*T", "--max-depth", "0", "--no-timing")[0] == EXIT_OK
+    code, _, err = run(capsys, "classify", "X1*T", "--max-depth", "-1")
+    assert (code, err) == (EXIT_INPUT_ERROR, "error: max_depth must be nonnegative\n")

@@ -166,7 +166,7 @@ def test_invariants_under_scalar_multiple():
         if p.is_zero():
             continue
         lam = GaussianRational(Fraction(rng.randint(1, 5)), Fraction(rng.randint(0, 3)))
-        q = p.scale(lam)
+        q = p * MultiPoly.constant(3, lam)
         assert degree_test(p) == degree_test(q)
         n = random_point(rng, 3, height=3, complex_coeffs=False)
         vec = [x.re for x in n]

@@ -363,6 +363,7 @@ def test_decide_unknown_is_honest():
 
 
 X2_MINUS_2 = MultiPoly(1, {(2,): 1, (0,): -2})
+X8 = [MultiPoly.variable(8, k) for k in range(8)]
 
 
 @pytest.mark.parametrize("system, box_budget, reason, unresolved", [
@@ -383,11 +384,11 @@ def test_unknown_reason(monkeypatch, system, box_budget, reason, unresolved):
 
 
 def test_box_budget_bounds_boxes_processed():
-    # {x1 + ... + x8, x1^12 - 1}: not a unit ideal, too large for the
-    # presolve, and without a radius; the search ends at the budget on the
-    # total boxes processed, not after many waves under a per-wave bound
-    xs = [MultiPoly.variable(8, k) for k in range(8)]
-    system = sys_of(sum(xs[1:], xs[0]), xs[0] ** 12 - const(8, 1))
+    # {x1 + ... + x8, x1^12 + ... + x8^12 - 1}: not a unit ideal and too
+    # large for the presolve (every axis occurs in both polynomials); the
+    # search ends at the budget on the total boxes processed, not after many
+    # waves under a per-wave bound
+    system = sys_of(sum(X8[1:], X8[0]), sum((x ** 12 for x in X8[1:]), X8[0] ** 12) - const(8, 1))
     assert unit_ideal_test(list(system.terms)) is False
     verdict = decide_emptiness(system)
     assert verdict.status == UNKNOWN
@@ -444,10 +445,10 @@ def test_monotone_in_depth():
 @pytest.mark.parametrize("system, status, witness, certificate, presolve", [
     (sys_of(X3 + Z3 - const(3, 1), const(3, 1) - Y3, -Z3), NONEMPTY, (1, 1, 0),
      {"kind": "ExactPoint"}, {"eliminated": [0, 1, 2], "free": []}),
-    # x = y leaves y^2 + 1
+    # y occurs in fewer polynomials than x: y = x leaves x^2 + 1
     (sys_of(X2 - Y2, X2 * X2 + const(2, 1)), EMPTY, None,
-     {"kind": "Presolve", "eliminated": [{"poly": 0, "axis": 0}], "free": [],
-      "reduced": {"kind": "SignDefinite", "poly": 1}}, {"eliminated": [0], "free": []}),
+     {"kind": "Presolve", "eliminated": [{"poly": 0, "axis": 1}], "free": [],
+      "reduced": {"kind": "SignDefinite", "poly": 1}}, {"eliminated": [1], "free": []}),
     (sys_of(Y2 ** 4 + X2 * X2 + const(2, 3)), EMPTY, None,
      {"kind": "SignDefinite", "poly": 0}, {"eliminated": [], "free": []}),
     # x = 7/2 - y leaves 8y^2 - 4y + 9, which has no real zero
@@ -463,9 +464,13 @@ def test_monotone_in_depth():
       "reduced": {"kind": "SignDefinite", "poly": 0}}, {"eliminated": [], "free": [1, 2]}),
     # an irrational zero stays undecided after the elimination
     (sys_of(X2 - Y2, X2 * X2 - const(2, 3)), UNKNOWN, None, None,
-     {"eliminated": [0], "free": []}),
+     {"eliminated": [1], "free": []}),
+    # x2 occurs in no other polynomial, so it is solved for, not x1: nothing
+    # is substituted, and 1 - x1^12 is left in x1 alone
+    (sys_of(sum(X8[1:], X8[0]), X8[0] ** 12 - const(8, 1)), NONEMPTY, (-1, 1) + (0,) * 6,
+     {"kind": "ExactPoint"}, {"eliminated": [1], "free": [2, 3, 4, 5, 6, 7]}),
 ], ids=["affine-point", "line-misses-x2+1", "sign-definite", "circle-misses-line",
-        "free-axes", "free-axes-empty", "irrational"])
+        "free-axes", "free-axes-empty", "irrational", "axis-in-fewest-polys"])
 def test_presolve_verdicts(system, status, witness, certificate, presolve):
     verdict = decide_emptiness(system)
     assert verdict.status == status
@@ -495,7 +500,8 @@ def test_presolve_leaves_other_systems_alone():
 
 @pytest.mark.parametrize("dim, polys", [
     # x1 = -(x2 + ... + x8) into x1^12 would build C(19, 7) = 50,388 monomials
-    (8, lambda x: (sum(x[1:], x[0]), x[0] ** 12 - const(8, 1))),
+    (8, lambda x: (sum(x[1:], x[0]),
+                   sum((y ** 12 for y in x[1:]), x[0] ** 12) - const(8, 1))),
     # x = 1 into x^20000 would take 20,000 powers of 1
     (1, lambda x: (x[0] - const(1, 1), x[0] ** 20000 - const(1, 1))),
     # x = 3/2 into x^7000 would add about 7000 * log2(3) = 11,095 coefficient bits
