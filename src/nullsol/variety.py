@@ -317,12 +317,12 @@ def _eliminate(polys: list[dict], j: int, steps: list) -> bool:
 def _presolve(terms, dim: int) -> _Presolved | None:
     """Exact reductions before the radius proof; None if none applies.
 
-    While some polynomial has degree 1, it is solved for the variable of it
-    that occurs in the fewest other polynomials (lowest index on ties),
-    which is substituted into the others and dropped.  Every
-    variable that occurs in no polynomial is projected out (a zero of the
-    rest extends by 0), and a sign-definite polynomial, a nonzero constant
-    among them, decides EMPTY.  A polynomial index is a position in ``terms``.
+    While some polynomial has degree 1, it is solved for its variable that
+    occurs in the fewest other polynomials (lowest index on ties), which is
+    substituted into the others and dropped.  Every variable that occurs in
+    no polynomial is projected out (a zero of the rest extends by 0), and a
+    sign-definite polynomial, a nonzero constant among them, decides EMPTY.
+    A polynomial index is a position in ``terms``.
     """
     polys, steps = list(terms), []
     while (j := next((j for j, p in enumerate(polys) if p and max(map(sum, p)) == 1),

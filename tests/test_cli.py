@@ -116,7 +116,9 @@ def test_zero_denominator_box_halfwidth_is_an_input_error(capsys):
     (("classify", "T", "--dim", "-1"), "dimension must be nonnegative, got -1"),
     (("content", "T", "--dim", "-2"), "dimension must be nonnegative, got -2"),
     (("witness", "X1*T", "--freq", "1/0"), "--freq"),
-], ids=["classify-dim", "content-dim", "witness-freq"])
+    # --max-depth 0 is admitted, so the bound is nonnegative
+    (("classify", "X1*T", "--max-depth", "-1"), "max_depth must be nonnegative"),
+], ids=["classify-dim", "content-dim", "witness-freq", "max-depth"])
 def test_input_error_names_the_flag(capsys, argv, named):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_INPUT_ERROR
@@ -286,10 +288,3 @@ def test_usage_error_exit_code(capsys, monkeypatch, argv, expected):
     with pytest.raises(SystemExit) as exit_info:
         console_main()
     assert exit_info.value.code == expected
-
-
-def test_negative_max_depth_message_names_the_bound(capsys):
-    # --max-depth 0 is admitted, so the message says nonnegative
-    assert run(capsys, "classify", "X1*T", "--max-depth", "0", "--no-timing")[0] == EXIT_OK
-    code, _, err = run(capsys, "classify", "X1*T", "--max-depth", "-1")
-    assert (code, err) == (EXIT_INPUT_ERROR, "error: max_depth must be nonnegative\n")
