@@ -8,7 +8,6 @@ from .classifier import (
     periodic_test,
 )
 from .config import DEFAULT_CONFIG, SolverConfig
-from .gaussian import GaussianRational
 from .multipoly import NEG_INF, MultiPoly
 from .parser import ParseError, ParseErrorKind, parse, print_canonical
 from .symbols import (
@@ -43,7 +42,6 @@ __all__ = [
     "ContentGenerators",
     "DEFAULT_CONFIG",
     "EmptinessVerdict",
-    "GaussianRational",
     "LatticeSpec",
     "MultiPoly",
     "NEG_INF",

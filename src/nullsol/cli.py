@@ -33,7 +33,7 @@ from .classifier import (
     periodic_test,
 )
 from .config import DEFAULT_CONFIG, SolverConfig
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, format_coeff
 from .parser import ParseError, default_names, parse, print_canonical
 from .symbols import x_content
 from .variety import EmptinessVerdict
@@ -78,7 +78,7 @@ def _serialize_witness(w: Witness) -> dict:
         "kind": w.kind,
         "frequency": [str(f) for f in w.frequency],
         "frequency_scale": "2*pi" if w.pi_factor else "1",
-        "certificate": [str(v) for v in w.certificate],
+        "certificate": [format_coeff(v) for v in w.certificate],
         "theta_max_order": len(w.theta) - 1,
         "exact_certificate_ok": report.exact_certificate_ok,
         "sampled_residual_max": report.max_numeric_residual,

@@ -130,13 +130,13 @@ def _basis(polys: list[Terms], cap: int) -> list[_Entry]:
     pairs: list = []
     formed = itertools.count()
 
-    def add_pair(i: int, j: int) -> None:
+    def push(i: int, j: int) -> None:
         lcm_tail = tuple(map(min, basis[i][1], basis[j][1]))
         heapq.heappush(pairs, ((-sum(lcm_tail), *lcm_tail), next(formed), i, j))
 
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            add_pair(i, j)
+            push(i, j)
     while pairs:
         _, _, i, j = heapq.heappop(pairs)
         # Buchberger's first criterion: coprime leading monomials.
@@ -150,7 +150,7 @@ def _basis(polys: list[Terms], cap: int) -> list[_Entry]:
                 return [_entry({entry[0]: 1})]
             basis.append(entry)
             for m in range(len(basis) - 1):
-                add_pair(m, len(basis) - 1)
+                push(m, len(basis) - 1)
     return basis
 
 

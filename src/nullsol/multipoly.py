@@ -1,11 +1,11 @@
 """Sparse multivariate polynomials over the Gaussian rationals.
 
-A polynomial is a map from exponent tuples to nonzero ``GaussianRational``
-coefficients, ``(re, im)`` pairs of ints or Fractions.  All polynomial
-arithmetic lives here and works on the unpacked parts; results are built
-by the trusted :meth:`MultiPoly.from_clean`.  The tuple length is
-``nvars``; for a PDE symbol in d spatial variables the convention
-throughout the package is
+A polynomial is a map from exponent tuples to nonzero coefficients in
+Q(i), each a plain ``(re, im)`` tuple of ints or Fractions.  All polynomial
+arithmetic lives here and works on those parts; results are built by the
+trusted :meth:`MultiPoly.from_clean`, and :func:`format_coeff` prints a
+coefficient.  The tuple length is ``nvars``; for a PDE symbol in d spatial
+variables the convention throughout the package is
 
     slots 0 .. d-1   ->  X1 .. Xd   (spatial)
     slot  nvars - 1  ->  T          (time, always last)
@@ -13,6 +13,8 @@ throughout the package is
 Polynomials produced by :func:`MultiPoly.coefficients_in_T` live in one
 variable fewer (the spatial slots only).  Representation is canonical: no
 zero coefficients are stored, so structural equality is semantic equality.
+No floating point is involved anywhere on a symbolic path: equality with
+zero is a logical claim, not a tolerance check.
 """
 
 from __future__ import annotations
@@ -22,12 +24,10 @@ from math import prod
 from operator import add
 from typing import Mapping, Sequence
 
-from .gaussian import ZERO, GaussianRational, pair
-
 # Degree of the zero polynomial.  Compares below every integer.
 NEG_INF = float("-inf")
 
-_ONE = pair((1, 0))
+_ONE = (1, 0)
 
 
 def grlex_key(exps: tuple[int, ...]):
@@ -35,10 +35,24 @@ def grlex_key(exps: tuple[int, ...]):
     return (sum(exps), exps)
 
 
-def _coerce_coeff(c) -> GaussianRational:
-    if isinstance(c, GaussianRational):
-        return c
-    return GaussianRational(c)
+def format_coeff(c: tuple) -> str:
+    """Text of the coefficient ``(re, im)``: ``re``, ``im*i`` or ``re+im*i``."""
+    re, im = c
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}*i"
+    sign = "+" if im > 0 else "-"
+    return f"{re}{sign}{abs(im)}*i"
+
+
+def _coeff(c) -> tuple:
+    """An ``(re, im)`` pair with its parts as given; a number as Fractions."""
+    if isinstance(c, tuple):
+        if len(c) != 2:
+            raise ValueError(f"coefficient {c!r} is not an (re, im) pair")
+        return c[0], c[1]
+    return Fraction(c), Fraction(0)
 
 
 class MultiPoly:
@@ -49,15 +63,15 @@ class MultiPoly:
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], object] | None = None):
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
-        clean: dict[tuple[int, ...], GaussianRational] = {}
+        clean: dict[tuple[int, ...], tuple] = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} has length != {nvars}")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            c = _coerce_coeff(coeff)
-            if not c.is_zero():
+            c = _coeff(coeff)
+            if c[0] or c[1]:
                 clean[exps] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
@@ -81,8 +95,8 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, nvars: int, value) -> "MultiPoly":
-        c = _coerce_coeff(value)
-        return cls.from_clean(nvars, {} if c.is_zero() else {(0,) * nvars: c})
+        c = _coeff(value)
+        return cls.from_clean(nvars, {(0,) * nvars: c} if c[0] or c[1] else {})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
@@ -113,7 +127,7 @@ class MultiPoly:
         """Real parts as ints or Fractions; raises if any coefficient is non-real."""
         bad = next((c for c in self.terms.values() if c[1]), None)
         if bad is not None:
-            raise ValueError(f"non-real coefficient {bad} in real_terms()")
+            raise ValueError(f"non-real coefficient {format_coeff(bad)} in real_terms()")
         return {exps: re for exps, (re, _) in self.terms.items()}
 
     # -- ring operations -------------------------------------------------
@@ -121,14 +135,14 @@ class MultiPoly:
     @classmethod
     def sum_of(cls, nvars: int, polys) -> "MultiPoly":
         """The sum of ``polys``, collected in one dict."""
-        out: dict[tuple[int, ...], GaussianRational] = {}
+        out: dict[tuple[int, ...], tuple] = {}
         for p in polys:
             if p.nvars != nvars:
                 raise ValueError(f"variable-count mismatch: {nvars} != {p.nvars}")
             for e, c in p.terms.items():
                 prev = out.get(e)
                 if prev is not None:
-                    c = pair((prev[0] + c[0], prev[1] + c[1]))
+                    c = (prev[0] + c[0], prev[1] + c[1])
                     if not (c[0] or c[1]):
                         del out[e]
                         continue
@@ -144,8 +158,7 @@ class MultiPoly:
         return self + -other if isinstance(other, MultiPoly) else NotImplemented
 
     def __neg__(self):
-        return MultiPoly.from_clean(self.nvars, {e: pair((-c[0], -c[1]))
-                                                 for e, c in self.terms.items()})
+        return MultiPoly.from_clean(self.nvars, {e: (-c[0], -c[1]) for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
@@ -168,15 +181,14 @@ class MultiPoly:
                     re, im = ar * br, 0
                 prev = out.get(e)
                 out[e] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
-        return MultiPoly.from_clean(self.nvars, {e: pair(c) for e, c in out.items()
-                                                 if c[0] or c[1]})
+        return MultiPoly.from_clean(self.nvars, {e: c for e, c in out.items() if c[0] or c[1]})
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
         if len(self.terms) == 1 and not next(iter(self.terms.values()))[1]:
             (e, (re, _)), = self.terms.items()
-            return MultiPoly.from_clean(self.nvars, {tuple(x * n for x in e): pair((re ** n, 0))})
+            return MultiPoly.from_clean(self.nvars, {tuple(x * n for x in e): (re ** n, 0)})
         # Left-to-right binary powering never forms a power above n.
         result = MultiPoly.from_clean(self.nvars, {(0,) * self.nvars: _ONE})
         for bit in f"{n:b}":
@@ -197,29 +209,13 @@ class MultiPoly:
             re, im = re + cr * m, im + ci * m
         return re, im
 
-    def evaluate(self, point: Sequence):
-        """Exact evaluation at a point of ring elements.
-
-        Point entries may be GaussianRational, int or Fraction.
-        """
-        if len(point) != self.nvars:
-            raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
-        pt = [GaussianRational(v) if isinstance(v, (int, Fraction)) else v for v in point]
-        acc = ZERO
-        for exps, c in self.terms.items():
-            for v, e in zip(pt, exps):
-                if e:
-                    c = c * v ** e
-            acc = acc + c
-        return acc
-
     def evaluate_complex(self, point: Sequence[complex]) -> complex:
         """Floating-point evaluation; sanity layer only, never a certificate."""
         if len(point) != self.nvars:
             raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
         acc = 0j
         for exps, c in self.terms.items():
-            term = complex(c)
+            term = complex(*c)
             for v, e in zip(point, exps):
                 if e:
                     term *= complex(v) ** e
@@ -240,7 +236,7 @@ class MultiPoly:
         if self.nvars == 0:
             return [self]
         n = max(e[-1] for e in self.terms)
-        coeffs: list[dict[tuple[int, ...], GaussianRational]] = [{} for _ in range(n + 1)]
+        coeffs: list[dict[tuple[int, ...], tuple]] = [{} for _ in range(n + 1)]
         for exps, c in self.terms.items():
             coeffs[exps[-1]][exps[:-1]] = c
         return [MultiPoly.from_clean(self.nvars - 1, d) for d in coeffs]
@@ -256,6 +252,6 @@ class MultiPoly:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self):
-        items = ", ".join(f"{e}: {c}" for e, c in self.sorted_terms())
+        items = ", ".join(f"{e}: {format_coeff(c)}" for e, c in self.sorted_terms())
         return f"MultiPoly({self.nvars}, {{{items}}})"
 

@@ -23,8 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .gaussian import GaussianRational, pair
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, format_coeff
 
 
 class ParseErrorKind(Enum):
@@ -284,7 +283,7 @@ class _Parser:
         if t.kind == "PI":
             return MultiPoly.variable(self.nvars, self.pi_slot)
         if t.kind == "i":
-            return MultiPoly.constant(self.nvars, pair((0, 1)))
+            return MultiPoly.constant(self.nvars, (0, 1))
         if t.kind == "int":
             num = t.value
             nxt = self.peek()
@@ -295,7 +294,7 @@ class _Parser:
                     raise ParseError(den.pos, ParseErrorKind.UNEXPECTED_TOKEN,
                                      "expected nonzero integer denominator")
                 num = Fraction(num, den.value)
-            return MultiPoly.constant(self.nvars, pair((num, 0)))
+            return MultiPoly.constant(self.nvars, (num, 0))
         if t.kind == "op" and t.value == "(":
             inner = self.parse_expr()
             self.expect_op(")")
@@ -347,8 +346,8 @@ def default_names(nvars: int, t_last: bool = True, pi_slot: int | None = None) -
     return names
 
 
-def _coeff_str(c: GaussianRational) -> str:
-    return f"({c})" if c.re and c.im else str(c)
+def _coeff_str(c: tuple) -> str:
+    return f"({format_coeff(c)})" if c[0] and c[1] else format_coeff(c)
 
 
 def print_canonical(p: MultiPoly, names: list[str] | None = None) -> str:
@@ -365,9 +364,9 @@ def print_canonical(p: MultiPoly, names: list[str] | None = None) -> str:
         )
         if not mono:
             s = _coeff_str(c)
-        elif c == 1:
+        elif c == (1, 0):
             s = mono
-        elif c == -1:
+        elif c == (-1, 0):
             s = f"-{mono}"
         else:
             s = f"{_coeff_str(c)}*{mono}"

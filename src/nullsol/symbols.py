@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .gaussian import GaussianRational, pair
 from .multipoly import NEG_INF, MultiPoly
 
 # (re, im) * i^k, indexed by k mod 4.
@@ -94,13 +93,13 @@ def x_content(p: MultiPoly) -> ContentGenerators:
 
 def _real_imag_parts(a: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     """(real part, imaginary part) of a Q(i) polynomial, coefficientwise."""
-    return tuple(MultiPoly.from_clean(a.nvars, {e: pair((c[k], 0)) for e, c in a.terms.items()
+    return tuple(MultiPoly.from_clean(a.nvars, {e: (c[k], 0) for e, c in a.terms.items()
                                                 if c[k]}) for k in (0, 1))
 
 
 def at_i_xi(a: MultiPoly) -> MultiPoly:
     """a(i*xi) as a Q(i) polynomial in xi: each term c * X^e picks up i^|e|."""
-    return MultiPoly.from_clean(a.nvars, {e: pair(_I_POWER[sum(e) & 3](*c))
+    return MultiPoly.from_clean(a.nvars, {e: _I_POWER[sum(e) & 3](*c)
                                           for e, c in a.terms.items()})
 
 
@@ -137,12 +136,12 @@ def pi_grades(a: MultiPoly) -> list[MultiPoly]:
     transcendental, a vanishes at that frequency iff every P_g(v) = 0.
     """
     dim = a.nvars - 1
-    grades: list[dict[tuple[int, ...], GaussianRational]] = [
+    grades: list[dict[tuple[int, ...], tuple]] = [
         {} for _ in range(max(map(sum, a.terms), default=-1) + 1)]
     for exps, c in a.terms.items():
         k = sum(exps[:dim])
         re, im = _I_POWER[k & 3](*c)
-        grades[sum(exps)][exps[:dim]] = pair((re * 2 ** k, im * 2 ** k))
+        grades[sum(exps)][exps[:dim]] = (re * 2 ** k, im * 2 ** k)
     return [MultiPoly.from_clean(dim, terms) for terms in grades]
 
 

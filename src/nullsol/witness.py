@@ -18,17 +18,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .gaussian import ZERO, pair
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, format_coeff
 from .symbols import at_i_xi, pi_grades
 
 
 class CertificateFailure(Exception):
     """A supposed frequency does not annihilate every T-coefficient."""
 
-    def __init__(self, order: int, value):
+    def __init__(self, order: int, value: tuple):
         super().__init__(f"coefficient a_{order} does not vanish at the frequency "
-                         f"({value} != 0)")
+                         f"({format_coeff(value)} != 0)")
         self.order = order
         self.value = value
 
@@ -100,10 +99,10 @@ class Witness:
             for q in pi_grades(a) if self.pi_factor else (at_i_xi(a),):
                 re, im = q.evaluate_real(freq)
                 if re or im:
-                    raise CertificateFailure(j, pair((re, im)))
+                    raise CertificateFailure(j, (re, im))
         object.__setattr__(self, "frequency", freq)
         object.__setattr__(self, "coeff_polys", polys)
-        object.__setattr__(self, "certificate", (ZERO,) * len(polys))
+        object.__setattr__(self, "certificate", ((0, 0),) * len(polys))
         object.__setattr__(self, "theta", tuple(theta_derivatives(len(polys) - 1)))
         object.__setattr__(self, "kind", "PeriodicExponentialTheta" if self.pi_factor else
                            "ConstantTensorTheta" if not any(freq) else "ExponentialTensorTheta")

@@ -5,16 +5,129 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from nullsol.classifier import LatticeSpec
-from nullsol.gaussian import GaussianRational
 from nullsol.intervals import clear, dyadic, enclose, scale
 from nullsol.multipoly import MultiPoly
 from nullsol.parser import ParseError, ParseErrorKind
 from nullsol.symbols import RealPolySystem
+
+
+# -- Q(i) reference ----------------------------------------------------------
+# Ring arithmetic on Gaussian rationals, independent of the polynomial code:
+# ``MultiPoly`` stores coefficients as plain (re, im) tuples and multiplies
+# them inline, and these methods are what that arithmetic is tested against.
+
+_COERCIBLE = (int, Fraction)
+
+
+def _coerce(other):
+    if isinstance(other, GaussianRational):
+        return other
+    return GaussianRational(other) if isinstance(other, _COERCIBLE) else None
+
+
+class GaussianRational(namedtuple("_Pair", "re im")):
+    """An element of Q(i) as the pair (re, im) of ints or Fractions."""
+
+    __slots__ = ()
+
+    def __new__(cls, re=0, im=0):
+        return tuple.__new__(cls, (Fraction(re), Fraction(im)))
+
+    # -- predicates ------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not (self[0] or self[1])
+
+    # -- arithmetic ------------------------------------------------------
+
+    def __add__(self, other):
+        o = _coerce(other)
+        return NotImplemented if o is None else GaussianRational(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = _coerce(other)
+        return NotImplemented if o is None else GaussianRational(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        o = _coerce(other)
+        return NotImplemented if o is None else o - self
+
+    def __neg__(self):
+        return GaussianRational(-self.re, -self.im)
+
+    def __mul__(self, other):
+        o = _coerce(other)
+        return NotImplemented if o is None else GaussianRational(
+            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power of a Gaussian rational")
+        result = ONE
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    # -- comparisons / conversions --------------------------------------
+
+    def __eq__(self, other):
+        if isinstance(other, GaussianRational):
+            return tuple.__eq__(self, other)
+        if isinstance(other, _COERCIBLE):
+            return self[0] == other and not self[1]
+        return NotImplemented
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+    def __repr__(self):
+        return f"GaussianRational({Fraction(self.re)!r}, {Fraction(self.im)!r})"
+
+
+# The trusted constructor: wraps an (re, im) pair of ints/Fractions as is.
+pair = partial(tuple.__new__, GaussianRational)
+
+ZERO = GaussianRational(0)
+ONE = GaussianRational(1)
+I = GaussianRational(0, 1)
+
+
+def evaluate(p: MultiPoly, point) -> GaussianRational:
+    """Exact value of ``p`` by GaussianRational arithmetic alone.
+
+    Point entries may be GaussianRational, int or Fraction.
+    """
+    if len(point) != p.nvars:
+        raise ValueError(f"point has length {len(point)}, expected {p.nvars}")
+    pt = [GaussianRational(v) if isinstance(v, (int, Fraction)) else v for v in point]
+    acc = ZERO
+    for exps, c in p.terms.items():
+        c = pair(c)
+        for v, e in zip(pt, exps):
+            if e:
+                c = c * v ** e
+        acc = acc + c
+    return acc
 
 
 def random_rational(rng: random.Random, height: int = 8) -> Fraction:
@@ -123,7 +236,7 @@ def substitute_value(terms: dict[tuple[int, ...], Fraction], index: int,
 def _poly_on_grid(poly: MultiPoly, grids: list[np.ndarray]) -> np.ndarray:
     acc = np.zeros_like(grids[0]) if grids else np.zeros(())
     for exps, coeff in poly.terms.items():
-        term = float(coeff.re) * np.ones_like(acc)
+        term = float(coeff[0]) * np.ones_like(acc)
         for g, e in zip(grids, exps):
             if e:
                 term = term * g ** e
@@ -142,7 +255,7 @@ def grid_min_sum_squares(system: RealPolySystem, lo: float, hi: float,
     axis = np.arange(lo, hi + step / 2, step)
     d = system.dimension
     if d == 0:
-        return sum(float(c.re) ** 2 for p in system.polys for c in p.terms.values())
+        return sum(float(c[0]) ** 2 for p in system.polys for c in p.terms.values())
     best = np.inf
     chunk = max(1, int(4e6 // max(1, len(axis) ** (d - 1))))
     for start in range(0, len(axis), chunk):
@@ -163,7 +276,7 @@ def grid_min_sum_squares(system: RealPolySystem, lo: float, hi: float,
 
 def exact_common_zero(system: RealPolySystem, point) -> bool:
     pt = [Fraction(x) for x in point]
-    return all(p.evaluate(pt).is_zero() for p in system.polys)
+    return all(evaluate(p, pt).is_zero() for p in system.polys)
 
 
 # -- lattice references ----------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from nullsol.intervals import clear, cube, dyadic, enclose, midpoint, scale, split
 
-from helpers import fraction_enclose, integer_terms, random_multipoly, rational_enclose
+from helpers import evaluate, fraction_enclose, integer_terms, random_multipoly, rational_enclose
 
 ONE = Fraction(1)
 
@@ -78,7 +78,7 @@ def test_enclosure_property_random():
         t1 = Fraction(rng.randint(0, 16), 16)
         t2 = Fraction(rng.randint(0, 16), 16)
         pt = (lo1 + (hi1 - lo1) * t1, lo2 + (hi2 - lo2) * t2)
-        val = p.evaluate([pt[0], pt[1]]).re
+        val = evaluate(p, [pt[0], pt[1]]).re
         lo, hi = rational_enclose(terms, box)
         assert lo <= val <= hi
 

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from nullsol.gaussian import GaussianRational
 from nullsol.multipoly import MultiPoly
 from nullsol.parser import (
     MAX_COEFF_BITS,
@@ -19,7 +18,7 @@ from nullsol.parser import (
     print_canonical,
 )
 
-from helpers import random_multipoly, random_point, reference_tokenize
+from helpers import GaussianRational, evaluate, random_multipoly, random_point, reference_tokenize
 
 
 def test_diffusion():
@@ -390,4 +389,4 @@ def test_parse_matches_ring_arithmetic_on_random_trees():
         p, _ = parse(text, dim=dim)
         for _ in range(3):
             point = random_point(rng, dim + 1, height=5)
-            assert p.evaluate(point) == _evaluate_tree(tree, point), text
+            assert evaluate(p, point) == _evaluate_tree(tree, point), text
