@@ -21,7 +21,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .classifier import (
@@ -34,7 +33,7 @@ from .classifier import (
 )
 from .config import DEFAULT_CONFIG, SolverConfig
 from .multipoly import MultiPoly, format_coeff
-from .parser import ParseError, default_names, parse, print_canonical
+from .parser import ParseError, default_names, parse, parse_rational, print_canonical
 from .symbols import x_content
 from .variety import EmptinessVerdict
 from .witness import CertificateFailure, Witness, build_witness, verify_residual
@@ -98,6 +97,10 @@ def _serialize_verdict(space_name: str, v: Verdict) -> dict:
     return out
 
 
+def _residual_text(value: float | None) -> str:
+    return "n/a" if value is None else f"{value:.3e}"
+
+
 def _emit(report: dict, args) -> None:
     if args.output == "json":
         print(json.dumps(report, indent=2))
@@ -111,7 +114,7 @@ def _emit(report: dict, args) -> None:
         if w:
             scale = "" if w["frequency_scale"] == "1" else "2*pi * "
             print(f"    witness {w['kind']}: frequency {scale}({', '.join(w['frequency'])}), "
-                  f"residual max {w['sampled_residual_max']:.3e}")
+                  f"residual max {_residual_text(w['sampled_residual_max'])}")
     for line in report.get("lines", []):
         print(line)
 
@@ -122,7 +125,7 @@ def _config_from_args(args) -> SolverConfig:
              for name in ("max_depth", "lattice_radius", "groebner_cap")
              if hasattr(args, name)}
     if hasattr(args, "box_halfwidth"):
-        given["default_box_halfwidth"] = Fraction(args.box_halfwidth)
+        given["default_box_halfwidth"] = parse_rational(args.box_halfwidth)
     return dataclasses.replace(DEFAULT_CONFIG, **given)
 
 
@@ -171,7 +174,7 @@ def _parse_lattice(text: str) -> LatticeSpec:
     rows = []
     for row in text.split(";"):
         entries = [e for chunk in row.split(",") for e in chunk.split()]
-        rows.append([Fraction(e) for e in entries])
+        rows.append([parse_rational(e) for e in entries])
     return LatticeSpec.from_rows(rows)
 
 
@@ -219,7 +222,7 @@ def cmd_witness(args, text: str, config: SolverConfig) -> int:
             sys.stderr.write("error: supply --freq or --auto\n")
             return EXIT_INPUT_ERROR
         try:
-            freq = [Fraction(x) for x in args.freq.split(",")]
+            freq = [parse_rational(x) for x in args.freq.split(",")]
         except (ValueError, ZeroDivisionError):
             sys.stderr.write("error: --freq must be comma-separated rationals\n")
             return EXIT_INPUT_ERROR
@@ -233,8 +236,8 @@ def cmd_witness(args, text: str, config: SolverConfig) -> int:
             return EXIT_INPUT_ERROR
     report = _base_report(p, d, default_names(p.nvars))
     report["witness"] = _serialize_witness(witness)
-    report["lines"] = [
-        f"  certificate OK, residual max {report['witness']['sampled_residual_max']:.3e}"]
+    residual = _residual_text(report["witness"]["sampled_residual_max"])
+    report["lines"] = [f"  certificate OK, residual max {residual}"]
     _emit(report, args)
     return EXIT_OK
 

@@ -27,8 +27,6 @@ from typing import Mapping, Sequence
 # Degree of the zero polynomial.  Compares below every integer.
 NEG_INF = float("-inf")
 
-_ONE = (1, 0)
-
 
 def grlex_key(exps: tuple[int, ...]):
     """Graded-lexicographic sort key (total degree first, then lex)."""
@@ -104,7 +102,7 @@ class MultiPoly:
             raise ValueError(f"variable index {index} out of range for nvars={nvars}")
         exps = [0] * nvars
         exps[index] = 1
-        return cls.from_clean(nvars, {tuple(exps): _ONE})
+        return cls.from_clean(nvars, {tuple(exps): (1, 0)})
 
     # -- basic queries ---------------------------------------------------
 
@@ -190,7 +188,7 @@ class MultiPoly:
             (e, (re, _)), = self.terms.items()
             return MultiPoly.from_clean(self.nvars, {tuple(x * n for x in e): (re ** n, 0)})
         # Left-to-right binary powering never forms a power above n.
-        result = MultiPoly.from_clean(self.nvars, {(0,) * self.nvars: _ONE})
+        result = MultiPoly.from_clean(self.nvars, {(0,) * self.nvars: (1, 0)})
         for bit in f"{n:b}":
             result = result * result
             if bit == "1":

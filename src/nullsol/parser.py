@@ -69,6 +69,9 @@ _MAX_DIGITS = int(MAX_COEFF_BITS / math.log2(10))
 _TOKEN = re.compile(r"(?P<space>\s+)|(?P<op>[-+*/^()])|(?P<int>\d+)|X(?P<X>\d+)"
                     r"|(?P<word>[^\W\d_]+)|(?P<other>.)")
 
+# A flag's number: ``rational`` with an optional sign, blanks around it.
+_RATIONAL = re.compile(r"\s*-?(\d+)(?:/(\d+))?\s*")
+
 _WORD_ERRORS = {"PI": "PI is only admitted in lattice-periodic mode",
                 "X": "X must be followed by a 1-based index"}
 
@@ -303,6 +306,21 @@ class _Parser:
             return -self.parse_factor()
         raise ParseError(t.pos, ParseErrorKind.UNEXPECTED_TOKEN,
                          f"unexpected token at start of operand")
+
+
+def parse_rational(text: str) -> Fraction:
+    """A number given in a flag: the grammar's ``rational`` with an optional '-'.
+
+    Raises ValueError on any other text (decimals and exponents included) or
+    on a literal of more than _MAX_DIGITS digits, and ZeroDivisionError on a
+    zero denominator.
+    """
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    if any(len(part) > _MAX_DIGITS for part in m.groups(default="")):
+        raise ValueError(f"literal may exceed the limit of {MAX_COEFF_BITS} bits")
+    return Fraction(text)
 
 
 def parse(text: str, dim: int | None = None, allow_pi: bool = False) -> tuple[MultiPoly, int]:

@@ -22,12 +22,21 @@ from .multipoly import MultiPoly, format_coeff
 from .symbols import at_i_xi, pi_grades
 
 
+def _value_text(value: tuple) -> str:
+    """format_coeff(value), or its size where str() refuses that many digits."""
+    try:
+        return format_coeff(value)
+    except ValueError:
+        bits = max(max(abs(x.numerator), x.denominator).bit_length() for x in value)
+        return f"a {bits}-bit value"
+
+
 class CertificateFailure(Exception):
     """A supposed frequency does not annihilate every T-coefficient."""
 
     def __init__(self, order: int, value: tuple):
         super().__init__(f"coefficient a_{order} does not vanish at the frequency "
-                         f"({format_coeff(value)} != 0)")
+                         f"({_value_text(value)} != 0)")
         self.order = order
         self.value = value
 
@@ -131,7 +140,7 @@ def build_periodic_witness(p: MultiPoly, v0: Sequence[Fraction]) -> Witness:
 @dataclass(frozen=True)
 class ResidualReport:
     exact_certificate_ok: bool
-    max_numeric_residual: float
+    max_numeric_residual: float | None
     past_ok: bool
     grid_points: int
 
@@ -142,20 +151,25 @@ def verify_residual(w: Witness,
 
     Each grid entry is (x, t) with t != 0.  It evaluates
     |sum_j a_j(i*xi0) * Theta^(j)(t) * exp(i<x, xi0>)| with the a_j values
-    recomputed in floating point, so only rounding noise remains.  The
-    exact check was done when ``w`` was constructed; ``exact_certificate_ok``
-    reports it.
+    recomputed in floating point, so only rounding noise remains.  Where a
+    coefficient or frequency is beyond float range the sweep overflows and
+    ``max_numeric_residual`` is None.  The exact check was done when ``w``
+    was constructed; ``exact_certificate_ok`` reports it.
     """
-    freq = [(2 * math.pi if w.pi_factor else 1.0) * float(v) for v in w.frequency]
-    cpoint = [1j * f for f in freq] + [complex(math.pi)] * w.pi_factor
-    coeff_vals = [a.evaluate_complex(cpoint) for a in w.coeff_polys]
-    max_res = 0.0
-    for x, t in sample_grid:
-        if t == 0:
-            raise ValueError("grid points must have t != 0")
-        phase = cmath.exp(1j * sum(xi * fi for xi, fi in zip(x, freq)))
-        val = sum(c * th.theta_value(t) for c, th in zip(coeff_vals, w.theta))
-        max_res = max(max_res, abs(val * phase))
+    if any(t == 0 for _, t in sample_grid):
+        raise ValueError("grid points must have t != 0")
+    try:
+        freq = [(2 * math.pi if w.pi_factor else 1.0) * float(v) for v in w.frequency]
+        cpoint = [1j * f for f in freq] + [complex(math.pi)] * w.pi_factor
+        coeff_vals = [a.evaluate_complex(cpoint) for a in w.coeff_polys]
+        residuals = [0.0]
+        for x, t in sample_grid:
+            phase = cmath.exp(1j * sum(xi * fi for xi, fi in zip(x, freq)))
+            val = sum(c * th.theta_value(t) for c, th in zip(coeff_vals, w.theta))
+            residuals.append(abs(val * phase))
+    except (OverflowError, ValueError):  # ValueError: cmath.exp of an infinite argument
+        residuals = [math.nan]
+    max_res = max(residuals) if all(map(math.isfinite, residuals)) else None
     # Theta and all derivatives vanish identically for t < 0 by construction.
     past_ok = all(th.theta_value(-1.0) == 0.0 for th in w.theta)
     return ResidualReport(exact_certificate_ok=True, max_numeric_residual=max_res,

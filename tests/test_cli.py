@@ -118,7 +118,14 @@ def test_zero_denominator_box_halfwidth_is_an_input_error(capsys):
     (("witness", "X1*T", "--freq", "1/0"), "--freq"),
     # --max-depth 0 is admitted, so the bound is nonnegative
     (("classify", "X1*T", "--max-depth", "-1"), "max_depth must be nonnegative"),
-], ids=["classify-dim", "content-dim", "witness-freq", "max-depth"])
+    # numbers in flags follow the grammar's rational: no exponent or decimal form
+    (("periodic", "X1*T", "--lattice", "1e1000000"), "invalid lattice"),
+    (("classify", "X1*T", "--space", "tempered", "--box-halfwidth", "1e30000000"),
+     "'1e30000000'"),
+    (("witness", "T-X1^2", "--freq", "1e30000000"), "--freq"),
+    (("periodic", "X1*T", "--lattice", "1.5"), "invalid lattice"),
+], ids=["classify-dim", "content-dim", "witness-freq", "max-depth",
+        "lattice-exponent", "box-halfwidth-exponent", "freq-exponent", "lattice-decimal"])
 def test_input_error_names_the_flag(capsys, argv, named):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_INPUT_ERROR
@@ -134,11 +141,17 @@ def test_input_error_names_the_flag(capsys, argv, named):
     (("classify", "X1*T", "--dim", "33"), None),
     (("periodic", "X1*T", "--lattice", ";".join(",".join(str(int(i == j)) for j in range(33))
                                                 for i in range(33))), None),
-], ids=["literal", "product", "sum", "variable", "dim", "lattice"])
+    # a flag's literal is held to the parser's digit limit
+    (("periodic", "X1^2*T+4*PI^2*T", "--lattice", "9" * 4300, "--output", "json"), None),
+    # a failed certificate whose value has too many digits to print
+    (("witness", "T-X1^2", "--freq", "1/" + "7" * 2200), None),
+], ids=["literal", "product", "sum", "variable", "dim", "lattice",
+        "lattice-literal", "certificate-value"])
 def test_input_limits_exit_1(capsys, argv, caret):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_INPUT_ERROR and out == ""
     assert err.startswith("error:")
+    assert "set_int_max_str_digits" not in err  # no digit-limit error from str()
     if caret is not None:
         assert err.splitlines()[-1] == "  " + " " * caret + "^"
 
@@ -183,6 +196,25 @@ def test_witness_command(capsys):
     report = json.loads(out)
     assert report["witness"]["exact_certificate_ok"] is True
     assert report["witness"]["sampled_residual_max"] < 1e-12
+    # beyond float range the residual sweep reads null / n/a, and the
+    # certified verdicts stand
+    big_freq = "9" * 400 + ",0"
+    code, out, _ = run(capsys, "witness", "X2*T", "--freq", big_freq,
+                       "--output", "json", "--no-timing")
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["witness"]["exact_certificate_ok"] is True
+    assert report["witness"]["sampled_residual_max"] is None
+    assert "NaN" not in out
+    code, out, _ = run(capsys, "witness", "X2*T", "--freq", big_freq, "--no-timing")
+    assert code == EXIT_OK and "certificate OK, residual max n/a" in out
+    code, out, _ = run(capsys, "classify", "2^2000*X1*T", "--output", "json", "--no-timing")
+    assert code == EXIT_OK
+    verdicts = json.loads(out)["verdicts"]
+    assert len(verdicts) == 9
+    assert [v["witness"]["sampled_residual_max"] for v in verdicts if "witness" in v] == [None]
+    code, out, _ = run(capsys, "periodic", "2^2000*X1*T", "--lattice", "1", "--no-timing")
+    assert code == EXIT_OK and out.rstrip().endswith("residual max n/a")
 
 
 def test_witness_rejects_non_annihilating_freq(capsys):

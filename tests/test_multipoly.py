@@ -58,6 +58,17 @@ def test_variable_count_mismatch():
         P(1, {(-1,): 1})
 
 
+def test_pair_coefficients():
+    # an (re, im) pair is stored with its parts as given; a number as Fractions
+    p = MultiPoly(1, {(0,): (1, 2), (1,): 3})
+    assert p.terms == {(0,): (1, 2), (1,): (3, 0)}
+    assert [type(x) for x in p.terms[(0,)]] == [int, int]
+    assert [type(x) for x in p.terms[(1,)]] == [Fraction, Fraction]
+    assert MultiPoly(1, {(0,): (0, 0)}).is_zero()
+    with pytest.raises(ValueError):
+        MultiPoly(1, {(0,): (1, 2, 3)})
+
+
 def test_evaluate_examples():
     p = P(2, {(2, 0): 1, (0, 1): -1})  # X1^2 - T
     assert evaluate(p, [Fraction(3), Fraction(9)]).is_zero()
