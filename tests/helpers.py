@@ -97,9 +97,6 @@ class GaussianRational(namedtuple("_Pair", "re im")):
 
     __hash__ = tuple.__hash__
 
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
     def __repr__(self):
         return f"GaussianRational({Fraction(self.re)!r}, {Fraction(self.im)!r})"
 
