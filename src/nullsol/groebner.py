@@ -154,15 +154,29 @@ def _basis(polys: list[Terms], cap: int) -> list[_Entry]:
     return basis
 
 
-def unit_ideal_test(polys: list[Terms], cap: int = DEFAULT_CONFIG.groebner_cap) -> bool | None:
-    """True/False for a decided unit-ideal question; None if cap exceeded."""
+def unit_ideal_test(polys: list[Terms], cap: int = DEFAULT_CONFIG.groebner_cap,
+                    members: list[Terms] | None = None) -> bool | None:
+    """True/False for a decided unit-ideal question; None if cap exceeded.
+
+    With a list for ``members``, a decided False also appends to it, as
+    primitive integer term dicts, the basis elements beyond the generators
+    whose leading monomial has degree 1: affine polynomials of the ideal,
+    as grevlex orders by degree first.  It appends none when every
+    generator is affine, as each such member is then a combination of them.
+    """
     nonzero = [p for p in polys if p]
-    if not nonzero:
-        return False
     if any(all(sum(e) == 0 for e in p) for p in nonzero):
         return True
+    if len(nonzero) < 2:
+        # no pair to reduce: a nonconstant generator is its own basis
+        return False
     try:
         basis = _basis(nonzero, cap)
     except GroebnerCapExceeded:
         return None
-    return any(not lead[0] for lead, _, _, _ in basis)
+    if any(not lead[0] for lead, _, _, _ in basis):
+        return True
+    if members is not None and any(lead[0] > 1 for lead, _, _, _ in basis[:len(nonzero)]):
+        members.extend({tuple(-x for x in reversed(m[1:])): c for m, c in p.items()}
+                       for lead, _, _, p in basis[len(nonzero):] if lead[0] == 1)
+    return False

@@ -1,14 +1,16 @@
 """Certified three-valued emptiness decision for real polynomial systems.
 
 Pipeline: unit-ideal shortcut (no common complex zero implies no common
-real zero), then an exact presolve (affine elimination, free variables,
-sign-definite generators; see :func:`_presolve`), then a boundedness
-reduction that confines all real zeros of the (reduced) system to an exact
-cube, then certified branch-and-bound subdivision with exact interval
-arithmetic on integers.  NONEMPTY always carries an exact rational common
-zero of the original system; EMPTY always carries a machine-checkable
-certificate; UNKNOWN is an honest inconclusive outcome, never silently
-coerced.
+real zero), then an exact presolve (affine elimination, with the affine
+members of the Groebner basis after the generators, free variables,
+sign-definite generators; see :func:`_presolve`), then in one variable a
+Sturm count of the distinct real zeros, which decides EMPTY when it is 0,
+then a boundedness reduction that confines all real zeros of the (reduced)
+system to an exact cube, then certified branch-and-bound subdivision with
+exact interval arithmetic on integers.  NONEMPTY always carries an exact
+rational common zero of the original system; EMPTY always carries a
+machine-checkable certificate; UNKNOWN is an honest inconclusive outcome,
+never silently coerced.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
+from operator import add, ne
 from typing import NamedTuple
 
 from .config import DEFAULT_CONFIG, SolverConfig
@@ -67,6 +69,14 @@ BOX_BUDGET = 100_000
 # Most term products, and most coefficient bits added, that one affine
 # substitution of the presolve may cost; past either it stops eliminating.
 _SUBSTITUTION_LIMIT = 10_000
+# Most work, n^2 * (b + log2 n) for a univariate generator with n
+# coefficients of up to b bits, that the Sturm count in d = 1 takes on;
+# past it the radius proof and subdivision run instead.  The count takes
+# under 0.1 s at the limit (dense, CPython 3.11, one core of a 2-CPU VM).
+# A gcd the certificate prints has no real root, so n >= 3 and b < 12,220;
+# its coefficients have at most b + n + 1 bits (Mignotte's bound on a
+# factor), well under the 4,300 digits Python prints of an int.
+_STURM_LIMIT = 110_000
 
 
 def _certify_positive_on_faces(top_terms: dict[tuple[int, ...], int],
@@ -314,7 +324,7 @@ def _eliminate(polys: list[dict], j: int, steps: list) -> bool:
     return True
 
 
-def _presolve(terms, dim: int) -> _Presolved | None:
+def _presolve(terms, dim: int, members=()) -> _Presolved | None:
     """Exact reductions before the radius proof; None if none applies.
 
     While some polynomial has degree 1, it is solved for its variable that
@@ -322,9 +332,11 @@ def _presolve(terms, dim: int) -> _Presolved | None:
     substituted into the others and dropped.  Every variable that occurs in
     no polynomial is projected out (a zero of the rest extends by 0), and a
     sign-definite polynomial, a nonzero constant among them, decides EMPTY.
-    A polynomial index is a position in ``terms``.
+    ``members`` are further polynomials of the ideal, placed after
+    ``terms``: they change no zero, and a polynomial index is a position in
+    ``terms`` followed by ``members``.
     """
-    polys, steps = list(terms), []
+    polys, steps = [*terms, *members], []
     while (j := next((j for j, p in enumerate(polys) if p and max(map(sum, p)) == 1),
                      None)) is not None and _eliminate(polys, j, steps):
         pass
@@ -340,9 +352,89 @@ def _presolve(terms, dim: int) -> _Presolved | None:
                       None if signed is None else {"kind": "SignDefinite", "poly": signed})
 
 
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """``|lc(b)|^(deg a - deg b + 1) * a`` modulo ``b``, for a nonzero ``b``.
+
+    A univariate polynomial is its list of integer coefficients, highest
+    degree first, with no leading zero; [] is the zero polynomial.  The
+    multiplier is positive, so the remainder has the sign of the true one.
+    """
+    r = list(a)
+    n = len(b)
+    scale, sign = abs(b[0]), 1 if b[0] > 0 else -1
+    for i in range(len(r) - n + 1):
+        c = sign * r[i]
+        if scale != 1:
+            r[i + 1:] = [scale * x for x in r[i + 1:]]
+        if c:
+            for j in range(1, n):
+                r[i + j] -= c * b[j]
+    r = r[max(len(r) - n + 1, 0):]
+    while r and not r[0]:
+        del r[0]
+    return r
+
+
+def _primitive(p: list[int]) -> list[int]:
+    """``p`` divided by the gcd of its coefficients (a positive number)."""
+    g = math.gcd(*p)
+    return p if g == 1 else [c // g for c in p]
+
+
+def _univariate_gcd(terms) -> list[int] | None:
+    """The primitive gcd over Z of univariate term dicts (zero ones
+    skipped), with a positive leading coefficient, by primitive
+    pseudo-remainder sequences; None with no nonzero one or past
+    _STURM_LIMIT."""
+    polys = [[p.get((k,), 0) for k in range(max(e for e, in p), -1, -1)] for p in terms if p]
+    work = (len(p) ** 2 * (len(p).bit_length() + max(map(abs, p)).bit_length())
+            for p in polys)
+    if max(work, default=_STURM_LIMIT + 1) > _STURM_LIMIT:
+        return None
+    g: list[int] = []
+    for p in polys:
+        while p:
+            g, p = p, _pseudo_remainder(g, p)
+            p = p and _primitive(p)
+        g = _primitive(g)
+    return g if g[0] > 0 else [-c for c in g]
+
+
+def _real_root_count(g: list[int]) -> int:
+    """Number of distinct real roots of a nonzero integer polynomial.
+
+    Sturm's theorem: ``g, g', -rem(g, g'), ...`` (each remainder a positive
+    multiple of the true one, made primitive) loses one sign change for
+    each distinct real root between -oo and +oo, where each sign is that of
+    a leading coefficient, times (-1)^degree at -oo.  A multiple root needs
+    no squarefree part first: the sequence then ends in gcd(g, g'), which
+    divides every term and so changes no sign count.
+    """
+    seq = [g]
+    nxt = [c * (len(g) - 1 - i) for i, c in enumerate(g[:-1])]
+    while nxt:
+        seq.append(_primitive(nxt))
+        nxt = [-c for c in _pseudo_remainder(seq[-2], seq[-1])]
+
+    def changes(signs: list[bool]) -> int:
+        return sum(map(ne, signs, signs[1:]))
+
+    return (changes([(p[0] > 0) != (len(p) % 2 == 0) for p in seq])
+            - changes([p[0] > 0 for p in seq]))
+
+
 def _search(sys: RealPolySystem | _Presolved, config: SolverConfig,
             diagnostics: dict) -> EmptinessVerdict:
-    """Boundedness radius, then subdivision of its cube (or the default cube)."""
+    """In d = 1 a Sturm count, which decides EMPTY when it is 0; then the
+    boundedness radius and subdivision of its cube (or the default cube).
+
+    The gcd has a positive leading coefficient, so an odd degree or a
+    constant term <= 0 shows a real zero without the count."""
+    if (sys.dimension == 1 and (g := _univariate_gcd(sys.terms)) is not None
+            and len(g) % 2 and g[-1] > 0 and not _real_root_count(g)):
+        diagnostics["pipeline"].append("sturm")
+        return EmptinessVerdict(EMPTY, certificate={"kind": "Sturm", "gcd": [str(c) for c in g]},
+                                diagnostics=diagnostics)
     radius = boundedness_radius(sys)
     diagnostics["pipeline"].append("boundedness")
     diagnostics["radius"] = None if radius is None else str(radius)
@@ -379,20 +471,24 @@ def decide_emptiness(sys: RealPolySystem,
 
     # A zero polynomial is passed through: the unit-ideal test drops it, and
     # the presolve keeps it out of the reduced system.  With no nonzero
-    # polynomial, every axis is free and the origin is a zero.
-    unit = unit_ideal_test(list(sys.terms), config.groebner_cap)
+    # polynomial, every axis is free and the origin is a zero.  The affine
+    # members of the Groebner basis go to the presolve after the system.
+    members: list = []
+    unit = unit_ideal_test(list(sys.terms), config.groebner_cap, members)
     diagnostics["pipeline"].append("groebner")
     diagnostics["groebner_unit"] = unit
     if unit:
         return EmptinessVerdict(EMPTY, certificate={"kind": "UnitIdeal"},
                                 diagnostics=diagnostics)
 
-    pre = _presolve(sys.terms, sys.dimension)
+    pre = _presolve(sys.terms, sys.dimension, members)
     if pre is None:
         return _search(sys, config, diagnostics)
     diagnostics["pipeline"].append("presolve")
     diagnostics["presolve"] = {"eliminated": [k for _, k, _, _ in pre.steps],
                                "free": pre.free}
+    if members:
+        diagnostics["presolve"]["ideal_members"] = len(members)
     if pre.certificate is not None:
         verdict = EmptinessVerdict(EMPTY, certificate=pre.certificate, diagnostics=diagnostics)
     elif not pre.terms:
@@ -415,6 +511,12 @@ def decide_emptiness(sys: RealPolySystem,
     if verdict.status == EMPTY and (pre.steps or pre.free):
         certificate = {"kind": "Presolve",
                        "eliminated": [{"poly": j, "axis": k} for j, k, _, _ in pre.steps],
-                       "free": pre.free, "reduced": verdict.certificate}
+                       "free": pre.free}
+        if members:
+            # each as its x_1, ..., x_d coefficients, then its constant term
+            exps = [tuple(int(i == k) for i in range(sys.dimension))
+                    for k in range(sys.dimension)] + [(0,) * sys.dimension]
+            certificate["ideal_members"] = [[str(m.get(e, 0)) for e in exps] for m in members]
+        certificate["reduced"] = verdict.certificate
         return dataclasses.replace(verdict, certificate=certificate)
     return verdict

@@ -57,6 +57,22 @@ def test_unit_ideal_examples():
     assert unit_ideal_test([_terms("1 - X1^2 - X2^2", 2)]) is False
 
 
+def test_affine_members():
+    # two circles: the S-polynomial is their difference, an affine member
+    members = []
+    circles = [_terms("X1^2 + X2^2 - 1", 2), _terms("X1^2 - 4*X1 + X2^2 + 2*X2 + 4", 2)]
+    assert unit_ideal_test(circles, members=members) is False
+    assert members == [{(1, 0): 4, (0, 1): -2, (0, 0): -5}]
+    # all generators affine: the member X2 - 1 of the basis is not passed on
+    lines = [_terms("X1 - X2", 2), _terms("X1 + X2 - 2", 2)]
+    assert len(_basis(lines, 10)) == 3
+    assert unit_ideal_test(lines, members=members) is False
+    # a unit ideal, or the cap hit, leaves the list as it is
+    assert unit_ideal_test([*circles, _terms("X1^2 + X2^2 - 2", 2)], members=members) is True
+    assert unit_ideal_test(circles, cap=0, members=members) is None
+    assert members == [{(1, 0): 4, (0, 1): -2, (0, 0): -5}]
+
+
 def test_unit_ideal_inconsistent_pair_random():
     rng = random.Random(43)
     for _ in range(30):

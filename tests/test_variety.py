@@ -303,10 +303,11 @@ def test_decide_empty_unit_generator():
 
 def test_decide_empty_posdef():
     # (x - 1)^2 + 1: positive, but not sign-definite term by term, so the
-    # radius proof and the subdivision decide it
+    # Sturm count decides it, with no radius and no box
     verdict = decide_emptiness(sys_of(MultiPoly(1, {(2,): 1, (1,): -2, (0,): 2})))
     assert verdict.status == EMPTY
-    assert verdict.certificate["kind"] == "ExhaustiveSubdivision"
+    assert verdict.certificate == {"kind": "Sturm", "gcd": ["1", "-2", "2"]}
+    assert verdict.diagnostics["pipeline"] == ["groebner", "sturm"]
 
 
 def test_decide_nonempty_circle():
@@ -400,18 +401,22 @@ CIRCLE_21 = (X2 - const(2, 2)) ** 2 + (Y2 + const(2, 1)) ** 2 - const(2, 1)
 
 
 @pytest.mark.parametrize("system, status, radius, stats, calls", [
-    # the circle around (2, -1) misses the unit circle by a gap
-    (sys_of(CIRCLE_21, X2 * X2 + Y2 * Y2 - const(2, 1)), EMPTY, "14",
-     {"boxes_processed": 105, "boxes_discarded": 53, "depth_reached": 17}, 182),
+    # the circle around (2, -1) misses the unit circle by a gap: their
+    # difference is an affine ideal member, and the Sturm count decides the
+    # rest without a radius or a box
+    (sys_of(CIRCLE_21, X2 * X2 + Y2 * Y2 - const(2, 1)), EMPTY, None, None, 0),
+    # (x - 1)^2 + (y - 1)^2 + 1 is positive, but not term by term
+    (sys_of((X2 - const(2, 1)) ** 2 + (Y2 - const(2, 1)) ** 2 + const(2, 1)), EMPTY, "18",
+     {"boxes_processed": 199, "boxes_discarded": 100, "depth_reached": 15}, 201),
     (sys_of(X2_MINUS_2), UNKNOWN, "3",
      {"boxes_processed": 95, "boxes_discarded": 46, "depth_reached": 24,
       "unresolved_boxes": 2}, 96),
-], ids=["circle-misses-circle", "x2-2"])
+], ids=["circle-misses-circle", "shifted-posdef", "x2-2"])
 def test_decide_wave_loop_counts(enclose_calls, system, status, radius, stats, calls):
     verdict = decide_emptiness(system)
     assert verdict.status == status
-    assert verdict.diagnostics["radius"] == radius
-    assert verdict.diagnostics["subdivision"] == stats
+    assert verdict.diagnostics.get("radius", None) == radius
+    assert verdict.diagnostics.get("subdivision", None) == stats
     assert len(enclose_calls) == calls
 
 
@@ -454,7 +459,7 @@ def test_monotone_in_depth():
     # x = 7/2 - y leaves 8y^2 - 4y + 9, which has no real zero
     (sys_of(CIRCLE_21, X2 + Y2 - const(2, Fraction(7, 2))), EMPTY, None,
      {"kind": "Presolve", "eliminated": [{"poly": 1, "axis": 0}], "free": [],
-      "reduced": {"kind": "ExhaustiveSubdivision", "radius": "3"}},
+      "reduced": {"kind": "Sturm", "gcd": ["8", "-4", "9"]}},
      {"eliminated": [0], "free": []}),
     # y and z are free: the zero of 1 - x^2 extends by 0
     (sys_of(const(3, 1) - X3 * X3), NONEMPTY, (-1, 0, 0),
@@ -544,10 +549,19 @@ def _planted_affine_system(rng):
     return system, z, empty, len(pivots) == dim
 
 
-def _replay(system, steps):
-    """The system after ``steps``, by MultiPoly composition: x_k = (a*x_k - p)/a."""
+def _members(dim, cert):
+    """The certificate's affine ideal members: x_1, ..., x_d coefficients,
+    then the constant term."""
+    exps = [tuple(int(i == k) for i in range(dim)) for k in range(dim)] + [(0,) * dim]
+    return [MultiPoly(dim, {e: Fraction(c) for e, c in zip(exps, m) if c != "0"})
+            for m in cert.get("ideal_members", [])]
+
+
+def _replay(system, steps, members=()):
+    """The system and ``members`` after ``steps``, by MultiPoly composition:
+    x_k = (a*x_k - p)/a."""
     dim = system.dimension
-    polys = list(system.polys)
+    polys = [*system.polys, *members]
     for step in steps:
         p, k = polys[step["poly"]], step["axis"]
         unit = tuple(int(i == k) for i in range(dim))
@@ -564,9 +578,160 @@ def _proportional(p, q):
     return len({Fraction(p[e]) / Fraction(q[e]) for e in p}) <= 1
 
 
+# -- Sturm count -------------------------------------------------------------
+# The references run over Q with exact division and monic remainders:
+# coefficient lists, highest degree first, [] the zero polynomial.
+
+
+def _q_coeffs(p):
+    terms = p.real_terms()
+    return [Fraction(terms.get((k,), 0)) for k in range(max(e for e, in terms), -1, -1)]
+
+
+def _q_rem(a, b):
+    a = list(a)
+    while a and len(a) >= len(b):
+        f = a[0] / b[0]
+        a = [x - f * y for x, y in zip(a, b + [0] * (len(a) - len(b)))][1:]
+        while a and a[0] == 0:
+            a.pop(0)
+    return a
+
+
+def _q_gcd(polys):
+    g = []
+    for p in (_q_coeffs(p) for p in polys if not p.is_zero()):
+        while p:
+            g, p = p, _q_rem(g, p)
+    return [c / g[0] for c in g]
+
+
+def _q_real_root_count(g):
+    g = list(map(Fraction, g))
+    seq, nxt = [g], [c * (len(g) - 1 - i) for i, c in enumerate(g[:-1])]
+    while nxt:
+        seq.append(nxt)
+        nxt = [-c for c in _q_rem(seq[-2], seq[-1])]
+
+    def changes(values):
+        return sum((a > 0) != (b > 0) for a, b in zip(values, values[1:]))
+
+    return (changes([p[0] * (-1) ** (len(p) - 1) for p in seq])
+            - changes([p[0] for p in seq]))
+
+
+def _scaled(a, b):
+    return len(a) == len(b) and all(x * b[0] == y * a[0] for x, y in zip(a, b))
+
+
+def test_sturm_count_on_planted_roots():
+    # Products of rational linear factors (with multiplicity) and x^2 + c
+    # (c > 0), times a constant of either sign, with a zero polynomial among
+    # them: the count is the number of distinct roots all of them share.
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(300):
+        polys, shared = [], None
+        for _ in range(rng.randint(1, 3)):
+            p, roots = const(1, rng.choice([-3, -2, -1, 1, 2, 5])), set()
+            for _ in range(rng.randint(0, 4)):
+                root = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                factor = const(1, root.denominator) * X1 - const(1, root.numerator)
+                p = p * factor ** rng.randint(1, 3)
+                roots.add(root)
+            for _ in range(rng.randint(0, 2)):
+                p = p * (X1 * X1 + const(1, Fraction(rng.randint(1, 9), rng.randint(1, 4))))
+            polys.append(p)
+            shared = roots if shared is None else shared & roots
+        polys.insert(rng.randint(0, len(polys)), MultiPoly.zero(1))
+        system = RealPolySystem(1, tuple(polys))
+        g = nullsol.variety._univariate_gcd(system.terms)
+        assert g[0] > 0 and math.gcd(*g) == 1
+        assert _scaled(g, _q_gcd(polys))
+        assert nullsol.variety._real_root_count(g) == len(shared) == _q_real_root_count(g)
+        seen.add(len(shared))
+        verdict = decide_emptiness(system)
+        assert (verdict.status == EMPTY) == (not shared)
+        if "sturm" in verdict.diagnostics["pipeline"]:
+            assert verdict.certificate == {"kind": "Sturm", "gcd": list(map(str, g))}
+            seen.add("sturm")
+    assert {0, 1, 2, 3, "sturm"} <= seen, seen
+
+
+def test_pseudo_remainder_and_count_match_the_rational_reference():
+    # sparse random polynomials, so remainders drop several degrees and
+    # divisors have leading coefficients of both signs
+    rng = random.Random(5)
+    for _ in range(400):
+        a, b = ([rng.choice([-3, -1, 0, 0, 0, 1, 2]) for _ in range(rng.randint(1, 9))]
+                for _ in range(2))
+        a, b = (p[next((i for i, c in enumerate(p) if c), len(p)):] for p in (a, b))
+        if not b:
+            continue
+        scale = abs(b[0]) ** max(len(a) - len(b) + 1, 0)
+        r = nullsol.variety._pseudo_remainder(a, b)
+        assert r == [scale * c for c in _q_rem(list(map(Fraction, a)), b)]
+        if a:
+            assert nullsol.variety._real_root_count(a) == _q_real_root_count(a)
+
+
+def test_sturm_count_stops_at_its_work_bound():
+    assert nullsol.variety._univariate_gcd([{}]) is None
+    assert nullsol.variety._univariate_gcd([{(300,): 1, (0,): 1}]) is None
+    # a*x^2 + x + a with 12,000-bit a: the count runs (9 * (2 + 12,001) is
+    # under the bound), and its certificate prints 3,613-digit decimals
+    a = 2 ** 12000 + 1
+    verdict = decide_emptiness(RealPolySystem(1, (MultiPoly(1, {(2,): a, (1,): 1, (0,): a}),)))
+    assert verdict.certificate == {"kind": "Sturm", "gcd": [str(a), "1", str(a)]}
+    assert len(json.dumps(verdict.certificate)) > 7000
+    # with 2^12300, past the bound, the radius proof and subdivision run
+    a = 2 ** 12300 + 1
+    system = RealPolySystem(1, (MultiPoly(1, {(2,): a, (1,): 1, (0,): a}),))
+    assert nullsol.variety._univariate_gcd(system.terms) is None
+    assert "sturm" not in decide_emptiness(system).diagnostics["pipeline"]
+
+
+def test_two_circles_decide_through_an_ideal_member():
+    # The unit circles around (2, -1) and (0, 0) are sqrt(5) - 2 apart: no real
+    # zero.  Their difference -4x + 2y + 5 is an affine member of the
+    # Groebner basis, listed after the two generators, and x = (2y + 5)/4
+    # leaves 20y^2 + 20y + 9, which the Sturm count finds no root of.
+    system = sys_of(CIRCLE_21, X2 * X2 + Y2 * Y2 - const(2, 1))
+    verdict = decide_emptiness(system)
+    assert verdict.status == EMPTY and verdict.witness is None
+    assert verdict.certificate == {
+        "kind": "Presolve", "eliminated": [{"poly": 2, "axis": 0}], "free": [],
+        "ideal_members": [["-4", "2", "5"]],
+        "reduced": {"kind": "Sturm", "gcd": ["20", "20", "9"]}}
+    assert verdict.diagnostics["pipeline"] == ["groebner", "presolve", "sturm"]
+    assert verdict.diagnostics["presolve"] == {"eliminated": [0], "free": [], "ideal_members": 1}
+    # any two circles with a gap: the eliminated polynomial is the member,
+    # proportional to the difference of the circles
+    rng = random.Random(7)
+    for _ in range(30):
+        a, b = rng.choice([(3, 4), (4, -3), (5, 12), (-8, 15)])
+        r1, r2 = rng.sample(range(1, 4), 2)
+        k, shift = rng.randint(r1 + r2 + 1, 9), (rng.randint(-2, 2), rng.randint(-2, 2))
+        n = math.isqrt(a * a + b * b)
+        c1, c2 = shift, (shift[0] + Fraction(k * a, n), shift[1] + Fraction(k * b, n))
+        circles = [(X2 - const(2, x)) ** 2 + (Y2 - const(2, y)) ** 2 - const(2, r * r)
+                   for (x, y), r in ((c1, r1), (c2, r2))]
+        verdict = decide_emptiness(sys_of(*circles))
+        cert = verdict.certificate
+        assert verdict.status == EMPTY and cert["kind"] == "Presolve"
+        assert cert["eliminated"][0]["poly"] == 2
+        (member,) = _members(2, cert)
+        assert _proportional((circles[0] - circles[1]).real_terms(), member.real_terms())
+        assert cert["reduced"]["kind"] == "Sturm"
+        rest = [MultiPoly(1, {e[1:]: c for e, c in q.real_terms().items()})
+                for q in _replay(sys_of(*circles), cert["eliminated"], [member])]
+        assert _scaled(_q_gcd(rest), list(map(int, cert["reduced"]["gcd"])))
+        assert _q_real_root_count(_q_gcd(rest)) == 0
+
+
 def test_presolve_on_planted_affine_systems():
     rng = random.Random(15)
-    counts = {"NONEMPTY": 0, "EMPTY": 0, "UNKNOWN": 0, "replayed": 0}
+    counts = {"NONEMPTY": 0, "EMPTY": 0, "UNKNOWN": 0, "replayed": 0, "sturm": 0, "members": 0}
     for _ in range(150):
         system, z, empty, determined = _planted_affine_system(rng)
         verdict = decide_emptiness(system)
@@ -581,7 +746,8 @@ def test_presolve_on_planted_affine_systems():
             continue
         if cert["kind"] != "Presolve":
             cert = {"eliminated": [], "free": [], "reduced": cert}
-        replayed = _replay(system, cert["eliminated"])
+        members = _members(system.dimension, cert)
+        replayed = _replay(system, cert["eliminated"], members)
         eliminated = {step["axis"] for step in cert["eliminated"]}
         kept = sorted({k for q in replayed for e in q.terms for k in range(len(e)) if e[k]})
         assert [k for k in range(system.dimension)
@@ -589,7 +755,8 @@ def test_presolve_on_planted_affine_systems():
         projected = RealPolySystem(len(kept), tuple(
             MultiPoly(len(kept), {tuple(e[k] for k in kept): c for e, c in q.terms.items()})
             for q in replayed if not q.is_zero()))
-        pre = nullsol.variety._presolve(system.terms, system.dimension)
+        pre = nullsol.variety._presolve(system.terms, system.dimension,
+                                        [integer_terms(m.real_terms()) for m in members])
         assert [{"poly": j, "axis": k} for j, k, _, _ in pre.steps] == cert["eliminated"]
         assert len(pre.terms) == len(projected.terms)
         assert all(map(_proportional, pre.terms, projected.terms))
@@ -597,6 +764,11 @@ def test_presolve_on_planted_affine_systems():
         if reduced["kind"] == "ExhaustiveSubdivision":
             box = cube(len(kept), Fraction(reduced["radius"]))
             assert subdivision_search(projected, box).kind == "NoZeroInBox"
+        elif reduced["kind"] == "Sturm":
+            counts["sturm"] += 1
+            g = _q_gcd(projected.polys)
+            assert _scaled(g, list(map(int, reduced["gcd"])))
+            assert _q_real_root_count(g) == 0
         else:
             terms = replayed[reduced["poly"]].real_terms()
             constant = terms.get((0,) * system.dimension, 0)
@@ -605,4 +777,6 @@ def test_presolve_on_planted_affine_systems():
             assert all(c * constant > 0 for c in terms.values())
             assert all(x % 2 == 0 for e in terms for x in e)
         counts["replayed"] += 1
+        counts["members"] += bool(members)
     assert counts["UNKNOWN"] <= 15 and counts["EMPTY"] >= 20 and counts["replayed"] >= 20, counts
+    assert counts["sturm"] >= 1 and counts["members"] >= 1, counts
