@@ -130,9 +130,15 @@ def _config_from_args(args) -> SolverConfig:
 
 
 def _print_parse_error(text: str, err: ParseError) -> None:
+    """The error, then the line of ``text`` that holds its position, with a
+    caret under it; the end of the input is the end of its last line."""
+    pos = min(err.position, len(text.rstrip("\n")))
+    start = text.rfind("\n", 0, pos) + 1
+    end = text.find("\n", pos)
+    line = text[start:] if end < 0 else text[start:end]
     sys.stderr.write(f"error: {err.kind.value}: {err.message}\n")
-    sys.stderr.write(f"  {text}\n")
-    sys.stderr.write("  " + " " * err.position + "^\n")
+    sys.stderr.write(f"  {line}\n")
+    sys.stderr.write("  " + " " * (pos - start) + "^\n")
 
 
 def _base_report(p: MultiPoly, d: int, names: list[str]) -> dict:
@@ -250,7 +256,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     "nonzero solutions with zero past, per solution space.",
         epilog='Expression grammar: expr := term ((+|-) term)*; '
                'term := factor (* factor)*; factor := base (^ uint)?; '
-               'base := T | Xk | i | uint(/uint)? | (expr) | - factor. '
+               'base := T | Xk | i | PI | uint(/uint)? | (expr) | - factor, '
+               'with PI admitted by periodic only. '
                'Use "-" to read the expression from stdin.')
     parser.add_argument("--version", action="version", version=f"nullsol {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

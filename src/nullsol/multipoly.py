@@ -131,21 +131,30 @@ class MultiPoly:
     # -- ring operations -------------------------------------------------
 
     @classmethod
+    def from_terms(cls, nvars: int, terms) -> "MultiPoly":
+        """The sum of the ``(exps, coeff)`` terms, each coefficient nonzero,
+        collected in one dict in order: a monomial whose sum cancels is
+        deleted, and goes to the end if it comes back."""
+        out: dict[tuple[int, ...], tuple] = {}
+        for e, c in terms:
+            prev = out.get(e)
+            if prev is not None:
+                c = (prev[0] + c[0], prev[1] + c[1])
+                if not (c[0] or c[1]):
+                    del out[e]
+                    continue
+            out[e] = c
+        return cls.from_clean(nvars, out)
+
+    @classmethod
     def sum_of(cls, nvars: int, polys) -> "MultiPoly":
         """The sum of ``polys``, collected in one dict."""
-        out: dict[tuple[int, ...], tuple] = {}
-        for p in polys:
-            if p.nvars != nvars:
-                raise ValueError(f"variable-count mismatch: {nvars} != {p.nvars}")
-            for e, c in p.terms.items():
-                prev = out.get(e)
-                if prev is not None:
-                    c = (prev[0] + c[0], prev[1] + c[1])
-                    if not (c[0] or c[1]):
-                        del out[e]
-                        continue
-                out[e] = c
-        return cls.from_clean(nvars, out)
+        def terms():
+            for p in polys:
+                if p.nvars != nvars:
+                    raise ValueError(f"variable-count mismatch: {nvars} != {p.nvars}")
+                yield from p.terms.items()
+        return cls.from_terms(nvars, terms())
 
     def __add__(self, other):
         if not isinstance(other, MultiPoly):

@@ -13,6 +13,14 @@ Variables are the spatial ``X1 .. Xd`` (1-based), the time variable ``T``
 and the imaginary unit ``i``.  In lattice-periodic mode the reserved
 constant symbol ``PI`` is also admitted; it occupies an extra slot placed
 just before T, so the time variable stays the last slot.
+
+An expanded sum, whose terms are each an optional sign, a coefficient
+(``rational``, ``rational*i``, or ``(re)``, ``(im*i)``, ``(re+im*i)``) and
+'*'-separated powers of variables, is read straight from the text by one
+regular expression per term (``_parse_expanded``).  That fast path never
+raises and has no flag: on any other text, and wherever a limit could be
+reached, it declines, and the tokenizer and recursive descent parse the
+input and report every error.  Its result equals theirs term by term.
 """
 
 from __future__ import annotations
@@ -71,6 +79,22 @@ _TOKEN = re.compile(r"(?P<space>\s+)|(?P<op>[-+*/^()])|(?P<int>\d+)|X(?P<X>\d+)"
 
 # A flag's number: ``rational`` with an optional sign, blanks around it.
 _RATIONAL = re.compile(r"\s*-?(\d+)(?:/(\d+))?\s*")
+
+# One term of an expanded sum (see _parse_expanded).  Groups: 1 sign; 2, 3 a
+# bare rational and 4 its '*i'; 5 '-', 6, 7 the first rational in parentheses
+# and 8 its '*i', or 9 '+'/'-' and 10, 11 the imaginary part; 12 the variable
+# powers after a coefficient, 13 those of a term without one.  No two '\s*'
+# meet, so a failed match backtracks over a blank run once.
+_FAST_RAT = r"([0-9]+)(?:\s*/\s*([0-9]+))?"
+_FAST_POWER = r"(?:X[0-9]+|T|PI)(?:\s*\^\s*[0-9]+)?"
+_FAST_MONO = rf"{_FAST_POWER}(?:\s*\*\s*{_FAST_POWER})*"
+_FAST_TERM = re.compile(
+    rf"\s*(?:([-+])\s*)?"
+    rf"(?:(?:{_FAST_RAT}(\s*\*\s*i)?"
+    rf"|\(\s*(?:(-)\s*)?{_FAST_RAT}\s*(?:(\*\s*i\s*)|([-+])\s*{_FAST_RAT}\s*\*\s*i\s*)?\))"
+    rf"(?:\s*\*\s*({_FAST_MONO}))?|({_FAST_MONO}))\s*")
+# An X index without its leading zeros (a bare "X0" keeps one).
+_FAST_INDEX = re.compile(r"X0*([0-9]+)")
 
 _WORD_ERRORS = {"PI": "PI is only admitted in lattice-periodic mode",
                 "X": "X must be followed by a 1-based index"}
@@ -308,6 +332,123 @@ class _Parser:
                          f"unexpected token at start of operand")
 
 
+def _fast_rational(num: str, den: str | None, negative: bool) -> int | Fraction | None:
+    """The literal ``num[/den]``, negated if ``negative``, with the general
+    parser's type; None on a zero denominator or past _MAX_DIGITS digits in
+    all, so that |numerator| * denominator stays below 10^_MAX_DIGITS, under
+    2^MAX_COEFF_BITS."""
+    if len(num) + len(den or "") > _MAX_DIGITS:
+        return None
+    n = -int(num) if negative else int(num)
+    if den is None:
+        return n
+    d = int(den)
+    return Fraction(n, d) if d else None
+
+
+_FRACTION_ZERO = Fraction(0)
+
+
+def _times_i(q) -> tuple:
+    """The product ``q*i`` as MultiPoly.__mul__ builds it: i itself when q is
+    1 (a monic factor is shifted), else ``(q*0 - 0*1, q*1 + 0*0)``."""
+    if q == 1:
+        return (0, 1)
+    return (0 if type(q) is int else _FRACTION_ZERO, q)
+
+
+def _parse_expanded(text: str, dim: int | None, allow_pi: bool) -> tuple[MultiPoly, int] | None:
+    """``parse`` of a sum of simple terms, read straight from the text, or None.
+
+    A term is an optional sign, an optional coefficient and '*'-separated
+    powers of Xk, T and (with ``allow_pi``) PI.  The coefficient is a
+    ``rational``, ``rational*i``, or in parentheses ``re``, ``im*i`` or
+    ``re+im*i`` (either sign, and '-' before the first part).  Each pair is
+    built by the operations the general parser applies to it, and the terms
+    are collected by MultiPoly.from_terms, as MultiPoly.sum_of collects them,
+    so the result equals the general parser's in values, types and order.  None on any other text, and
+    wherever a limit could be reached (a literal or index past _MAX_DIGITS,
+    X0, an index past MAX_DIM or ``dim``, a zero denominator, a sum past
+    MAX_COEFF_BITS): every error is left to the general parser.
+    """
+    if dim is None:
+        dim = 0
+        for index in _FAST_INDEX.findall(text):
+            if len(index) > 2:
+                return None
+            dim = max(dim, int(index))
+        if dim > MAX_DIM:
+            return None
+    nvars = dim + 2 if allow_pi else dim + 1
+    terms = []
+    pos, end = 0, len(text)
+    while True:
+        m = _FAST_TERM.match(text, pos)
+        if m is None:
+            return None
+        sign, num, den, bare_i, neg, pnum, pden, paren_i, op, inum, iden, after, alone = m.groups()
+        # the first term takes no '+', every later one needs its operator
+        if (sign == "+") if pos == 0 else (sign is None):
+            return None
+        if alone is not None:
+            c, powers = (1, 0), alone
+        elif num is not None:
+            # a leading '-' binds to the literal, a '-' between terms to the product
+            q = _fast_rational(num, den, pos == 0 and sign == "-")
+            if q is None:
+                return None
+            sign = sign if pos else None
+            c, powers = (_times_i(q) if bare_i else (q, 0)), after
+        else:
+            q = _fast_rational(pnum, pden, neg)
+            if q is None:
+                return None
+            c, powers = (_times_i(q) if paren_i else (q, 0)), after
+            if op:
+                im = _fast_rational(inum, iden, False)
+                if im is None:
+                    return None
+                if im:
+                    zero, im = _times_i(im)
+                    im = -im if op == "-" else im
+                    # q + 0 keeps q's type, but an int plus Fraction(0) is a Fraction
+                    c = ((q + zero if type(q) is int else q), im) if q else (zero, im)
+        if sign == "-":
+            c = (-c[0] if c[0] else c[0], -c[1] if c[1] else c[1])
+        e = [0] * nvars
+        for factor in powers.split("*") if powers else ():
+            name, _, power = factor.partition("^")
+            name = name.strip()
+            if name == "T":
+                slot = -1
+            elif name == "PI":
+                if not allow_pi:
+                    return None
+                slot = -2
+            else:
+                index = name[1:].lstrip("0")
+                slot = int(index) - 1 if 0 < len(index) <= 2 else -1
+                if not 0 <= slot < dim:
+                    return None
+            if not power:
+                e[slot] += 1
+                continue
+            power = power.strip()
+            if len(power) > _MAX_DIGITS:
+                return None
+            e[slot] += int(power)
+        if c[0] or c[1]:
+            terms.append((tuple(e), c))
+        pos = m.end()
+        if pos == end:
+            break
+    poly = MultiPoly.from_terms(nvars, terms)
+    # Unless two terms met, each coefficient is a term's, held below the limit.
+    if len(poly.terms) < len(terms) and _bits(poly) > MAX_COEFF_BITS:
+        return None
+    return poly, dim
+
+
 def parse_rational(text: str) -> Fraction:
     """A number given in a flag: the grammar's ``rational`` with an optional '-'.
 
@@ -335,6 +476,11 @@ def parse(text: str, dim: int | None = None, allow_pi: bool = False) -> tuple[Mu
         raise ValueError(f"dimension must be nonnegative, got {dim}")
     if dim is not None and dim > MAX_DIM:
         raise ValueError(f"dimension must be at most {MAX_DIM}, got {dim}")
+    return _parse_expanded(text, dim, allow_pi) or _parse_general(text, dim, allow_pi)
+
+
+def _parse_general(text: str, dim: int | None, allow_pi: bool) -> tuple[MultiPoly, int]:
+    """``parse`` by the tokenizer and the recursive descent: every input, every error."""
     toks = _tokenize(text, allow_pi)
     if dim is None:
         dim = max((t.value for t in toks if t.kind == "X"), default=0)

@@ -70,6 +70,21 @@ def test_parse_error_caret_from_stdin(capsys, monkeypatch):
     assert err.splitlines()[-1] == " " * 9 + "^"
 
 
+@pytest.mark.parametrize("text, line, caret_at", [
+    ("T^^2\n", "T^^2", 2),
+    ("T -\n X1^^2\n", " X1^^2", 4),
+    ("T -\n\n", "T -", 3),
+], ids=["trailing-newline", "second-line", "end-of-input"])
+def test_parse_error_caret_under_its_line(capsys, monkeypatch, text, line, caret_at):
+    # stdin text keeps its newlines: the echo is the line that holds the
+    # position, the caret sits at its column in that line
+    import io
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "content", "-")
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert err.splitlines()[1:] == ["  " + line, "  " + " " * caret_at + "^"]
+
+
 def test_periodic_rejects_bad_lattice_before_expression(capsys):
     code, _, err = run(capsys, "periodic", "T + Y", "--lattice", "1,2;2,4")
     assert code == EXIT_INPUT_ERROR

@@ -12,6 +12,9 @@ from nullsol.parser import (
     MAX_WORK,
     ParseError,
     ParseErrorKind,
+    _TOKEN,
+    _parse_expanded,
+    _parse_general,
     _tokenize,
     default_names,
     parse,
@@ -390,3 +393,141 @@ def test_parse_matches_ring_arithmetic_on_random_trees():
         for _ in range(3):
             point = random_point(rng, dim + 1, height=5)
             assert evaluate(p, point) == _evaluate_tree(tree, point), text
+
+
+# -- the expanded-sum fast path against the general parser -----------------
+
+def _typed(result):
+    """The terms in order, each part with its type, and the dimension."""
+    poly, dim = result
+    return [(e, [(type(x), x) for x in c]) for e, c in poly.terms.items()], dim
+
+
+def _general_outcome(text, dim, allow_pi):
+    try:
+        return _typed(_parse_general(text, dim, allow_pi))
+    except (ParseError, ValueError) as err:
+        return repr(err)
+
+
+def _fast_agrees(text, dim=None, allow_pi=False) -> bool:
+    """Whether the fast path took ``text``; fails if it differs from the general path."""
+    fast = _parse_expanded(text, dim, allow_pi)
+    if fast is not None:
+        assert _typed(fast) == _general_outcome(text, dim, allow_pi), (text, dim, allow_pi)
+    return fast is not None
+
+
+def _bench_coeff(re, im) -> str:
+    """A coefficient as the benchmark writes it: always in parentheses."""
+    if im == 0:
+        return f"({re})"
+    if re == 0:
+        return f"({im}*i)"
+    return f"({re}{'+' if im > 0 else '-'}{abs(im)}*i)"
+
+
+def _bench_render(p: MultiPoly, names) -> str:
+    parts = []
+    for exps, (re, im) in p.sorted_terms():
+        mono = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+        parts.append("*".join([_bench_coeff(re, im)] + mono))
+    return " + ".join(parts) or "0"
+
+
+def _generated_texts(rng, count):
+    """(text, dim, allow_pi): canonical and benchmark-style renders of random symbols."""
+    for k in range(count):
+        allow_pi = k % 2 == 1
+        nvars = rng.randint(2 if allow_pi else 1, 5)
+        dim = nvars - 2 if allow_pi else nvars - 1
+        p = random_multipoly(rng, nvars, max_deg=4, max_terms=8,
+                             complex_coeffs=rng.random() < 0.7)
+        names = default_names(nvars, pi_slot=dim if allow_pi else None)
+        render = print_canonical if k % 4 < 2 else _bench_render
+        yield render(p, names), dim, allow_pi
+
+
+def _respaced(rng, text) -> str:
+    """``text`` with random blanks between its tokens (none inside one)."""
+    out = []
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup != "space":
+            out.append(rng.choice(["", "", " ", "  ", "\t", "\n", "\u00a0"]) + m[0])
+    return "".join(out) + rng.choice(["", " ", "\n"])
+
+
+def test_fast_path_takes_every_generated_text():
+    rng = random.Random(5)
+    for text, dim, allow_pi in _generated_texts(rng, 400):
+        for d in (dim, None):
+            assert _fast_agrees(text, d, allow_pi), text
+            assert _fast_agrees(_respaced(rng, text), d, allow_pi), text
+        assert parse(text, dim, allow_pi) == _parse_general(text, dim, allow_pi)
+
+
+@pytest.mark.parametrize("text", [
+    "0", "0*X1", "(0)*T", "(0+0*i)*X1", "(0-2*i)*X1", "(-0)", "0/5*i*T", "(3+0/4*i)*T",
+    "-X1", "-T^0", "-1*i", "-2/2*i*X1", "X1 - 2/2*i*X1", "(-2/2*i)*T", "(2/2*i)*T",
+    "1*i*T - 1*i*T", "X1 - X1 + X1", "1/2*T + 1/2*T - T + X1 - T", "X1*X1*T^0*X1^2",
+    "(-1/2+1*i)*X1 + (1/2-1*i)*X1 + 1/3*X1", "-(1+2*i)*X1 - (3-4*i)", "4/2 + 6/3*X1",
+    "007*X01^02", "1 / 2 * X1 ^ 2 * T", "( - 3 / 4 - 5 * i ) * T", "-3*i - 3*i",
+])
+def test_fast_path_on_signs_zeros_and_cancellations(text):
+    assert _fast_agrees(text, None, False)
+    assert _fast_agrees(text, 2, True)
+
+
+def test_fast_path_under_single_character_edits():
+    rng = random.Random(8)
+    samples = [text for text, _, _ in _generated_texts(rng, 40) if 10 < len(text) < 60][:8]
+    samples += ["-(1/2-3*i)*X1*PI^2*T + 2*i*T - 1/3", "(-1)*X2^2 + (4/3*i)*X1*T"]
+    alphabet = "017+-*/^() XTPIia\t"
+    for text in samples:
+        for k in range(len(text)):
+            edits = [text[:k] + text[k + 1:]]
+            edits += [text[:k] + ch + text[k + 1:] for ch in alphabet if ch != text[k]]
+            for edited in edits:
+                for allow_pi in (False, True):
+                    _fast_agrees(edited, None, allow_pi)
+                    _fast_agrees(edited, 3, allow_pi)
+
+
+@pytest.mark.parametrize("text, dim, taken", [
+    ("7" * 3010 + "*T", None, True),
+    ("7" * 3011 + "*T", None, False),
+    ("(" + "7" * 4301 + "+1*i)*X1*T", None, False),
+    ("(1+" + "7" * 3011 + "*i)*T", None, False),
+    ("1/" + "3" * 3009 + "*T", None, True),
+    ("1/" + "3" * 3010 + "*T", None, False),
+    ("X1^" + "1" * 3010 + "*T", None, True),
+    ("X1^" + "1" * 3011 + "*T", None, False),
+    ("X32*T", None, True),
+    ("X33*T", None, False),
+    ("X0*T", None, False),
+    ("X00*T + X1", None, False),
+    ("X" + "0" * 5000 + "2*T", None, True),
+    ("X" + "0" * 5000 + "2*T", 2, True),
+    ("X" + "9" * 5000 + "*T", None, False),
+    ("X3*T", 2, False),
+    ("X2*T", 2, True),
+    ("PI*T", None, False),
+    ("1/0*T", None, False),
+    ("(1/0+1*i)*T", None, False),
+    ("(1+1/0*i)*T", None, False),
+    (f"1/{2 ** 6700} * T + 1/{3 ** 4300} * T", None, False),
+    (f"1/{2 ** 6700} * T + 1/{2 ** 6700} * T", None, True),
+    ("(1/2+3*i)*X1*X33*T", None, False),
+    ("", None, False),
+    ("  ", None, False),
+    ("+X1", None, False),
+    ("X1 + -X2", None, False),
+    ("2 X1", None, False),
+    ("X1^2^3", None, False),
+    ("T^1/2", None, False),
+], ids=lambda v: v if isinstance(v, (bool, type(None))) or len(str(v)) < 30 else str(v)[:30])
+def test_fast_path_declines_at_every_limit(text, dim, taken):
+    assert _fast_agrees(text, dim) is taken
+    if not taken and not isinstance(_general_outcome(text, dim, False), tuple):
+        with pytest.raises(ParseError):
+            parse(text, dim)
