@@ -74,11 +74,11 @@ _UNWEIGHED = 64
 _MAX_DIGITS = int(MAX_COEFF_BITS / math.log2(10))
 
 # One alternative per token class, tried in this order at each position.
-_TOKEN = re.compile(r"(?P<space>\s+)|(?P<op>[-+*/^()])|(?P<int>\d+)|X(?P<X>\d+)"
+_TOKEN = re.compile(r"(?P<space>\s+)|(?P<op>[-+*/^()])|(?P<int>[0-9]+)|X(?P<X>[0-9]+)"
                     r"|(?P<word>[^\W\d_]+)|(?P<other>.)")
 
 # A flag's number: ``rational`` with an optional sign, blanks around it.
-_RATIONAL = re.compile(r"\s*-?(\d+)(?:/(\d+))?\s*")
+_RATIONAL = re.compile(r"\s*-?([0-9]+)(?:/([0-9]+))?\s*")
 
 # One term of an expanded sum (see _parse_expanded).  Groups: 1 sign; 2, 3 a
 # bare rational and 4 its '*i'; 5 '-', 6, 7 the first rational in parentheses

@@ -5,9 +5,12 @@ real zero), then an exact presolve (affine elimination, with the affine
 members of the Groebner basis after the generators, free variables,
 sign-definite generators; see :func:`_presolve`), then in one variable a
 Sturm count of the distinct real zeros, which decides EMPTY when it is 0,
-then a boundedness reduction that confines all real zeros of the (reduced)
-system to an exact cube, then certified branch-and-bound subdivision with
-exact interval arithmetic on integers.  NONEMPTY always carries an exact
+and in two variables an eliminant ``r(x1)`` of the ideal (a polynomial
+free of x2, or ``Res_x2`` of a pair) whose real roots are isolated and
+lifted exactly (see :func:`_resultant_stage`), then a boundedness
+reduction that confines all real zeros of the (reduced) system to an
+exact cube, then certified branch-and-bound subdivision with exact
+interval arithmetic on integers.  NONEMPTY always carries an exact
 rational common zero of the original system; EMPTY always carries a
 machine-checkable certificate; UNKNOWN is an honest inconclusive outcome,
 never silently coerced.
@@ -16,11 +19,12 @@ never silently coerced.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, ne
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .groebner import add_multiple, unit_ideal_test
@@ -77,6 +81,14 @@ _SUBSTITUTION_LIMIT = 10_000
 # its coefficients have at most b + n + 1 bits (Mignotte's bound on a
 # factor), well under the 4,300 digits Python prints of an int.
 _STURM_LIMIT = 110_000
+# Most work that the resultant stage in d = 2 takes on: (D + 1) * s^3 for
+# the D + 1 Sylvester determinants of size s, and n^2 * (b + log2 n), as
+# above, for each polynomial whose real roots it isolates (the eliminant and
+# the gcd above each of its rational roots); past it the radius proof and
+# subdivision run instead.  Isolating the roots of one polynomial takes
+# under 0.05 s at the limit (all roots irrational, CPython 3.11, one core of
+# a 2-CPU VM); the bisection to a width of 1/lc^2 costs about n^2 * b^3.
+_RESULTANT_LIMIT = 10_000
 
 
 def _certify_positive_on_faces(top_terms: dict[tuple[int, ...], int],
@@ -272,10 +284,11 @@ def subdivision_search(sys: RealPolySystem, box: Box,
 
 
 class _Presolved(NamedTuple):
-    """A presolved system, in the two fields the later stages read."""
+    """A presolved system, in the three fields the later stages read."""
 
     dimension: int
     terms: tuple[dict[tuple[int, ...], int], ...]  # on the kept axes
+    index: list[int]                               # the polynomial index of each of terms
     kept: list[int]
     free: list[int]
     steps: list[tuple[int, int, int, dict]]  # (poly, axis, a, s): x_axis = s(x) / a
@@ -348,7 +361,8 @@ def _presolve(terms, dim: int, members=()) -> _Presolved | None:
         return None
     kept = [k for k in range(dim) if occurs[k]]
     return _Presolved(len(kept), tuple({tuple(e[k] for k in kept): c for e, c in p.items()}
-                                       for p in polys if p), kept, free, steps,
+                                       for p in polys if p),
+                      [j for j, p in enumerate(polys) if p], kept, free, steps,
                       None if signed is None else {"kind": "SignDefinite", "poly": signed})
 
 
@@ -381,15 +395,19 @@ def _primitive(p: list[int]) -> list[int]:
     return p if g == 1 else [c // g for c in p]
 
 
+def _work(p: list[int]) -> int:
+    """n^2 * (b + log2 n) for a nonzero polynomial with n coefficients of up
+    to b bits: what _STURM_LIMIT and _RESULTANT_LIMIT bound."""
+    return len(p) ** 2 * (len(p).bit_length() + max(map(abs, p)).bit_length())
+
+
 def _univariate_gcd(terms) -> list[int] | None:
     """The primitive gcd over Z of univariate term dicts (zero ones
     skipped), with a positive leading coefficient, by primitive
     pseudo-remainder sequences; None with no nonzero one or past
     _STURM_LIMIT."""
     polys = [[p.get((k,), 0) for k in range(max(e for e, in p), -1, -1)] for p in terms if p]
-    work = (len(p) ** 2 * (len(p).bit_length() + max(map(abs, p)).bit_length())
-            for p in polys)
-    if max(work, default=_STURM_LIMIT + 1) > _STURM_LIMIT:
+    if max(map(_work, polys), default=_STURM_LIMIT + 1) > _STURM_LIMIT:
         return None
     g: list[int] = []
     for p in polys:
@@ -400,33 +418,265 @@ def _univariate_gcd(terms) -> list[int] | None:
     return g if g[0] > 0 else [-c for c in g]
 
 
-def _real_root_count(g: list[int]) -> int:
-    """Number of distinct real roots of a nonzero integer polynomial.
+def _value(p: list[int], num: int, den: int) -> int:
+    """``den^deg(p) * p(num/den)``, whose sign is that of ``p`` at ``num/den``
+    for ``den > 0``; ``(num, den) = (+-1, 0)`` is the point at +-oo."""
+    acc, power = p[0], 1
+    for c in p[1:]:
+        power *= den
+        acc = acc * num + c * power
+    return acc
 
-    Sturm's theorem: ``g, g', -rem(g, g'), ...`` (each remainder a positive
-    multiple of the true one, made primitive) loses one sign change for
-    each distinct real root between -oo and +oo, where each sign is that of
-    a leading coefficient, times (-1)^degree at -oo.  A multiple root needs
-    no squarefree part first: the sequence then ends in gcd(g, g'), which
-    divides every term and so changes no sign count.
-    """
+
+def _sturm_sequence(g: list[int]) -> list[list[int]]:
+    """``g, g', -rem(g, g'), ...`` for a nonzero integer polynomial, each
+    remainder a positive multiple of the true one, made primitive.  It ends
+    in a multiple of gcd(g, g')."""
     seq = [g]
     nxt = [c * (len(g) - 1 - i) for i, c in enumerate(g[:-1])]
     while nxt:
         seq.append(_primitive(nxt))
         nxt = [-c for c in _pseudo_remainder(seq[-2], seq[-1])]
+    return seq
 
-    def changes(signs: list[bool]) -> int:
-        return sum(map(ne, signs, signs[1:]))
 
-    return (changes([(p[0] > 0) != (len(p) % 2 == 0) for p in seq])
-            - changes([p[0] > 0 for p in seq]))
+def _sign_changes(seq: list[list[int]], num: int, den: int) -> int:
+    """Sign changes of a Sturm sequence at ``num/den`` (zeros dropped).
+
+    Sturm's theorem: for a squarefree ``g`` and a < b, the count at a minus
+    the count at b is the number of distinct real roots in (a, b].
+    """
+    signs = [v > 0 for p in seq if (v := _value(p, num, den))]
+    return sum(map(ne, signs, signs[1:]))
+
+
+def _real_root_count(g: list[int]) -> int:
+    """Number of distinct real roots of a nonzero integer polynomial.
+
+    A multiple root needs no squarefree part first: the Sturm sequence then
+    ends in gcd(g, g'), which divides every term and so changes no sign
+    count at +-oo.
+    """
+    seq = _sturm_sequence(g)
+    return _sign_changes(seq, -1, 0) - _sign_changes(seq, 1, 0)
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """``a / b`` for an integer ``b`` that divides ``a`` with an integer
+    quotient (a primitive ``b`` that divides ``a`` over Q, by Gauss)."""
+    r, q = list(a), []
+    for i in range(len(a) - len(b) + 1):
+        c = r[i] // b[0]
+        q.append(c)
+        for j in range(1, len(b)):
+            r[i + j] -= c * b[j]
+    return q
+
+
+def _narrow(s: list[int], k: int, lo: int, hi: int) -> tuple[int, int] | None:
+    """The one root of a squarefree primitive ``s`` in ``(lo/2^k, hi/2^k]``,
+    as a reduced ``(num, den)``, or None if it is irrational.
+
+    Sign bisection, against the sign at the right end, down to a width below
+    ``1/lc(s)^2``.  A rational root ``p/q`` of ``s`` has ``q | lc(s)``, and two
+    such rationals lie at least ``1/lc(s)^2`` apart, so the interval's simplest
+    rational is then the root if the root is rational.  That rational is also
+    probed after 0, 1, 2, 4, 8, ... steps, so a simple root turns up early;
+    its cost grows with the step count, so the probes together cost about
+    as much as two at the final width.
+    """
+    sep, step = s[0] ** 2, 0
+    right = _value(s, hi, 1 << k)
+    while right:
+        den = 1 << k
+        last = (hi - lo) * sep < den
+        if last or not step & (step - 1):
+            num, q = _simplest_rational(lo, hi, den)
+            # the left end may be a root of the interval to the left
+            if lo * q < num * den and not _value(s, num, q):
+                return num, q
+            if last:
+                return None
+        lo, hi, k, step = 2 * lo, 2 * hi, k + 1, step + 1
+        mid = (lo + hi) // 2
+        v = _value(s, mid, 1 << k)
+        if not v or (v > 0) == (right > 0):
+            hi, right = mid, v
+        else:
+            lo = mid
+    g = math.gcd(hi, 1 << k)
+    return hi // g, (1 << k) // g
+
+
+def _real_roots(f: list[int]) -> list[tuple[int, int] | None]:
+    """The distinct real roots of a nonzero integer polynomial, in increasing
+    order: a reduced ``(num, den)`` for a rational one, None for another.
+
+    The roots of the squarefree part lie in ``(-B, B]`` for Cauchy's bound
+    ``B``; Sturm counts at dyadic points split that interval until each part
+    holds one root, which :func:`_narrow` then pins down.
+    """
+    f = _primitive(f)
+    seq = _sturm_sequence(f)
+    if len(seq[-1]) > 1:
+        f = _exact_quotient(f, seq[-1])
+        seq = _sturm_sequence(f)
+    bound = 2 + max(map(abs, f[1:]), default=0) // abs(f[0])
+    roots: list[tuple[int, int] | None] = []
+    # (k, lo, hi, changes at lo/2^k, changes at hi/2^k), the leftmost on top
+    stack = [(0, -bound, bound, _sign_changes(seq, -bound, 1), _sign_changes(seq, bound, 1))]
+    while stack:
+        k, lo, hi, at_lo, at_hi = stack.pop()
+        if at_lo - at_hi == 1:
+            roots.append(_narrow(f, k, lo, hi))
+        elif at_lo > at_hi:
+            at_mid = _sign_changes(seq, lo + hi, 2 << k)
+            stack += [(k + 1, lo + hi, 2 * hi, at_mid, at_hi), (k + 1, 2 * lo, lo + hi, at_lo, at_mid)]
+    return roots
+
+
+def _bareiss(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, changed in place, by
+    Bareiss's fraction-free elimination (every division is exact)."""
+    sign, prev, n = 1, 1, len(rows)
+    for k in range(n - 1):
+        if not rows[k][k]:
+            i = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if i is None:
+                return 0
+            rows[k], rows[i], sign = rows[i], rows[k], -sign
+        top, pivot = rows[k], rows[k][k]
+        for row in rows[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - f * top[j]) // prev
+        prev = pivot
+    return sign * rows[-1][-1]
+
+
+def _resultant(p: dict, q: dict) -> list[int] | None:
+    """``Res_x2(p, q)`` as x1-coefficients, highest degree first ([] when it is
+    0), or None past _RESULTANT_LIMIT.
+
+    The Sylvester matrix, built with the formal x2-degrees m, n of p, q, is
+    taken at x1 = 0..D, each determinant by Bareiss.  Its entries in a row of
+    p have degree at most deg p - m plus the column offset, so the resultant
+    has degree at most D = n*deg p + m*deg q - m*n <= deg p * deg q.  Newton's
+    forward differences interpolate on integers: the k-th difference at 0 of
+    an integer polynomial is a multiple of k!.
+    """
+    m, n = max(e[1] for e in p), max(e[1] for e in q)
+    bound = n * max(map(sum, p)) + m * max(map(sum, q)) - m * n
+    if (bound + 1) * (m + n) ** 3 > _RESULTANT_LIMIT:
+        return None
+    values = []
+    for t in range(bound + 1):
+        a, b = [0] * (m + 1), [0] * (n + 1)
+        for coeffs, f, deg in ((a, p, m), (b, q, n)):
+            for (i, j), c in f.items():
+                coeffs[deg - j] += c * t ** i
+        values.append(_bareiss([[0] * k + a + [0] * (n - 1 - k) for k in range(n)]
+                               + [[0] * k + b + [0] * (m - 1 - k) for k in range(m)]))
+    newton, factorial = [], 1
+    for k in range(bound + 1):
+        factorial *= k or 1
+        c, rest = divmod(values[0], factorial)
+        if rest:
+            raise ArithmeticError(f"resultant samples exceed degree {bound}")
+        newton.append(c)
+        values = [b - a for a, b in zip(values, values[1:])]
+    # r = c_0 + x*(c_1 + (x - 1)*(c_2 + ...)), from the inside out
+    r = [newton[bound]]
+    for k in range(bound - 1, -1, -1):
+        r = [a - k * b for a, b in zip(r + [0], [0] + r)]
+        r[-1] += newton[k]
+    return r[next((i for i, c in enumerate(r) if c), len(r)):]
+
+
+def _eliminant(polys: list[tuple[int, dict]]) -> tuple[list[int], list[int]] | None:
+    """A nonzero polynomial ``r(x1)`` of the ideal, and the indices of the
+    polynomials it comes from: the first one free of x2, else the first
+    nonzero ``Res_x2`` of a pair, in system order.  None if there is none,
+    or once a resultant is past _RESULTANT_LIMIT."""
+    for i, p in polys:
+        if not any(e[1] for e in p):
+            return [i], [p.get((k, 0), 0) for k in range(max(e[0] for e in p), -1, -1)]
+    for (i, p), (j, q) in itertools.combinations(polys, 2):
+        r = _resultant(p, q)
+        if r is None:
+            return None
+        if r:
+            return [i, j], r
+    return None
+
+
+def _check_zero(terms, point: tuple[Fraction, ...]) -> None:
+    """Raise unless ``point`` is an exact common zero of the term dicts."""
+    den = math.lcm(*(v.denominator for v in point))
+    if not _is_exact_common_zero([clear(p, den) for p in terms],
+                                 tuple(int(v * den) for v in point), 1):
+        raise ArithmeticError(f"witness {point} is not a zero of the system")
+
+
+def _resultant_stage(indexed, diagnostics: dict) -> EmptinessVerdict | None:
+    """In d = 2, a verdict from an eliminant ``r(x1)`` and its real roots; None
+    if it cannot tell, or past _RESULTANT_LIMIT.
+
+    Every real zero has its x1 among the real roots of ``r``.  At each
+    rational one, ``a``, in increasing order, the gcd in x2 of all the
+    polynomials at x1 = ``a`` holds the zeros above it: its first rational
+    root, or 0 if every polynomial vanishes there, gives the least rational
+    zero in lexicographic order (NONEMPTY).  EMPTY when every real root of
+    ``r`` is rational and no gcd has a real root; the certificate lists ``r``
+    and each ``a`` with its gcd.  ``indexed`` holds (polynomial index, term
+    dict) pairs, and the certificate names polynomials by that index.
+    """
+    polys = [(i, p) for i, p in indexed if p]
+    found = _eliminant(polys)
+    if found is None or _work(found[1]) > _RESULTANT_LIMIT:
+        return None
+    pair, r = found
+    roots = _real_roots(r)
+    rational = [x for x in roots if x is not None]
+    diagnostics["pipeline"].append("resultant")
+    diagnostics["resultant"] = {"pair": pair, "degree": len(r) - 1,
+                                "real_roots": len(roots), "rational_roots": len(rational)}
+    lifts = []
+    for num, den in rational:
+        restricted = []
+        for _, p in polys:
+            top, f = max(e[0] for e in p), {}
+            for (i, j), c in p.items():
+                f[(j,)] = f.get((j,), 0) + c * num ** i * den ** (top - i)
+            restricted.append({e: c for e, c in f.items() if c})
+        x2: tuple[int, int] | None = (0, 1)
+        if any(restricted):
+            g = _univariate_gcd(restricted)
+            if g is None or _work(g) > _RESULTANT_LIMIT:
+                return None
+            above = _real_roots(g)
+            x2 = next(filter(None, above), None)
+            if x2 is None:
+                if not above:
+                    lifts.append({"x1": str(Fraction(num, den)), "gcd": [str(c) for c in g]})
+                continue
+        point = (Fraction(num, den), Fraction(*x2))
+        _check_zero([p for _, p in polys], point)
+        return EmptinessVerdict(NONEMPTY, witness=point, certificate={"kind": "ExactPoint"},
+                                diagnostics=diagnostics)
+    if len(lifts) < len(roots):
+        return None
+    return EmptinessVerdict(EMPTY, certificate={
+        "kind": "Resultant", "pair": pair, "resultant": [str(c) for c in r], "roots": lifts},
+        diagnostics=diagnostics)
 
 
 def _search(sys: RealPolySystem | _Presolved, config: SolverConfig,
-            diagnostics: dict) -> EmptinessVerdict:
-    """In d = 1 a Sturm count, which decides EMPTY when it is 0; then the
-    boundedness radius and subdivision of its cube (or the default cube).
+            diagnostics: dict, index: Sequence[int]) -> EmptinessVerdict:
+    """In d = 1 a Sturm count, which decides EMPTY when it is 0, and in d = 2
+    the resultant stage; then the boundedness radius and subdivision of its
+    cube (or the default cube).  ``index`` holds the polynomial index of
+    each of ``sys.terms``.
 
     The gcd has a positive leading coefficient, so an odd degree or a
     constant term <= 0 shows a real zero without the count."""
@@ -435,6 +685,8 @@ def _search(sys: RealPolySystem | _Presolved, config: SolverConfig,
         diagnostics["pipeline"].append("sturm")
         return EmptinessVerdict(EMPTY, certificate={"kind": "Sturm", "gcd": [str(c) for c in g]},
                                 diagnostics=diagnostics)
+    if sys.dimension == 2 and (verdict := _resultant_stage(zip(index, sys.terms), diagnostics)):
+        return verdict
     radius = boundedness_radius(sys)
     diagnostics["pipeline"].append("boundedness")
     diagnostics["radius"] = None if radius is None else str(radius)
@@ -483,7 +735,7 @@ def decide_emptiness(sys: RealPolySystem,
 
     pre = _presolve(sys.terms, sys.dimension, members)
     if pre is None:
-        return _search(sys, config, diagnostics)
+        return _search(sys, config, diagnostics, range(len(sys.terms)))
     diagnostics["pipeline"].append("presolve")
     diagnostics["presolve"] = {"eliminated": [k for _, k, _, _ in pre.steps],
                                "free": pre.free}
@@ -495,7 +747,7 @@ def decide_emptiness(sys: RealPolySystem,
         verdict = EmptinessVerdict(NONEMPTY, witness=(), certificate={"kind": "ExactPoint"},
                                    diagnostics=diagnostics)
     else:
-        verdict = _search(pre, config, diagnostics)
+        verdict = _search(pre, config, diagnostics, pre.index)
     if verdict.status == NONEMPTY:
         # back to all coordinates: free ones 0, eliminated ones in reverse order
         x = [Fraction(0)] * sys.dimension
@@ -503,11 +755,8 @@ def decide_emptiness(sys: RealPolySystem,
             x[k] = v
         for _, k, a, s in reversed(pre.steps):
             x[k] = Fraction(sum(c * x[e.index(1)] if any(e) else c for e, c in s.items()), a)
-        point, den = tuple(x), math.lcm(*(v.denominator for v in x))
-        if not _is_exact_common_zero([clear(p, den) for p in sys.terms],
-                                     tuple(int(v * den) for v in x), 1):
-            raise ArithmeticError(f"presolved witness {point} is not a zero of the system")
-        return dataclasses.replace(verdict, witness=point)
+        _check_zero(sys.terms, tuple(x))
+        return dataclasses.replace(verdict, witness=tuple(x))
     if verdict.status == EMPTY and (pre.steps or pre.free):
         certificate = {"kind": "Presolve",
                        "eliminated": [{"poly": j, "axis": k} for j, k, _, _ in pre.steps],

@@ -228,6 +228,55 @@ def substitute_value(terms: dict[tuple[int, ...], Fraction], index: int,
     return {e: c for e, c in out.items() if c != 0}
 
 
+# -- resultant reference ---------------------------------------------------
+
+def _q_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def reference_resultant(p: dict, q: dict) -> list[Fraction]:
+    """``Res_x2(p, q)`` of two term dicts in (x1, x2), as Fractions in x1,
+    highest degree first ([] when it is 0).
+
+    The Sylvester matrix over Q[x1], with the formal x2-degrees of ``p`` and
+    ``q``, expanded by cofactors column by column: no evaluation, no
+    interpolation and no elimination, so it is independent of the solver's
+    Bareiss determinants at integer points.
+    """
+    m, n = max(e[1] for e in p), max(e[1] for e in q)
+
+    def coeffs(f, deg):   # x2^deg, ..., x2^0, each in x1, lowest degree first
+        top = max(e[0] for e in f)
+        return [[Fraction(f.get((i, deg - k), 0)) for i in range(top + 1)]
+                for k in range(deg + 1)]
+
+    zero = [Fraction(0)]
+    rows = ([[zero] * k + coeffs(p, m) + [zero] * (n - 1 - k) for k in range(n)]
+            + [[zero] * k + coeffs(q, n) + [zero] * (m - 1 - k) for k in range(m)])
+    memo: dict = {}
+
+    def det(col: int, left: tuple) -> list[Fraction]:
+        if col == m + n:
+            return [Fraction(1)]
+        if (col, left) not in memo:
+            total = [Fraction(0)]
+            for pos, i in enumerate(left):
+                if any(rows[i][col]):
+                    term = _q_poly_mul(rows[i][col], det(col + 1, left[:pos] + left[pos + 1:]))
+                    total += [Fraction(0)] * (len(term) - len(total))
+                    for k, c in enumerate(term):
+                        total[k] += -c if pos % 2 else c
+            memo[col, left] = total
+        return memo[col, left]
+
+    r = det(0, tuple(range(m + n)))[::-1]
+    return r[next((i for i, c in enumerate(r) if c), len(r)):]
+
+
 # -- dense-grid oracle -----------------------------------------------------
 
 def _poly_on_grid(poly: MultiPoly, grids: list[np.ndarray]) -> np.ndarray:
@@ -332,10 +381,12 @@ def reference_tokenize(text: str, allow_pi: bool) -> list[tuple]:
     """``(kind, value, pos)`` tokens of ``text``, read character by character.
 
     The hand-written loop the parser once used, kept as the reference for
-    its single-pattern tokenizer.  It reads digit runs with ``str.isdigit``,
-    so a numeral that is not a decimal digit (``²``) makes ``int`` raise
-    ``ValueError``; keep such characters out of its inputs.
+    its single-pattern tokenizer.  A digit is an ASCII ``0``-``9``; any
+    other numeral (``²``, ``٣``) is an unexpected character.
     """
+    def isdigit(ch: str) -> bool:
+        return "0" <= ch <= "9"
+
     toks = []
     i, n = 0, len(text)
     while i < n:
@@ -347,9 +398,9 @@ def reference_tokenize(text: str, allow_pi: bool) -> list[tuple]:
             toks.append(("op", ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if isdigit(ch):
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and isdigit(text[j]):
                 j += 1
             toks.append(("int", int(text[i:j]), i))
             i = j
@@ -370,7 +421,7 @@ def reference_tokenize(text: str, allow_pi: bool) -> list[tuple]:
                 toks.append(("PI", None, i))
             elif word == "X":
                 k = j
-                while k < n and text[k].isdigit():
+                while k < n and isdigit(text[k]):
                     k += 1
                 if k == j:
                     raise ParseError(i, ParseErrorKind.UNKNOWN_SYMBOL,

@@ -53,7 +53,8 @@ def test_parse_error_exit_code_and_caret(capsys):
     (("witness", "X1*T +", "--freq", "1"), 8),
     (("classify", "X1\u00b2*T"), 4),
     (("classify", "(X1+X2+1)^100000"), 11),
-], ids=["periodic", "content", "witness", "superscript", "expansion-limit"])
+    (("classify", "X\u0660*T"), 2),
+], ids=["periodic", "content", "witness", "superscript", "expansion-limit", "arabic-indic-index"])
 def test_parse_error_caret_for_every_subcommand(capsys, argv, caret_at):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_INPUT_ERROR and out == ""
@@ -139,8 +140,10 @@ def test_zero_denominator_box_halfwidth_is_an_input_error(capsys):
      "'1e30000000'"),
     (("witness", "T-X1^2", "--freq", "1e30000000"), "--freq"),
     (("periodic", "X1*T", "--lattice", "1.5"), "invalid lattice"),
+    (("periodic", "X1*T", "--lattice", "\u0661"), "invalid lattice"),
 ], ids=["classify-dim", "content-dim", "witness-freq", "max-depth",
-        "lattice-exponent", "box-halfwidth-exponent", "freq-exponent", "lattice-decimal"])
+        "lattice-exponent", "box-halfwidth-exponent", "freq-exponent", "lattice-decimal",
+        "lattice-arabic-indic"])
 def test_input_error_names_the_flag(capsys, argv, named):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_INPUT_ERROR

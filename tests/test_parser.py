@@ -154,9 +154,12 @@ def test_round_trip_random():
 
 @pytest.mark.parametrize("text, position", [
     ("X1\u00b2*T", 2), ("\u00b3", 0), ("T + \u2460", 4), ("X\u00b2", 0),
+    # Arabic-Indic digits: X is left without an index, a literal ends before them
+    ("X\u0660*T", 0), ("X\u0661*T", 0), ("X1\u0661*T", 2), ("2\u0660*T", 1),
 ])
 def test_non_decimal_numeral_is_an_unknown_symbol(text, position):
-    # superscripts and circled digits pass str.isdigit but are no integers
+    # superscripts and circled digits pass str.isdigit but are no integers,
+    # and only the ASCII digits make an integer or an X index
     with pytest.raises(ParseError) as e:
         parse(text)
     assert e.value.kind == ParseErrorKind.UNKNOWN_SYMBOL
@@ -171,7 +174,7 @@ def test_non_decimal_numeral_is_an_unknown_symbol(text, position):
     ("X00", None, (0, "X indices are 1-based")),
     ("T\u00bd", None, (1, "unexpected character '\u00bd'")),
     ("X12^3", [("X", 12, 0), ("op", "^", 3), ("int", 3, 4), ("end", None, 5)], None),
-    ("X\u0663", [("X", 3, 0), ("end", None, 2)], None),
+    ("X\u0663", None, (0, "X must be followed by a 1-based index")),
 ])
 def test_tokenizer_words_and_indices(text, tokens, error):
     # a run of letters is one word; X takes the digits right after it

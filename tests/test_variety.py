@@ -3,6 +3,8 @@ import itertools
 import json
 import math
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,8 +31,10 @@ from helpers import (
     integer_terms,
     random_multipoly,
     random_rational,
+    reference_resultant,
     substitute_value,
 )
+from test_acceptance import SUITE_CONFIG, generate_suite
 
 CIRCLE = MultiPoly(2, {(2, 0): -1, (0, 2): -1, (0, 0): 1})   # 1 - x^2 - y^2
 POSDEF = MultiPoly(1, {(2,): 1, (0,): 1})                    # x^2 + 1
@@ -339,16 +343,19 @@ def test_decide_ignores_zero_polys():
 def test_zero_polys_change_no_decision(polys):
     # Same status, witness, certificate and diagnostics with zero
     # polynomials in front and at the end as without them; a polynomial
-    # index in the certificate moves by the one zero in front.
+    # index in the certificate or the diagnostics moves by the one zero in
+    # front.
     zero = MultiPoly.zero(2)
     expected = decide_emptiness(RealPolySystem(2, polys))
-    expected = dataclasses.replace(expected, certificate=_shift_polys(expected.certificate))
+    expected = dataclasses.replace(expected, certificate=_shift_polys(expected.certificate),
+                                   diagnostics=_shift_polys(expected.diagnostics))
     assert decide_emptiness(RealPolySystem(2, (zero, *polys, zero))) == expected
 
 
 def _shift_polys(cert):
     if isinstance(cert, dict):
-        return {k: v + 1 if k == "poly" else _shift_polys(v) for k, v in cert.items()}
+        return {k: v + 1 if k == "poly" else [i + 1 for i in v] if k == "pair"
+                else _shift_polys(v) for k, v in cert.items()}
     if isinstance(cert, list):
         return [_shift_polys(v) for v in cert]
     return cert
@@ -769,6 +776,8 @@ def test_presolve_on_planted_affine_systems():
             g = _q_gcd(projected.polys)
             assert _scaled(g, list(map(int, reduced["gcd"])))
             assert _q_real_root_count(g) == 0
+        elif reduced["kind"] == "Resultant":
+            _check_resultant_certificate(_reduced(system, cert), reduced)
         else:
             terms = replayed[reduced["poly"]].real_terms()
             constant = terms.get((0,) * system.dimension, 0)
@@ -780,3 +789,270 @@ def test_presolve_on_planted_affine_systems():
         counts["members"] += bool(members)
     assert counts["UNKNOWN"] <= 15 and counts["EMPTY"] >= 20 and counts["replayed"] >= 20, counts
     assert counts["sturm"] >= 1 and counts["members"] >= 1, counts
+
+
+# -- resultant stage ---------------------------------------------------------
+
+
+def _random_x2_poly(rng):
+    """A random integer term dict in (x1, x2) with a positive x2-degree."""
+    while True:
+        f = integer_terms(random_multipoly(rng, 2, max_deg=3, max_terms=4, height=5,
+                                           complex_coeffs=False).real_terms() or {(0, 0): 1})
+        if any(e[1] for e in f):
+            return f
+
+
+def test_resultant_matches_the_cofactor_reference():
+    # every third pair has the leading x2-coefficient x1 - t, t in 0..2,
+    # which vanishes at one of the Sylvester evaluation points
+    rng = random.Random(21)
+    for i in range(240):
+        p, q = _random_x2_poly(rng), _random_x2_poly(rng)
+        if i % 3 == 0:
+            t = rng.randint(0, 2)
+            p = {e: c for e, c in p.items() if e[1] < 2} | {(1, 2): 1} | ({(0, 2): -t} if t else {})
+        assert nullsol.variety._resultant(p, q) == list(map(int, reference_resultant(p, q)))
+
+
+def test_common_factor_skips_the_stage():
+    # Res_x2 of a pair with a common factor of positive x2-degree is 0, and
+    # a system of such a pair has no eliminant
+    rng = random.Random(22)
+    for _ in range(30):
+        h, u, v = (random_multipoly(rng, 2, max_deg=1, max_terms=3, height=4,
+                                    complex_coeffs=False) for _ in range(3))
+        p, q = (integer_terms(((h + Y2 * Y2) * f).real_terms()) for f in (u + X2 * X2, v + Y2 * Y2))
+        assert nullsol.variety._resultant(p, q) == [] == reference_resultant(p, q)
+        diagnostics = {"pipeline": []}
+        assert nullsol.variety._resultant_stage(enumerate((p, q)), diagnostics) is None
+        assert diagnostics == {"pipeline": []}
+
+
+@pytest.mark.parametrize("f, roots", [
+    ([1, 0, -1, 0], [(-1, 1), (0, 1), (1, 1)]),               # x^3 - x: a root at 0
+    ([1, 0, 1, 0], [(0, 1)]),                                 # x(x^2 + 1)
+    # (2x - 1)^2 (x + 3)^3: multiple roots
+    ([4, 32, 73, 9, -81, 27], [(-3, 1), (1, 2)]),
+    ([4, -3, 4, -3], [(3, 4)]),                               # (4x - 3)(x^2 + 1): a midpoint
+    ([2 ** 61, -1], [(1, 2 ** 61)]),                          # lc = 2^61
+    ([2 ** 61, -3, -2 ** 62, 6], [None, (3, 2 ** 61), None]), # (2^61 x - 3)(x^2 - 2)
+    ([1, 0, 1], []),                                          # no real root
+    ([6, 17, 7], [(-7, 3), (-1, 2)]),                         # (3x + 7)(2x + 1)
+    ([-1, 0, 2], [None, None]),                               # 2 - x^2
+], ids=["zero", "zero-alone", "multiple", "midpoint", "lc-2^61", "lc-2^61-irrational",
+        "no-root", "negative", "irrational"])
+def test_real_roots_pinned(f, roots):
+    assert nullsol.variety._real_roots(f) == roots
+
+
+def test_real_roots_match_the_planted_roots():
+    # products of rational linear factors (with multiplicity), x^2 - c and
+    # x^2 + c (c > 0 not a square): the rational roots are the planted
+    # ones, and the real count is the rational Sturm reference's
+    rng = random.Random(23)
+    for _ in range(200):
+        p, planted = const(1, rng.choice([-2, -1, 1, 3])), set()
+        for _ in range(rng.randint(0, 4)):
+            root = Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+            p = p * (const(1, root.denominator) * X1 - const(1, root.numerator)) ** rng.randint(1, 2)
+            planted.add(root)
+        for _ in range(rng.randint(0, 2)):
+            p = p * (X1 * X1 + const(1, rng.choice([-7, -3, -2, 2, 5])))
+        f = [int(c) for c in _q_coeffs(p)]
+        found = nullsol.variety._real_roots(f)
+        assert len(found) == _q_real_root_count(f)
+        assert [Fraction(*x) for x in found if x] == sorted(planted)
+        assert all(math.gcd(*x) == 1 and x[1] > 0 for x in found if x)
+
+
+def _check_resultant_certificate(system, cert):
+    """Re-check a Resultant certificate of a d = 2 system with Fractions only.
+
+    ``r`` is, up to a factor, the polynomial named (free of x2) or the
+    resultant of the pair named; it has as many distinct real roots as the
+    certificate lists, each listed x1 is one of them, and there the gcd in
+    x2 of all the polynomials is the one listed and has no real root.  So
+    no real zero is left.
+    """
+    polys = [p.real_terms() for p in system.polys]
+    r = [Fraction(c) for c in cert["resultant"]]
+    if len(cert["pair"]) == 1:
+        (i,) = cert["pair"]
+        assert not any(e[1] for e in polys[i])
+        ref = [polys[i].get((k, 0), 0) for k in range(max(e[0] for e in polys[i]), -1, -1)]
+    else:
+        ref = reference_resultant(*(polys[i] for i in cert["pair"]))
+    assert r and _scaled(ref, r)
+    roots = [Fraction(root["x1"]) for root in cert["roots"]]
+    assert len(set(roots)) == len(roots) == _q_real_root_count(r)
+    for a, root in zip(roots, cert["roots"]):
+        assert sum(c * a ** k for k, c in enumerate(reversed(r))) == 0
+        above = []
+        for p in polys:
+            terms = {}
+            for e, c in p.items():
+                terms[(e[1],)] = terms.get((e[1],), 0) + c * a ** e[0]
+            above.append(MultiPoly(1, terms))
+        g = _q_gcd(above)
+        assert _scaled(g, [int(c) for c in root["gcd"]])
+        assert _q_real_root_count(g) == 0
+
+
+def _reduced(system, cert):
+    """The reduced system a Presolve certificate leads to, by replay: the
+    system's polynomials, then the ideal members, each at its polynomial
+    index (zero once eliminated), on the axes still in use."""
+    replayed = _replay(system, cert["eliminated"], _members(system.dimension, cert))
+    kept = sorted({k for q in replayed for e in q.terms for k in range(len(e)) if e[k]})
+    return RealPolySystem(len(kept), tuple(
+        MultiPoly(len(kept), {tuple(e[k] for k in kept): c for e, c in q.terms.items()})
+        for q in replayed))
+
+
+def _compare_with_the_box_search(monkeypatch, systems, config):
+    """Decide each system with the resultant stage and without it: equal
+    verdicts wherever both decide, every witness an exact zero, every
+    Resultant certificate re-checked.  Returns the counts of outcomes."""
+    new = [decide_emptiness(s, config) for s in systems]
+    with monkeypatch.context() as m:
+        m.setattr(nullsol.variety, "_resultant_stage", lambda terms, diagnostics: None)
+        old = [decide_emptiness(s, config) for s in systems]
+    counts = {"new": Counter(v.status for v in new), "old": Counter(v.status for v in old),
+              "stage": Counter()}
+    for system, a, b in zip(systems, new, old):
+        if UNKNOWN not in (a.status, b.status):
+            assert a.status == b.status, system
+        if a.status == NONEMPTY:
+            assert exact_common_zero(system, a.witness)
+        cert = a.certificate or {}
+        if cert.get("kind") == "Presolve":
+            system, cert = _reduced(system, cert), cert["reduced"]
+        if cert.get("kind") == "Resultant":
+            _check_resultant_certificate(system, cert)
+        if "resultant" in a.diagnostics["pipeline"]:
+            decided = a.diagnostics["pipeline"][-1] == "resultant"
+            counts["stage"][a.status if decided else "fallback"] += 1
+    return counts
+
+
+def _seeded_d2_systems(rng, count):
+    """Systems in d = 2, in turn: two or three random polynomials, the same
+    shifted to vanish at a planted rational point, and two curves
+    x2^2 = f(x1), x2^2 = f(x1) - a*x1^2 - b with a, b > 0, which never meet.
+    Every polynomial has degree 2 or more, so most of them stay in d = 2
+    after the presolve."""
+    systems = []
+    for i in range(count):
+        if i % 3 == 2:
+            f = sum((const(2, random_rational(rng, 4)) * X2 ** k for k in range(3)),
+                    const(2, rng.choice([-2, -1, 1, 2])) * X2 ** 3)
+            gap = const(2, rng.randint(1, 3)) * X2 * X2 + const(2, Fraction(1, rng.randint(1, 4)))
+            systems.append(sys_of(Y2 * Y2 - f, Y2 * Y2 - f + gap))
+            continue
+        polys = [random_multipoly(rng, 2, max_deg=3, max_terms=3, height=5, complex_coeffs=False)
+                 + const(2, rng.choice([-2, -1, 1, 2])) * rng.choice([X2 * X2, X2 * Y2, Y2 * Y2])
+                 for _ in range(rng.randint(2, 3))]
+        if i % 3:
+            z = [random_rational(rng, 3) for _ in range(2)]
+            polys = [p - const(2, _real_value(p, z)) for p in polys]
+        systems.append(RealPolySystem(2, tuple(polys)))
+    return systems
+
+
+GUARD_CONFIG = dataclasses.replace(DEFAULT_CONFIG, max_depth=14, groebner_cap=2000)
+
+
+def test_resultant_stage_agrees_with_the_box_search(monkeypatch):
+    counts = _compare_with_the_box_search(monkeypatch, _seeded_d2_systems(random.Random(24), 120),
+                                          GUARD_CONFIG)
+    assert counts["stage"]["NONEMPTY"] >= 20 and counts["stage"]["EMPTY"] >= 20, counts
+    assert counts["new"][UNKNOWN] <= counts["old"][UNKNOWN], counts
+
+
+def test_resultant_stage_on_the_acceptance_suite(monkeypatch):
+    counts = _compare_with_the_box_search(monkeypatch, generate_suite(random.Random(2024)),
+                                          SUITE_CONFIG)
+    assert counts["old"][UNKNOWN] == 3 and counts["new"][UNKNOWN] == 2, counts
+
+
+@pytest.mark.parametrize("system, certificate", [
+    # the zero set of x2 = x1^2 misses x2 = x1^4 + 1: r = x1^4 - x1^2 + 1
+    (sys_of(X2 * X2 - Y2, Y2 - X2 ** 4 - const(2, 1)),
+     {"kind": "Resultant", "pair": [0, 1], "resultant": ["1", "0", "-1", "0", "1"],
+      "roots": []}),
+    # the acceptance suite's third UNKNOWN: r has the one real root 0, and
+    # the first polynomial is 5/3 there
+    (sys_of(const(2, Fraction(-2, 7)) * X2 * X2 * Y2 + const(2, Fraction(5, 3)),
+            const(2, Fraction(1, 2)) * (X2 ** 3 * Y2 + X2 * Y2 * Y2)
+            + const(2, Fraction(5, 4)) * Y2 - const(2, 1)),
+     {"kind": "Resultant", "pair": [0, 1],
+      "resultant": ["141120", "-48384", "0", "352800", "823200", "0"],
+      "roots": [{"x1": "0", "gcd": ["1"]}]}),
+    # the same in d = 3 after x3 = x1 + x2 is eliminated, behind a zero
+    # polynomial: the pair keeps its polynomial indices
+    (RealPolySystem(3, (MultiPoly.zero(3), Z3 - X3 - Y3, X3 * X3 - Y3,
+                        Y3 - X3 ** 4 - const(3, 1))),
+     {"kind": "Presolve", "eliminated": [{"poly": 1, "axis": 2}], "free": [],
+      "reduced": {"kind": "Resultant", "pair": [2, 3], "resultant": ["1", "0", "-1", "0", "1"],
+                  "roots": []}}),
+], ids=["parabola-quartic", "suite-unknown-3", "presolved"])
+def test_resultant_decides_empty_systems_without_a_radius(monkeypatch, system, certificate):
+    verdict = decide_emptiness(system)
+    assert verdict.status == EMPTY and verdict.certificate == certificate
+    presolved = certificate["kind"] == "Presolve"
+    assert verdict.diagnostics["pipeline"] == ["groebner", *["presolve"] * presolved, "resultant"]
+    if presolved:
+        system, certificate = _reduced(system, certificate), certificate["reduced"]
+    _check_resultant_certificate(system, certificate)
+    monkeypatch.setattr(nullsol.variety, "_resultant_stage", lambda terms, diagnostics: None)
+    verdict = decide_emptiness(system)
+    assert verdict.status == UNKNOWN
+    assert verdict.diagnostics["reason"] == "unbounded-no-radius"
+
+
+@pytest.mark.parametrize("system, status, witness, resultant, pipeline", [
+    # the axes meet the unit circle at four points; (-1, 0) is the least
+    (sys_of(HYPERBOLA_AXES, CIRCLE), NONEMPTY, (-1, 0),
+     {"pair": [0, 1], "degree": 4, "real_roots": 3, "rational_roots": 3}, []),
+    # x1 = x2^2 on the circle of radius sqrt(3): r = (x1^2 + x1 - 3)^2 has
+    # only irrational roots, and the box search runs
+    (sys_of(X2 * X2 + Y2 * Y2 - const(2, 3), X2 - Y2 * Y2), UNKNOWN, None,
+     {"pair": [0, 1], "degree": 4, "real_roots": 2, "rational_roots": 0},
+     ["boundedness", "subdivision"]),
+    # a polynomial free of x2 is the eliminant: x1 = 2, then x2^2 = 4 - 3
+    (sys_of(X2 * X2 + Y2 * Y2 - const(2, 5), X2 * X2 - const(2, 4)), NONEMPTY, (-2, -1),
+     {"pair": [1], "degree": 2, "real_roots": 2, "rational_roots": 2}, []),
+    # x1 = 0 and x1 = 1 are rational, but x2^2 = 2 and x2^2 = 3 above them
+    # are not: no verdict, although every root of r is rational
+    (sys_of(X2 * X2 - X2, Y2 * Y2 - X2 - const(2, 2)), UNKNOWN, None,
+     {"pair": [0], "degree": 2, "real_roots": 2, "rational_roots": 2},
+     ["boundedness", "subdivision"]),
+], ids=["axes-circle", "irrational", "member", "irrational-lift"])
+def test_resultant_diagnostics(system, status, witness, resultant, pipeline):
+    verdict = decide_emptiness(system)
+    assert verdict.status == status
+    assert verdict.witness == (None if witness is None else tuple(map(Fraction, witness)))
+    assert verdict.diagnostics["pipeline"] == ["groebner", "resultant", *pipeline]
+    assert verdict.diagnostics["resultant"] == resultant
+
+
+def test_resultant_stage_stops_at_its_work_bound(monkeypatch):
+    # a dense pair of degree 40: 41 * 42 / 2 terms each, so the Sylvester
+    # work alone, 1601 * 80^3, is far past the bound; the stage ends before
+    # any determinant
+    rng = random.Random(40)
+    p, q = ({(i, j): rng.choice([-2, -1, 1, 2]) for i in range(41) for j in range(41 - i)}
+            for _ in range(2))
+    diagnostics = {"pipeline": []}
+    start = time.perf_counter()
+    assert nullsol.variety._resultant(p, q) is None
+    assert nullsol.variety._resultant_stage(enumerate((p, q)), diagnostics) is None
+    assert time.perf_counter() - start < 0.1
+    assert diagnostics == {"pipeline": []}
+    # an eliminant past the bound: the radius proof and subdivision run
+    system = sys_of(X2 * X2 - Y2, Y2 - X2 ** 4 - const(2, 1))
+    monkeypatch.setattr(nullsol.variety, "_RESULTANT_LIMIT", nullsol.variety._work([1, 0, -1, 0, 1]) - 1)
+    verdict = decide_emptiness(system)
+    assert "resultant" not in verdict.diagnostics["pipeline"]
+    assert verdict.status == UNKNOWN
