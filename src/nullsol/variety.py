@@ -7,7 +7,11 @@ sign-definite generators; see :func:`_presolve`), then in one variable a
 Sturm count of the distinct real zeros, which decides EMPTY when it is 0,
 and in two variables an eliminant ``r(x1)`` of the ideal (a polynomial
 free of x2, or ``Res_x2`` of a pair) whose real roots are isolated and
-lifted exactly (see :func:`_resultant_stage`), then a boundedness
+lifted exactly (see :func:`_resultant_stage`); a single curve ``p`` goes
+there as the pair ``(p, dp/dx2)``: a nonempty compact zero set has a
+point where x1 is largest, and by the implicit function theorem
+``dp/dx2`` vanishes there, so no such critical point decides EMPTY once
+the radius bounds the zeros (see :func:`_search`).  Then a boundedness
 reduction that confines all real zeros of the (reduced) system to an
 exact cube, then certified branch-and-bound subdivision with exact
 interval arithmetic on integers.  NONEMPTY always carries an exact
@@ -679,17 +683,40 @@ def _search(sys: RealPolySystem | _Presolved, config: SolverConfig,
     each of ``sys.terms``.
 
     The gcd has a positive leading coefficient, so an odd degree or a
-    constant term <= 0 shows a real zero without the count."""
+    constant term <= 0 shows a real zero without the count.
+
+    A single curve ``p`` in d = 2 that involves x2 goes to the resultant
+    stage as the pair ``(p, dp/dx2)``, its critical points for x1 (Basu,
+    Pollack & Roy, "Algorithms in Real Algebraic Geometry").  A common zero
+    of the pair is a zero of ``p``.  No common real zero proves ``p`` EMPTY
+    once a radius bounds its zeros: on a nonempty compact zero set, take a
+    point ``z`` where x1 is largest.  If dp/dx2(z) were not 0, the implicit
+    function theorem would make the set a graph ``x2 = phi(x1)`` near ``z``,
+    which reaches x1 > z1.  So dp/dx2(z) = 0."""
     if (sys.dimension == 1 and (g := _univariate_gcd(sys.terms)) is not None
             and len(g) % 2 and g[-1] > 0 and not _real_root_count(g)):
         diagnostics["pipeline"].append("sturm")
         return EmptinessVerdict(EMPTY, certificate={"kind": "Sturm", "gcd": [str(c) for c in g]},
                                 diagnostics=diagnostics)
-    if sys.dimension == 2 and (verdict := _resultant_stage(zip(index, sys.terms), diagnostics)):
-        return verdict
+    verdict = curve = None
+    if sys.dimension == 2:
+        indexed = [(i, p) for i, p in zip(index, sys.terms) if p]
+        if len(indexed) == 1 and any(e[1] for e in indexed[0][1]):
+            curve, p = indexed[0]
+            indexed.append((curve, {(a, b - 1): b * c for (a, b), c in p.items() if b}))
+        verdict = _resultant_stage(indexed, diagnostics)
+        if curve is not None and "resultant" in diagnostics:
+            diagnostics["resultant"].update(pair=[curve], derivative="x2")
+        if verdict and (curve is None or verdict.status == NONEMPTY):
+            return verdict
     radius = boundedness_radius(sys)
     diagnostics["pipeline"].append("boundedness")
     diagnostics["radius"] = None if radius is None else str(radius)
+    if verdict and radius is not None:
+        cert = verdict.certificate
+        return dataclasses.replace(verdict, certificate={
+            "kind": "CriticalPoints", "poly": curve, "radius": str(radius),
+            "resultant": cert["resultant"], "roots": cert["roots"]})
 
     halfwidth = radius if radius is not None else config.default_box_halfwidth
     box = cube(sys.dimension, halfwidth)

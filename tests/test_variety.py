@@ -405,6 +405,8 @@ def test_box_budget_bounds_boxes_processed():
 
 
 CIRCLE_21 = (X2 - const(2, 2)) ** 2 + (Y2 + const(2, 1)) ** 2 - const(2, 1)
+# (x - 1)^2 + (y - 1)^2 + 1 is positive, but not term by term
+SHIFTED_POSDEF = (X2 - const(2, 1)) ** 2 + (Y2 - const(2, 1)) ** 2 + const(2, 1)
 
 
 @pytest.mark.parametrize("system, status, radius, stats, calls", [
@@ -412,9 +414,9 @@ CIRCLE_21 = (X2 - const(2, 2)) ** 2 + (Y2 + const(2, 1)) ** 2 - const(2, 1)
     # difference is an affine ideal member, and the Sturm count decides the
     # rest without a radius or a box
     (sys_of(CIRCLE_21, X2 * X2 + Y2 * Y2 - const(2, 1)), EMPTY, None, None, 0),
-    # (x - 1)^2 + (y - 1)^2 + 1 is positive, but not term by term
-    (sys_of((X2 - const(2, 1)) ** 2 + (Y2 - const(2, 1)) ** 2 + const(2, 1)), EMPTY, "18",
-     {"boxes_processed": 199, "boxes_discarded": 100, "depth_reached": 15}, 201),
+    # the critical points decide it: only the radius proof encloses (see
+    # test_shifted_posdef_box_search_counts for its box search)
+    (sys_of(SHIFTED_POSDEF), EMPTY, "18", None, 2),
     (sys_of(X2_MINUS_2), UNKNOWN, "3",
      {"boxes_processed": 95, "boxes_discarded": 46, "depth_reached": 24,
       "unresolved_boxes": 2}, 96),
@@ -425,6 +427,23 @@ def test_decide_wave_loop_counts(enclose_calls, system, status, radius, stats, c
     assert verdict.diagnostics.get("radius", None) == radius
     assert verdict.diagnostics.get("subdivision", None) == stats
     assert len(enclose_calls) == calls
+
+
+def test_shifted_posdef_box_search_counts(enclose_calls):
+    # dp/dy = 2(y - 1), and Res_y is 4x^2 - 8x + 8, with no real root: no
+    # critical point, and the radius 18 bounds the zeros, so EMPTY with no
+    # box search.  The box search of the radius cube still pins the wave
+    # loop: 2 radius enclosures, then 199 boxes.
+    system = sys_of(SHIFTED_POSDEF)
+    verdict = decide_emptiness(system)
+    assert verdict.status == EMPTY
+    assert verdict.certificate == {"kind": "CriticalPoints", "poly": 0, "radius": "18",
+                                   "resultant": ["4", "-8", "8"], "roots": []}
+    assert verdict.diagnostics["pipeline"] == ["groebner", "resultant", "boundedness"]
+    result = subdivision_search(system, cube(2, Fraction(18)))
+    assert result.kind == "NoZeroInBox"
+    assert result.stats == {"boxes_processed": 199, "boxes_discarded": 100, "depth_reached": 15}
+    assert len(enclose_calls) == 201
 
 
 def test_witness_is_exact_never_float():
@@ -738,7 +757,8 @@ def test_two_circles_decide_through_an_ideal_member():
 
 def test_presolve_on_planted_affine_systems():
     rng = random.Random(15)
-    counts = {"NONEMPTY": 0, "EMPTY": 0, "UNKNOWN": 0, "replayed": 0, "sturm": 0, "members": 0}
+    counts = {"NONEMPTY": 0, "EMPTY": 0, "UNKNOWN": 0, "replayed": 0, "sturm": 0, "members": 0,
+              "critical": 0}
     for _ in range(150):
         system, z, empty, determined = _planted_affine_system(rng)
         verdict = decide_emptiness(system)
@@ -776,7 +796,8 @@ def test_presolve_on_planted_affine_systems():
             g = _q_gcd(projected.polys)
             assert _scaled(g, list(map(int, reduced["gcd"])))
             assert _q_real_root_count(g) == 0
-        elif reduced["kind"] == "Resultant":
+        elif reduced["kind"] in ("Resultant", "CriticalPoints"):
+            counts["critical"] += reduced["kind"] == "CriticalPoints"
             _check_resultant_certificate(_reduced(system, cert), reduced)
         else:
             terms = replayed[reduced["poly"]].real_terms()
@@ -788,7 +809,7 @@ def test_presolve_on_planted_affine_systems():
         counts["replayed"] += 1
         counts["members"] += bool(members)
     assert counts["UNKNOWN"] <= 15 and counts["EMPTY"] >= 20 and counts["replayed"] >= 20, counts
-    assert counts["sturm"] >= 1 and counts["members"] >= 1, counts
+    assert counts["sturm"] >= 1 and counts["members"] >= 1 and counts["critical"] >= 1, counts
 
 
 # -- resultant stage ---------------------------------------------------------
@@ -867,17 +888,27 @@ def test_real_roots_match_the_planted_roots():
 
 
 def _check_resultant_certificate(system, cert):
-    """Re-check a Resultant certificate of a d = 2 system with Fractions only.
+    """Re-check a Resultant or CriticalPoints certificate of a d = 2 system
+    with Fractions only.
 
     ``r`` is, up to a factor, the polynomial named (free of x2) or the
     resultant of the pair named; it has as many distinct real roots as the
     certificate lists, each listed x1 is one of them, and there the gcd in
     x2 of all the polynomials is the one listed and has no real root.  So
-    no real zero is left.
+    no real zero is left.  For CriticalPoints the pair is the one nonzero
+    polynomial ``p`` and dp/dx2, and :func:`boundedness_radius` (checked
+    against its Fraction reference above) gives the radius stated: a
+    bounded zero set with no critical point for x1 is empty.
     """
     polys = [p.real_terms() for p in system.polys]
     r = [Fraction(c) for c in cert["resultant"]]
-    if len(cert["pair"]) == 1:
+    if cert["kind"] == "CriticalPoints":
+        i = cert["poly"]
+        assert not any(polys[:i] + polys[i + 1:])
+        assert boundedness_radius(system) == Fraction(cert["radius"])
+        polys = [polys[i], {(a, b - 1): b * c for (a, b), c in polys[i].items() if b}]
+        ref = reference_resultant(*polys)
+    elif len(cert["pair"]) == 1:
         (i,) = cert["pair"]
         assert not any(e[1] for e in polys[i])
         ref = [polys[i].get((k, 0), 0) for k in range(max(e[0] for e in polys[i]), -1, -1)]
@@ -913,7 +944,8 @@ def _reduced(system, cert):
 def _compare_with_the_box_search(monkeypatch, systems, config):
     """Decide each system with the resultant stage and without it: equal
     verdicts wherever both decide, every witness an exact zero, every
-    Resultant certificate re-checked.  Returns the counts of outcomes."""
+    Resultant and CriticalPoints certificate re-checked.  Returns the counts
+    of outcomes."""
     new = [decide_emptiness(s, config) for s in systems]
     with monkeypatch.context() as m:
         m.setattr(nullsol.variety, "_resultant_stage", lambda terms, diagnostics: None)
@@ -928,10 +960,10 @@ def _compare_with_the_box_search(monkeypatch, systems, config):
         cert = a.certificate or {}
         if cert.get("kind") == "Presolve":
             system, cert = _reduced(system, cert), cert["reduced"]
-        if cert.get("kind") == "Resultant":
+        if cert.get("kind") in ("Resultant", "CriticalPoints"):
             _check_resultant_certificate(system, cert)
         if "resultant" in a.diagnostics["pipeline"]:
-            decided = a.diagnostics["pipeline"][-1] == "resultant"
+            decided = a.diagnostics["pipeline"][-1] != "subdivision"
             counts["stage"][a.status if decided else "fallback"] += 1
     return counts
 
@@ -974,6 +1006,92 @@ def test_resultant_stage_on_the_acceptance_suite(monkeypatch):
     counts = _compare_with_the_box_search(monkeypatch, generate_suite(random.Random(2024)),
                                           SUITE_CONFIG)
     assert counts["old"][UNKNOWN] == 3 and counts["new"][UNKNOWN] == 2, counts
+
+
+def _seeded_curves(rng, count):
+    """Single polynomials in d = 2 of degree at most 4, in turn: a random one
+    plus a multiple of x2^2, x1*x2, x2^4 or x1^2 + x2^2, the same shifted to
+    vanish at a planted rational point, a conic
+    ``a(x1 - u)^2 + b(x2 - v)^2 + e(x1 - u)(x2 - v) - c`` with ``4ab > e^2``
+    (a circle of rational radius when ``e = 0``, ``a = b`` and ``c`` is a
+    square; imaginary for ``c < 0``), and ``x1^4 + x2^4`` plus a random
+    cubic, whose zeros are bounded."""
+    polys = []
+    for i in range(count):
+        if i % 4 == 2:
+            a, b = rng.randint(1, 3), rng.randint(1, 3)
+            e = rng.choice([0, 0, rng.randint(-1, 1) * (a + b - 1)])
+            c = Fraction(rng.randint(-4, 9), rng.randint(1, 3))
+            if rng.random() < 0.3:
+                a = b = 1
+                e, c = 0, random_rational(rng, 4) ** 2
+            u, v = (random_rational(rng, 3) for _ in range(2))
+            x, y = X2 - const(2, u), Y2 - const(2, v)
+            polys.append(const(2, a) * x * x + const(2, b) * y * y + const(2, e) * x * y
+                         - const(2, c))
+        elif i % 4 == 3:
+            polys.append(X2 ** 4 + Y2 ** 4 + random_multipoly(
+                rng, 2, max_deg=3, max_terms=4, height=5, complex_coeffs=False))
+        else:
+            p = random_multipoly(rng, 2, max_deg=4, max_terms=4, height=5, complex_coeffs=False)
+            p = p + const(2, rng.choice([-2, -1, 1, 2])) * rng.choice(
+                [Y2 * Y2, X2 * Y2, Y2 ** 4, X2 * X2 + Y2 * Y2])
+            if i % 4:
+                z = [random_rational(rng, 3) for _ in range(2)]
+                p = p - const(2, _real_value(p, z))
+            polys.append(p)
+    return [sys_of(p) for p in polys]
+
+
+def test_critical_points_agree_with_the_box_search(monkeypatch):
+    # the stage on (p, dp/dx2) against the radius proof and box search alone
+    counts = _compare_with_the_box_search(monkeypatch, _seeded_curves(random.Random(25), 240),
+                                          GUARD_CONFIG)
+    assert counts["stage"]["NONEMPTY"] >= 40 and counts["stage"]["EMPTY"] >= 10, counts
+    assert counts["new"][UNKNOWN] <= counts["old"][UNKNOWN], counts
+
+
+ELLIPSE_23 = X2 * X2 + const(2, 2) * Y2 * Y2 - const(2, 3)
+
+
+@pytest.mark.parametrize("poly, status, witness, pipeline, kind", [
+    # circles of rational radius r around (a, b): the least critical point
+    # is (a - r, b)
+    ((X2 - const(2, 2)) ** 2 + (Y2 + const(2, 1)) ** 2 - const(2, 9), NONEMPTY, (-1, -1),
+     ["resultant"], "ExactPoint"),
+    ((X2 + const(2, Fraction(1, 2))) ** 2 + (Y2 - const(2, 3)) ** 2 - const(2, Fraction(4, 9)),
+     NONEMPTY, (Fraction(-7, 6), 3), ["resultant"], "ExactPoint"),
+    # x1^2 + 2 x2^2 = 3: its critical points (+-sqrt(3), 0) are irrational,
+    # and the box search finds (-1, -1)
+    (ELLIPSE_23, NONEMPTY, (-1, -1), ["resultant", "boundedness", "subdivision"], "ExactPoint"),
+    # an isolated point is its own critical point
+    (X2 * X2 + Y2 * Y2, NONEMPTY, (0, 0), ["resultant"], "ExactPoint"),
+    # a repeated factor: Res is 0, the stage says nothing
+    ((X2 * X2 + Y2 * Y2 - const(2, 1)) ** 2, NONEMPTY, (-1, 0), ["boundedness", "subdivision"],
+     "ExactPoint"),
+    # unbounded: a critical point is still a zero ...
+    (Y2 * Y2 - X2 ** 3 + X2, NONEMPTY, (-1, 0), ["resultant"], "ExactPoint"),
+    # ... but no critical point proves nothing without a radius
+    (Y2 ** 3 + Y2 - X2, NONEMPTY, (0, 0), ["resultant", "boundedness", "subdivision"],
+     "ExactPoint"),
+    # an imaginary ellipse, not sign-definite term by term
+    (X2 * X2 + X2 * Y2 + Y2 * Y2 + const(2, 1), EMPTY, None, ["resultant", "boundedness"],
+     "CriticalPoints"),
+], ids=["circle", "circle-rational-radius", "irrational", "isolated-point", "repeated-factor",
+        "unbounded", "unbounded-no-critical-point", "imaginary-ellipse"])
+def test_single_curve_pins(poly, status, witness, pipeline, kind):
+    system = sys_of(poly)
+    verdict = decide_emptiness(system)
+    assert verdict.status == status and verdict.certificate["kind"] == kind
+    assert verdict.witness == (None if witness is None else tuple(map(Fraction, witness)))
+    assert verdict.diagnostics["pipeline"] == ["groebner", *pipeline]
+    if "resultant" in pipeline:
+        assert verdict.diagnostics["resultant"]["pair"] == [0]
+        assert verdict.diagnostics["resultant"]["derivative"] == "x2"
+    if status == NONEMPTY:
+        assert exact_common_zero(system, verdict.witness)
+    else:
+        _check_resultant_certificate(system, verdict.certificate)
 
 
 @pytest.mark.parametrize("system, certificate", [
@@ -1056,3 +1174,36 @@ def test_resultant_stage_stops_at_its_work_bound(monkeypatch):
     verdict = decide_emptiness(system)
     assert "resultant" not in verdict.diagnostics["pipeline"]
     assert verdict.status == UNKNOWN
+
+
+def test_critical_points_stop_at_the_work_bound(monkeypatch):
+    # a dense single polynomial of degree 40: Res_x2(p, dp/dx2), 1561
+    # Sylvester determinants of size 79, is far past the bound, so the
+    # stage ends before any determinant and the radius proof runs next
+    # (here stubbed: on degree 80 it alone takes minutes)
+    rng = random.Random(41)
+    p = MultiPoly(2, {(i, j): rng.choice([-2, -1, 1, 2]) for i in range(41) for j in range(41 - i)})
+    monkeypatch.setattr(nullsol.variety, "boundedness_radius", lambda sys: None)
+    monkeypatch.setattr(nullsol.variety, "subdivision_search",
+                        lambda sys, box, config: nullsol.variety.SubdivisionResult("NoZeroInBox"))
+    start = time.perf_counter()
+    verdict = decide_emptiness(sys_of(p))
+    assert time.perf_counter() - start < 0.25
+    assert verdict.diagnostics["pipeline"] == ["groebner", "boundedness", "subdivision"]
+    assert verdict.diagnostics["reason"] == "unbounded-no-radius"
+
+
+@pytest.mark.parametrize("constant, status, reason", [
+    # y = x leaves x^2 + 1, sign-definite: EMPTY with no radius
+    (1, EMPTY, None),
+    # y = x leaves x^2 - 3, whose zeros are irrational
+    (-3, UNKNOWN, "depth-cap"),
+], ids=["x2+1", "x2-3"])
+def test_line_against_a_parabola_in_x(constant, status, reason):
+    verdict = decide_emptiness(sys_of(X2 - Y2, X2 * X2 + const(2, constant)))
+    assert verdict.status == status
+    assert verdict.diagnostics.get("reason") == reason
+    assert verdict.diagnostics["presolve"] == {"eliminated": [1], "free": []}
+    if status == EMPTY:
+        assert verdict.certificate == {"kind": "Presolve", "eliminated": [{"poly": 0, "axis": 1}],
+                                       "free": [], "reduced": {"kind": "SignDefinite", "poly": 1}}
