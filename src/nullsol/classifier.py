@@ -197,7 +197,7 @@ def periodic_test(p: MultiPoly, lattice: LatticeSpec,
         return _zero_verdict()
 
     system = pi_graded_slice(x_content(p))
-    if any(q.is_constant() for q in system.polys):
+    if any(all(not any(e) for e in terms) for terms in system.terms):  # a constant grade
         return Verdict(TRIVIAL, rule="nonvanishing-generator",
                        evidence={"constant_pi_grade": True})
     if unit_ideal_test(list(system.terms), config.groebner_cap):

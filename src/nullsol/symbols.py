@@ -5,7 +5,8 @@ by the T-coefficients of p, and the substitution X -> i*xi that turns the
 imaginary-axis slice of its zero set into a real polynomial system.  For
 lattice-periodic symbols (a PI slot before T) the pi-grading does the same
 for the frequencies 2*pi*v.  Both take ``i^k`` as a rotation of the
-coefficients' ``(re, im)`` pairs from a 4-entry table.
+coefficients' ``(re, im)`` pairs from a 4-entry table, and both slices split
+the rotated term dicts into their real and imaginary parts in one pass.
 """
 
 from __future__ import annotations
@@ -91,31 +92,24 @@ def x_content(p: MultiPoly) -> ContentGenerators:
     return ContentGenerators(dimension=p.nvars - 1, generators=gens)
 
 
-def _real_imag_parts(a: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    """(real part, imaginary part) of a Q(i) polynomial, coefficientwise."""
-    return tuple(MultiPoly.from_clean(a.nvars, {e: (c[k], 0) for e, c in a.terms.items()
-                                                if c[k]}) for k in (0, 1))
-
-
 def at_i_xi(a: MultiPoly) -> MultiPoly:
     """a(i*xi) as a Q(i) polynomial in xi: each term c * X^e picks up i^|e|."""
     return MultiPoly.from_clean(a.nvars, {e: _I_POWER[sum(e) & 3](*c)
                                           for e, c in a.terms.items()})
 
 
-def substitute_i_xi(a: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    """Split a(i*xi) into real and imaginary part polynomials in xi.
-
-    The result is the pair (real part, imaginary part) of :func:`at_i_xi`,
-    both with real coefficients.
-    """
-    return _real_imag_parts(at_i_xi(a))
-
-
-def _real_system(dimension: int, parts) -> RealPolySystem:
-    """System of the given real polynomials, zeros and duplicates dropped."""
-    return RealPolySystem(dimension=dimension,
-                          polys=tuple(dict.fromkeys(p for p in parts if not p.is_zero())))
+def _real_system(dimension: int, rotated) -> RealPolySystem:
+    """System of the real and imaginary parts of Q(i) term dicts, in order,
+    each part a real polynomial; zero parts and structural duplicates are
+    dropped."""
+    parts: dict[frozenset, dict] = {}
+    for terms in rotated:
+        for k in (0, 1):
+            part = {e: (c[k], 0) for e, c in terms.items() if c[k]}
+            if part:
+                parts.setdefault(frozenset(part.items()), part)
+    return RealPolySystem(dimension, tuple(MultiPoly.from_clean(dimension, part)
+                                           for part in parts.values()))
 
 
 def imaginary_slice(content: ContentGenerators) -> RealPolySystem:
@@ -124,8 +118,7 @@ def imaginary_slice(content: ContentGenerators) -> RealPolySystem:
     Every generator contributes its real and imaginary parts under
     X -> i*xi; zero parts are dropped and structural duplicates removed.
     """
-    return _real_system(content.dimension,
-                        (part for a in content.generators for part in substitute_i_xi(a)))
+    return _real_system(content.dimension, (at_i_xi(a).terms for a in content.generators))
 
 
 def pi_grades(a: MultiPoly) -> list[MultiPoly]:
@@ -154,5 +147,4 @@ def pi_graded_slice(content: ContentGenerators) -> RealPolySystem:
     imaginary parts; zero parts are dropped and duplicates removed.
     """
     return _real_system(content.dimension - 1,
-                        (part for a in content.generators for q in pi_grades(a)
-                         for part in _real_imag_parts(q)))
+                        (q.terms for a in content.generators for q in pi_grades(a)))

@@ -92,6 +92,8 @@ _STURM_LIMIT = 110_000
 # subdivision run instead.  Isolating the roots of one polynomial takes
 # under 0.05 s at the limit (all roots irrational, CPython 3.11, one core of
 # a 2-CPU VM); the bisection to a width of 1/lc^2 costs about n^2 * b^3.
+# A gcd past it, which _STURM_LIMIT bounds, is still counted by Sturm: a
+# lift with no real root is empty, and one with a real root gives up.
 _RESULTANT_LIMIT = 10_000
 
 
@@ -632,8 +634,10 @@ def _resultant_stage(indexed, diagnostics: dict) -> EmptinessVerdict | None:
     root, or 0 if every polynomial vanishes there, gives the least rational
     zero in lexicographic order (NONEMPTY).  EMPTY when every real root of
     ``r`` is rational and no gcd has a real root; the certificate lists ``r``
-    and each ``a`` with its gcd.  ``indexed`` holds (polynomial index, term
-    dict) pairs, and the certificate names polynomials by that index.
+    and each ``a`` with its gcd.  A gcd past _RESULTANT_LIMIT is only
+    counted: with no real root its lift is empty, else the stage gives up.
+    ``indexed`` holds (polynomial index, term dict) pairs, and the
+    certificate names polynomials by that index.
     """
     polys = [(i, p) for i, p in indexed if p]
     found = _eliminant(polys)
@@ -656,9 +660,9 @@ def _resultant_stage(indexed, diagnostics: dict) -> EmptinessVerdict | None:
         x2: tuple[int, int] | None = (0, 1)
         if any(restricted):
             g = _univariate_gcd(restricted)
-            if g is None or _work(g) > _RESULTANT_LIMIT:
+            if g is None or _work(g) > _RESULTANT_LIMIT and _real_root_count(g):
                 return None
-            above = _real_roots(g)
+            above = _real_roots(g) if _work(g) <= _RESULTANT_LIMIT else []
             x2 = next(filter(None, above), None)
             if x2 is None:
                 if not above:

@@ -93,6 +93,17 @@ def test_scalar_multiple_invariance():
             assert classify(p, s).status == classify(q, s).status
 
 
+def test_tempered_unknown_is_undecided():
+    # the README example: the presolve leaves a multiple of 5*xi^2 - 4, whose
+    # zeros are irrational, and subdivision of the radius-2 cube hits its depth cap
+    v = classify(parse("X1^2+X2^2-4*X1-2*X2+1")[0], SolutionSpace.SPATIALLY_TEMPERED)
+    assert v.status == UNKNOWN and v.witness is None
+    assert v.rule == "content-variety-undecided"
+    diagnostics = v.evidence["emptiness"].diagnostics
+    assert diagnostics["reason"] == "depth-cap"
+    assert diagnostics["radius"] == "2"
+
+
 def test_classify_periodic_requires_lattice():
     with pytest.raises(ValueError):
         classify(DIFFUSION, SolutionSpace.PERIODIC)

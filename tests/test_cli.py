@@ -181,6 +181,29 @@ def test_unknown_exit_code(capsys):
     assert code == EXIT_UNKNOWN
 
 
+def test_tempered_unknown_exit_code(capsys):
+    code, out, _ = run(capsys, "classify", "X1^2+X2^2-4*X1-2*X2+1", "--space", "tempered",
+                       "--output", "json", "--no-timing")
+    assert code == EXIT_UNKNOWN
+    [v] = json.loads(out)["verdicts"]
+    assert v["status"] == "UNKNOWN" and v["rule"] == "content-variety-undecided"
+    assert v["evidence"]["emptiness"]["diagnostics"]["reason"] == "depth-cap"
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "X1*X2*T", "--space", "tempered"),
+    ("periodic", "X1^2*T + 4*PI^2*T", "--lattice", "1"),
+], ids=["classify", "periodic"])
+def test_timing_only_without_no_timing(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--output", "json")
+    assert code == EXIT_OK
+    timing = json.loads(out)["timing_seconds"]
+    assert isinstance(timing, float) and timing >= 0
+    code, out, _ = run(capsys, *argv, "--output", "json", "--no-timing")
+    assert code == EXIT_OK
+    assert "timing_seconds" not in json.loads(out)
+
+
 def test_periodic_fixture(capsys):
     code, out, _ = run(capsys, "periodic", "X1^2*T + 4*PI^2*T", "--lattice", "1",
                        "--output", "json", "--no-timing")

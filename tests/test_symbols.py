@@ -7,14 +7,16 @@ import pytest
 from nullsol.multipoly import MultiPoly
 from nullsol.parser import parse
 from nullsol.symbols import (
+    ContentGenerators,
     RealPolySystem,
+    at_i_xi,
     degree_test,
     imaginary_slice,
     is_characteristic_normal,
+    pi_graded_slice,
     pi_grades,
     principal_part,
     restrict_to_time,
-    substitute_i_xi,
     x_content,
 )
 from nullsol.variety import decide_emptiness
@@ -91,17 +93,16 @@ def test_x_content():
     assert x_content(MultiPoly.zero(3)).generators == ()
 
 
-def test_substitute_i_xi():
+def test_imaginary_slice_splits_real_and_imaginary_parts():
     # X1^2 + X2^2 + 1 -> real part 1 - xi1^2 - xi2^2, no imaginary part
     a = MultiPoly(2, {(2, 0): 1, (0, 2): 1, (0, 0): 1})
-    re, im = substitute_i_xi(a)
-    assert re == MultiPoly(2, {(2, 0): -1, (0, 2): -1, (0, 0): 1})
-    assert im.is_zero()
-    # X1 + i -> imaginary part xi1 + 1
+    assert at_i_xi(a) == MultiPoly(2, {(2, 0): -1, (0, 2): -1, (0, 0): 1})
+    assert imaginary_slice(ContentGenerators(2, (a,))).polys == (
+        MultiPoly(2, {(2, 0): -1, (0, 2): -1, (0, 0): 1}),)
+    # X1 + i -> i*xi1 + i: no real part, imaginary part xi1 + 1
     b = MultiPoly(1, {(1,): 1, (0,): GaussianRational(0, 1)})
-    re2, im2 = substitute_i_xi(b)
-    assert re2.is_zero()
-    assert im2 == MultiPoly(1, {(1,): 1, (0,): 1})
+    assert at_i_xi(b) == MultiPoly(1, {(1,): (0, 1), (0,): (0, 1)})
+    assert imaginary_slice(ContentGenerators(1, (b,))).polys == (MultiPoly(1, {(1,): 1, (0,): 1}),)
 
 
 def test_real_poly_system_terms_and_non_real_rejection():
@@ -199,10 +200,16 @@ def test_slice_terms_are_exact(text):
     assert decide_emptiness(as_fractions) == decide_emptiness(sys)
 
 
-def _reference_substitute_i_xi(a):
-    rotated = {e: pair(c) * I ** sum(e) for e, c in a.terms.items()}
-    return (MultiPoly(a.nvars, {e: c.re for e, c in rotated.items()}),
-            MultiPoly(a.nvars, {e: c.im for e, c in rotated.items()}))
+def _reference_at_i_xi(a):
+    return MultiPoly(a.nvars, {e: pair(c) * I ** sum(e) for e, c in a.terms.items()})
+
+
+def _reference_slice(dimension, polys):
+    """Real and imaginary parts of each polynomial, in order, zero parts and
+    duplicates dropped."""
+    parts = (MultiPoly(dimension, {e: pair(c)[k] for e, c in q.terms.items()})
+             for q in polys for k in (0, 1))
+    return tuple(dict.fromkeys(p for p in parts if not p.is_zero()))
 
 
 def _reference_pi_grades(a):
@@ -220,5 +227,9 @@ def test_rotation_tables_match_ring_powers():
     polys += [parse("(3/2 - 5*i)*X1^3*X2^2 + i*X1*PI^2 + 7*X2^4*PI - 2", dim=2, allow_pi=True)[0]
               .coefficients_in_T()[0]]
     for a in polys:
-        assert substitute_i_xi(a) == _reference_substitute_i_xi(a)
-        assert pi_grades(a) == _reference_pi_grades(a)
+        rotated, grades = _reference_at_i_xi(a), _reference_pi_grades(a)
+        assert at_i_xi(a) == rotated
+        assert pi_grades(a) == grades
+        content = ContentGenerators(a.nvars, (a,))
+        assert imaginary_slice(content).polys == _reference_slice(a.nvars, [rotated])
+        assert pi_graded_slice(content).polys == _reference_slice(a.nvars - 1, grades)

@@ -120,6 +120,13 @@ def test_boundedness_radius_values(enclose_calls, polys, radius, calls):
     assert len(enclose_calls) == calls
 
 
+@pytest.mark.parametrize("k, radius", [(30, 2_592_242_074), (50, None)])
+def test_boundedness_radius_cap(k, radius):
+    # x^2 - 2^k x: the zero 2^k is bounded, but past the 1 << 40 cap on the
+    # radius search no radius is given
+    assert boundedness_radius(sys_of(X1 * X1 - const(1, 2 ** k) * X1)) == radius
+
+
 def test_boundedness_stops_at_exact_face_zero(enclose_calls):
     # (xyz)^2 vanishes at the centre of the face x = 1: the first probe ends it
     assert boundedness_radius(sys_of(X3 * Y3 * Z3 - const(3, 1))) is None
@@ -1174,6 +1181,32 @@ def test_resultant_stage_stops_at_its_work_bound(monkeypatch):
     verdict = decide_emptiness(system)
     assert "resultant" not in verdict.diagnostics["pipeline"]
     assert verdict.status == UNKNOWN
+
+
+@pytest.mark.parametrize("power, status, reason", [
+    # x2^40 + x2 + 1 > 0: the lift above x1 = 0 is counted empty
+    (40, EMPTY, None),
+    # x2^41 + x2 + 1 has a real root, not isolated: the stage gives up
+    (41, UNKNOWN, "depth-cap"),
+], ids=["x2^40", "x2^41"])
+def test_lift_past_the_isolation_bound(power, status, reason):
+    # the gcd above the root x1 = 0 of x1^2 is past _RESULTANT_LIMIT, within
+    # _STURM_LIMIT
+    gcd = [1] + [0] * (power - 2) + [1, 1]
+    work = nullsol.variety._work(gcd)
+    assert nullsol.variety._RESULTANT_LIMIT < work <= nullsol.variety._STURM_LIMIT
+    system = sys_of(X2 * X2, Y2 ** power + X2 * Y2 + Y2 + const(2, 1))
+    verdict = decide_emptiness(system)
+    assert verdict.status == status
+    assert verdict.diagnostics.get("reason") == reason
+    if status == EMPTY:
+        assert verdict.diagnostics["pipeline"] == ["groebner", "resultant"]
+        assert verdict.certificate == {"kind": "Resultant", "pair": [0], "resultant": ["1", "0", "0"],
+                                       "roots": [{"x1": "0", "gcd": list(map(str, gcd))}]}
+        _check_resultant_certificate(system, verdict.certificate)
+    else:
+        assert verdict.diagnostics["pipeline"] == ["groebner", "resultant", "boundedness",
+                                                   "subdivision"]
 
 
 def test_critical_points_stop_at_the_work_bound(monkeypatch):
