@@ -22,7 +22,7 @@ from .groebner import unit_ideal_test
 from .intervals import clear, enclose
 from .multipoly import MultiPoly
 from .parser import MAX_DIM
-from .symbols import degree_test, imaginary_slice, pi_graded_slice, restrict_to_time, x_content
+from .symbols import imaginary_slice, pi_graded_slice, restrict_to_time, x_content
 from .variety import (
     BOX_BUDGET,
     EMPTY,
@@ -150,7 +150,7 @@ def classify(p: MultiPoly, space: SolutionSpace,
         tdeg = restrict_to_time(p).total_degree()
         evidence = {"total_degree": int(deg),
                     "time_restricted_degree": None if tdeg == float("-inf") else int(tdeg)}
-        if degree_test(p):
+        if deg == tdeg:
             return Verdict(TRIVIAL, rule="degree-preservation", evidence=evidence)
         return Verdict(NONTRIVIAL, rule="characteristic-time-normal", evidence=evidence)
 

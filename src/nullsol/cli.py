@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+from fractions import Fraction
 
 from . import __version__
 from .classifier import (
@@ -119,13 +120,23 @@ def _emit(report: dict, args) -> None:
         print(line)
 
 
+def _flag_rational(flag: str, text: str) -> Fraction:
+    """``parse_rational(text)``, with a ValueError that names ``flag``."""
+    try:
+        return parse_rational(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{flag}: zero denominator in {text!r}") from None
+    except ValueError as err:
+        raise ValueError(f"{flag}: {err}") from None
+
+
 def _config_from_args(args) -> SolverConfig:
     """DEFAULT_CONFIG with the solver flags this subcommand takes applied."""
     given = {name: getattr(args, name)
              for name in ("max_depth", "lattice_radius", "groebner_cap")
              if hasattr(args, name)}
     if hasattr(args, "box_halfwidth"):
-        given["default_box_halfwidth"] = parse_rational(args.box_halfwidth)
+        given["default_box_halfwidth"] = _flag_rational("--box-halfwidth", args.box_halfwidth)
     return dataclasses.replace(DEFAULT_CONFIG, **given)
 
 
@@ -180,7 +191,7 @@ def _parse_lattice(text: str) -> LatticeSpec:
     rows = []
     for row in text.split(";"):
         entries = [e for chunk in row.split(",") for e in chunk.split()]
-        rows.append([parse_rational(e) for e in entries])
+        rows.append([_flag_rational("--lattice", e) for e in entries])
     return LatticeSpec.from_rows(rows)
 
 
@@ -188,7 +199,7 @@ def cmd_periodic(args, text: str, config: SolverConfig) -> int:
     start = time.perf_counter()
     try:
         lattice = _parse_lattice(args.lattice)
-    except (ValueError, ZeroDivisionError) as err:
+    except ValueError as err:
         sys.stderr.write(f"error: invalid lattice: {err}\n")
         return EXIT_INPUT_ERROR
     p, d = parse(text, dim=lattice.dimension, allow_pi=True)

@@ -14,21 +14,20 @@ point where x1 is largest, and by the implicit function theorem
 the radius bounds the zeros (see :func:`_search`).  Then a boundedness
 reduction that confines all real zeros of the (reduced) system to an
 exact cube, then certified branch-and-bound subdivision with exact
-interval arithmetic on integers.  NONEMPTY always carries an exact
-rational common zero of the original system; EMPTY always carries a
-machine-checkable certificate; UNKNOWN is an honest inconclusive outcome,
-never silently coerced.
+interval arithmetic on integers.  The stages return facts, and
+:func:`decide_emptiness` builds the one verdict: NONEMPTY carries an exact
+rational common zero, checked once against the system as given; EMPTY a
+machine-checkable certificate; UNKNOWN is honest, never silently coerced.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, ne
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .groebner import add_multiple, unit_ideal_test
@@ -290,10 +289,10 @@ def subdivision_search(sys: RealPolySystem, box: Box,
 
 
 class _Presolved(NamedTuple):
-    """A presolved system, in the three fields the later stages read."""
+    """A system ready for the search, as the presolve leaves it."""
 
     dimension: int
-    terms: tuple[dict[tuple[int, ...], int], ...]  # on the kept axes
+    terms: tuple[dict[tuple[int, ...], int], ...]  # on the kept axes, all nonzero
     index: list[int]                               # the polynomial index of each of terms
     kept: list[int]
     free: list[int]
@@ -343,8 +342,8 @@ def _eliminate(polys: list[dict], j: int, steps: list) -> bool:
     return True
 
 
-def _presolve(terms, dim: int, members=()) -> _Presolved | None:
-    """Exact reductions before the radius proof; None if none applies.
+def _presolve(terms, dim: int, members=()) -> _Presolved:
+    """Exact reductions before the radius proof.
 
     While some polynomial has degree 1, it is solved for its variable that
     occurs in the fewest other polynomials (lowest index on ties), which is
@@ -353,7 +352,8 @@ def _presolve(terms, dim: int, members=()) -> _Presolved | None:
     sign-definite polynomial, a nonzero constant among them, decides EMPTY.
     ``members`` are further polynomials of the ideal, placed after
     ``terms``: they change no zero, and a polynomial index is a position in
-    ``terms`` followed by ``members``.
+    ``terms`` followed by ``members``.  If nothing applies, the nonzero
+    polynomials of ``terms`` are left on all axes, without ``members``.
     """
     polys, steps = [*terms, *members], []
     while (j := next((j for j, p in enumerate(polys) if p and max(map(sum, p)) == 1),
@@ -364,7 +364,7 @@ def _presolve(terms, dim: int, members=()) -> _Presolved | None:
     free = [k for k in range(dim) if not occurs[k] and k not in eliminated]
     signed = next((j for j, p in enumerate(polys) if p and _sign_definite(p)), None)
     if any(polys) and not steps and not free and signed is None:
-        return None
+        polys, occurs = list(terms), [True] * dim
     kept = [k for k in range(dim) if occurs[k]]
     return _Presolved(len(kept), tuple({tuple(e[k] for k in kept): c for e, c in p.items()}
                                        for p in polys if p),
@@ -616,30 +616,22 @@ def _eliminant(polys: list[tuple[int, dict]]) -> tuple[list[int], list[int]] | N
     return None
 
 
-def _check_zero(terms, point: tuple[Fraction, ...]) -> None:
-    """Raise unless ``point`` is an exact common zero of the term dicts."""
-    den = math.lcm(*(v.denominator for v in point))
-    if not _is_exact_common_zero([clear(p, den) for p in terms],
-                                 tuple(int(v * den) for v in point), 1):
-        raise ArithmeticError(f"witness {point} is not a zero of the system")
-
-
-def _resultant_stage(indexed, diagnostics: dict) -> EmptinessVerdict | None:
-    """In d = 2, a verdict from an eliminant ``r(x1)`` and its real roots; None
-    if it cannot tell, or past _RESULTANT_LIMIT.
+def _resultant_stage(polys: list[tuple[int, dict]], diagnostics: dict) -> tuple | None:
+    """In d = 2, what an eliminant ``r(x1)`` and its real roots show: the
+    least rational zero, or ``(pair, r, lifts)`` when there is no real zero;
+    None if it cannot tell, or past _RESULTANT_LIMIT.
 
     Every real zero has its x1 among the real roots of ``r``.  At each
     rational one, ``a``, in increasing order, the gcd in x2 of all the
     polynomials at x1 = ``a`` holds the zeros above it: its first rational
     root, or 0 if every polynomial vanishes there, gives the least rational
-    zero in lexicographic order (NONEMPTY).  EMPTY when every real root of
-    ``r`` is rational and no gcd has a real root; the certificate lists ``r``
-    and each ``a`` with its gcd.  A gcd past _RESULTANT_LIMIT is only
-    counted: with no real root its lift is empty, else the stage gives up.
-    ``indexed`` holds (polynomial index, term dict) pairs, and the
-    certificate names polynomials by that index.
+    zero in lexicographic order.  No real zero when every real root of
+    ``r`` is rational and no gcd has a real root; ``lifts`` lists each ``a``
+    with its gcd.  A gcd past _RESULTANT_LIMIT is only counted: with no
+    real root its lift is empty, else the stage gives up.  ``polys`` holds
+    (polynomial index, nonzero term dict) pairs, and ``pair`` names the
+    polynomials ``r`` comes from by that index.
     """
-    polys = [(i, p) for i, p in indexed if p]
     found = _eliminant(polys)
     if found is None or _work(found[1]) > _RESULTANT_LIMIT:
         return None
@@ -668,23 +660,16 @@ def _resultant_stage(indexed, diagnostics: dict) -> EmptinessVerdict | None:
                 if not above:
                     lifts.append({"x1": str(Fraction(num, den)), "gcd": [str(c) for c in g]})
                 continue
-        point = (Fraction(num, den), Fraction(*x2))
-        _check_zero([p for _, p in polys], point)
-        return EmptinessVerdict(NONEMPTY, witness=point, certificate={"kind": "ExactPoint"},
-                                diagnostics=diagnostics)
-    if len(lifts) < len(roots):
-        return None
-    return EmptinessVerdict(EMPTY, certificate={
-        "kind": "Resultant", "pair": pair, "resultant": [str(c) for c in r], "roots": lifts},
-        diagnostics=diagnostics)
+        return Fraction(num, den), Fraction(*x2)
+    return (pair, r, lifts) if len(lifts) == len(roots) else None
 
 
-def _search(sys: RealPolySystem | _Presolved, config: SolverConfig,
-            diagnostics: dict, index: Sequence[int]) -> EmptinessVerdict:
-    """In d = 1 a Sturm count, which decides EMPTY when it is 0, and in d = 2
-    the resultant stage; then the boundedness radius and subdivision of its
-    cube (or the default cube).  ``index`` holds the polynomial index of
-    each of ``sys.terms``.
+def _search(sys: _Presolved, config: SolverConfig,
+            diagnostics: dict) -> tuple[str, tuple[Fraction, ...] | None, dict | None]:
+    """``(status, witness, certificate)`` of a presolved system with a
+    nonzero polynomial: in d = 1 a Sturm count, which decides EMPTY when it
+    is 0, and in d = 2 the resultant stage; then the boundedness radius and
+    subdivision of its cube (or the default cube).
 
     The gcd has a positive leading coefficient, so an odd degree or a
     constant term <= 0 shows a real zero without the count.
@@ -700,43 +685,39 @@ def _search(sys: RealPolySystem | _Presolved, config: SolverConfig,
     if (sys.dimension == 1 and (g := _univariate_gcd(sys.terms)) is not None
             and len(g) % 2 and g[-1] > 0 and not _real_root_count(g)):
         diagnostics["pipeline"].append("sturm")
-        return EmptinessVerdict(EMPTY, certificate={"kind": "Sturm", "gcd": [str(c) for c in g]},
-                                diagnostics=diagnostics)
-    verdict = curve = None
+        return EMPTY, None, {"kind": "Sturm", "gcd": [str(c) for c in g]}
+    found = curve = None
     if sys.dimension == 2:
-        indexed = [(i, p) for i, p in zip(index, sys.terms) if p]
-        if len(indexed) == 1 and any(e[1] for e in indexed[0][1]):
-            curve, p = indexed[0]
-            indexed.append((curve, {(a, b - 1): b * c for (a, b), c in p.items() if b}))
-        verdict = _resultant_stage(indexed, diagnostics)
+        polys = list(zip(sys.index, sys.terms))
+        if len(polys) == 1 and any(e[1] for e in sys.terms[0]):
+            curve, p = polys[0]
+            polys.append((curve, {(a, b - 1): b * c for (a, b), c in p.items() if b}))
+        found = _resultant_stage(polys, diagnostics)
         if curve is not None and "resultant" in diagnostics:
             diagnostics["resultant"].update(pair=[curve], derivative="x2")
-        if verdict and (curve is None or verdict.status == NONEMPTY):
-            return verdict
+        if found is not None and len(found) == 2:  # the least rational zero
+            return NONEMPTY, found, {"kind": "ExactPoint"}
+        if found is not None and curve is None:
+            pair, r, lifts = found
+            return EMPTY, None, {"kind": "Resultant", "pair": pair,
+                                 "resultant": [str(c) for c in r], "roots": lifts}
     radius = boundedness_radius(sys)
     diagnostics["pipeline"].append("boundedness")
     diagnostics["radius"] = None if radius is None else str(radius)
-    if verdict and radius is not None:
-        cert = verdict.certificate
-        return dataclasses.replace(verdict, certificate={
-            "kind": "CriticalPoints", "poly": curve, "radius": str(radius),
-            "resultant": cert["resultant"], "roots": cert["roots"]})
+    if found is not None and radius is not None:
+        _, r, lifts = found
+        return EMPTY, None, {"kind": "CriticalPoints", "poly": curve, "radius": str(radius),
+                             "resultant": [str(c) for c in r], "roots": lifts}
 
     halfwidth = radius if radius is not None else config.default_box_halfwidth
-    box = cube(sys.dimension, halfwidth)
-    result = subdivision_search(sys, box, config)
+    result = subdivision_search(sys, cube(sys.dimension, halfwidth), config)
     diagnostics["pipeline"].append("subdivision")
     diagnostics["subdivision"] = dict(result.stats)
 
     if result.kind == "ExactZero":
-        return EmptinessVerdict(NONEMPTY, witness=result.zero,
-                                certificate={"kind": "ExactPoint"},
-                                diagnostics=diagnostics)
+        return NONEMPTY, result.zero, {"kind": "ExactPoint"}
     if result.kind == "NoZeroInBox" and radius is not None:
-        return EmptinessVerdict(
-            EMPTY,
-            certificate={"kind": "ExhaustiveSubdivision", "radius": str(radius)},
-            diagnostics=diagnostics)
+        return EMPTY, None, {"kind": "ExhaustiveSubdivision", "radius": str(radius)}
     diagnostics["unresolved_boxes"] = result.stats.get("unresolved_boxes", 0)
     if result.kind == "NoZeroInBox":
         diagnostics["reason"] = "unbounded-no-radius"
@@ -744,7 +725,7 @@ def _search(sys: RealPolySystem | _Presolved, config: SolverConfig,
         diagnostics["reason"] = "depth-cap"
     else:
         diagnostics["reason"] = "box-budget"
-    return EmptinessVerdict(UNKNOWN, diagnostics=diagnostics)
+    return UNKNOWN, None, None
 
 
 def decide_emptiness(sys: RealPolySystem,
@@ -761,42 +742,45 @@ def decide_emptiness(sys: RealPolySystem,
     diagnostics["pipeline"].append("groebner")
     diagnostics["groebner_unit"] = unit
     if unit:
-        return EmptinessVerdict(EMPTY, certificate={"kind": "UnitIdeal"},
-                                diagnostics=diagnostics)
-
-    pre = _presolve(sys.terms, sys.dimension, members)
-    if pre is None:
-        return _search(sys, config, diagnostics, range(len(sys.terms)))
-    diagnostics["pipeline"].append("presolve")
-    diagnostics["presolve"] = {"eliminated": [k for _, k, _, _ in pre.steps],
-                               "free": pre.free}
-    if members:
-        diagnostics["presolve"]["ideal_members"] = len(members)
-    if pre.certificate is not None:
-        verdict = EmptinessVerdict(EMPTY, certificate=pre.certificate, diagnostics=diagnostics)
-    elif not pre.terms:
-        verdict = EmptinessVerdict(NONEMPTY, witness=(), certificate={"kind": "ExactPoint"},
-                                   diagnostics=diagnostics)
+        status, witness, certificate = EMPTY, None, {"kind": "UnitIdeal"}
     else:
-        verdict = _search(pre, config, diagnostics, pre.index)
-    if verdict.status == NONEMPTY:
-        # back to all coordinates: free ones 0, eliminated ones in reverse order
-        x = [Fraction(0)] * sys.dimension
-        for k, v in zip(pre.kept, verdict.witness):
-            x[k] = v
-        for _, k, a, s in reversed(pre.steps):
-            x[k] = Fraction(sum(c * x[e.index(1)] if any(e) else c for e, c in s.items()), a)
-        _check_zero(sys.terms, tuple(x))
-        return dataclasses.replace(verdict, witness=tuple(x))
-    if verdict.status == EMPTY and (pre.steps or pre.free):
-        certificate = {"kind": "Presolve",
+        pre = _presolve(sys.terms, sys.dimension, members)
+        reduced = bool(pre.steps or pre.free)
+        # the presolve shows in the diagnostics only where something applied
+        if reduced or pre.certificate is not None or not pre.terms:
+            diagnostics["pipeline"].append("presolve")
+            diagnostics["presolve"] = {"eliminated": [k for _, k, _, _ in pre.steps],
+                                       "free": pre.free}
+            if members:
+                diagnostics["presolve"]["ideal_members"] = len(members)
+        if pre.certificate is not None:
+            status, witness, certificate = EMPTY, None, pre.certificate
+        elif not pre.terms:
+            status, witness, certificate = NONEMPTY, (), {"kind": "ExactPoint"}
+        else:
+            status, witness, certificate = _search(pre, config, diagnostics)
+        if status == NONEMPTY:
+            # back to all coordinates: free ones 0, eliminated ones in reverse
+            # order; then the one exact check against the system as given
+            x = [Fraction(0)] * sys.dimension
+            for k, v in zip(pre.kept, witness):
+                x[k] = v
+            for _, k, a, s in reversed(pre.steps):
+                x[k] = Fraction(sum(c * x[e.index(1)] if any(e) else c for e, c in s.items()), a)
+            witness = tuple(x)
+            den = math.lcm(*(v.denominator for v in witness))
+            if not _is_exact_common_zero([clear(p, den) for p in sys.terms],
+                                         tuple(int(v * den) for v in witness), 1):
+                raise ArithmeticError(f"witness {witness} is not a zero of the system")
+        elif status == EMPTY and reduced:
+            wrapped = {"kind": "Presolve",
                        "eliminated": [{"poly": j, "axis": k} for j, k, _, _ in pre.steps],
                        "free": pre.free}
-        if members:
-            # each as its x_1, ..., x_d coefficients, then its constant term
-            exps = [tuple(int(i == k) for i in range(sys.dimension))
-                    for k in range(sys.dimension)] + [(0,) * sys.dimension]
-            certificate["ideal_members"] = [[str(m.get(e, 0)) for e in exps] for m in members]
-        certificate["reduced"] = verdict.certificate
-        return dataclasses.replace(verdict, certificate=certificate)
-    return verdict
+            if members:
+                # each as its x_1, ..., x_d coefficients, then its constant term
+                exps = [tuple(int(i == k) for i in range(sys.dimension))
+                        for k in range(sys.dimension)] + [(0,) * sys.dimension]
+                wrapped["ideal_members"] = [[str(m.get(e, 0)) for e in exps] for m in members]
+            wrapped["reduced"] = certificate
+            certificate = wrapped
+    return EmptinessVerdict(status, witness, certificate, diagnostics)

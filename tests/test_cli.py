@@ -135,15 +135,17 @@ def test_zero_denominator_box_halfwidth_is_an_input_error(capsys):
     # --max-depth 0 is admitted, so the bound is nonnegative
     (("classify", "X1*T", "--max-depth", "-1"), "max_depth must be nonnegative"),
     # numbers in flags follow the grammar's rational: no exponent or decimal form
-    (("periodic", "X1*T", "--lattice", "1e1000000"), "invalid lattice"),
+    (("periodic", "X1*T", "--lattice", "1e1000000"), "invalid lattice: --lattice: "),
     (("classify", "X1*T", "--space", "tempered", "--box-halfwidth", "1e30000000"),
-     "'1e30000000'"),
+     "--box-halfwidth: Invalid literal for Fraction: '1e30000000'"),
     (("witness", "T-X1^2", "--freq", "1e30000000"), "--freq"),
     (("periodic", "X1*T", "--lattice", "1.5"), "invalid lattice"),
     (("periodic", "X1*T", "--lattice", "\u0661"), "invalid lattice"),
+    (("classify", "X1*T", "--box-halfwidth", "1/0"), "--box-halfwidth: zero denominator in '1/0'"),
+    (("periodic", "X1*T", "--lattice", "1/0"), "--lattice: zero denominator in '1/0'"),
 ], ids=["classify-dim", "content-dim", "witness-freq", "max-depth",
         "lattice-exponent", "box-halfwidth-exponent", "freq-exponent", "lattice-decimal",
-        "lattice-arabic-indic"])
+        "lattice-arabic-indic", "box-halfwidth-zero-denominator", "lattice-zero-denominator"])
 def test_input_error_names_the_flag(capsys, argv, named):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_INPUT_ERROR
@@ -345,6 +347,22 @@ def test_closed_stdout_pipe_exits_quietly():
         os.close(write_end)
     assert proc.returncode == EXIT_INPUT_ERROR
     assert b"Traceback" not in proc.stderr
+
+
+def test_reader_leaving_mid_output_exits_quietly():
+    # about 290 KB of generators fill the pipe; the reader takes one byte
+    # and leaves, so a later write fails with a broken pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    with subprocess.Popen([sys.executable, "-m", "nullsol.cli", "content",
+                           "(X1+X2+X3+X4+X5+X6+X7+1)^8*T"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        try:
+            assert len(proc.stdout.read(1)) == 1
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        assert (code, proc.stderr.read()) == (EXIT_INPUT_ERROR, b"")
 
 
 @pytest.mark.parametrize("argv, expected", [

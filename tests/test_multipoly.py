@@ -41,6 +41,8 @@ def test_pow():
     three = MultiPoly.constant(1, 3)
     assert (x + one) ** 3 == x ** 3 + x * x * three + x * three + one
     assert x ** 0 == one
+    with pytest.raises(ValueError, match="negative power"):
+        x ** -1
 
 
 def test_degrees():
@@ -52,6 +54,13 @@ def test_degrees():
 def test_variable_count_mismatch():
     with pytest.raises(ValueError):
         MultiPoly.variable(2, 0) + MultiPoly.variable(3, 0)
+    with pytest.raises(ValueError, match="variable-count mismatch: 2 != 3"):
+        MultiPoly.variable(2, 0) * MultiPoly.variable(3, 0)
+    with pytest.raises(ValueError, match="nvars must be nonnegative"):
+        MultiPoly(-1)
+    for index in (2, -1):
+        with pytest.raises(ValueError, match=f"variable index {index} out of range for nvars=2"):
+            MultiPoly.variable(2, index)
     with pytest.raises(ValueError):
         P(2, {(1,): 1})
     with pytest.raises(ValueError):
@@ -76,6 +85,11 @@ def test_evaluate_examples():
     assert v == GaussianRational(-1)
     with pytest.raises(ValueError):
         evaluate(p, [Fraction(1)])
+    for point in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError, match=f"point has length {len(point)}, expected 2"):
+            p.evaluate_real(point)
+        with pytest.raises(ValueError, match=f"point has length {len(point)}, expected 2"):
+            p.evaluate_complex(point)
 
 
 def test_coefficients_in_T():
@@ -92,6 +106,8 @@ def test_coefficients_in_T():
     assert b[0].is_zero()
     assert b[1] == P(2, {(1, 1): 1})
     assert MultiPoly.zero(3).coefficients_in_T() == []
+    # with no variable at all, the polynomial is its own coefficient of T^0
+    assert MultiPoly.constant(0, 5).coefficients_in_T() == [MultiPoly.constant(0, 5)]
 
 
 def test_coefficients_in_T_reconstruction_random():
@@ -120,6 +136,12 @@ def test_immutability_and_hash():
         p.nvars = 3
     q = P(2, {(1, 0): Fraction(2, 2)})
     assert hash(p) == hash(q) and p == q
+
+
+def test_repr_lists_terms_in_grlex_order():
+    p = P(2, {(0, 0): Fraction(-1, 2), (1, 0): 1, (0, 1): (0, 3)})
+    assert repr(p) == "MultiPoly(2, {(1, 0): 1, (0, 1): 3*i, (0, 0): -1/2})"
+    assert repr(MultiPoly.zero(1)) == "MultiPoly(1, {})"
 
 
 def test_ring_laws_random():

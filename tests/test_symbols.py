@@ -71,6 +71,8 @@ def test_characteristic_normals():
         is_characteristic_normal(WAVE, [0, 0])
     with pytest.raises(ValueError):
         is_characteristic_normal(WAVE, [1])
+    with pytest.raises(ValueError, match="zero polynomial has no principal part"):
+        is_characteristic_normal(MultiPoly.zero(2), [1, 0])
 
 
 def test_degree_test_iff_time_normal_not_characteristic():

@@ -532,8 +532,34 @@ def test_presolve_nonzero_constant_past_the_groebner_cap():
 
 def test_presolve_leaves_other_systems_alone():
     for system in (sys_of(CIRCLE), sys_of(X2_MINUS_2), sys_of(HYPERBOLA_AXES, CIRCLE)):
-        assert nullsol.variety._presolve(system.terms, system.dimension) is None
+        pre = nullsol.variety._presolve(system.terms, system.dimension)
+        assert (pre.steps, pre.free, pre.certificate) == ([], [], None)
+        assert pre.kept == list(range(system.dimension)) and pre.terms == system.terms
         assert "presolve" not in decide_emptiness(system).diagnostics["pipeline"]
+
+
+@pytest.mark.parametrize("system, stage, pipeline", [
+    # x^2 - 1 in d = 1: the Sturm count is skipped, subdivision finds a zero
+    (sys_of(MultiPoly(1, {(2,): 1, (0,): -1})), "subdivision_search",
+     ["groebner", "boundedness", "subdivision"]),
+    (sys_of(HYPERBOLA_AXES, CIRCLE), "_resultant_stage", ["groebner", "resultant"]),
+    # y and z are free: 1 - x^2 reaches subdivision in d = 1
+    (sys_of(MultiPoly(3, {(2, 0, 0): -1, (0, 0, 0): 1})), "subdivision_search",
+     ["groebner", "presolve", "boundedness", "subdivision"]),
+], ids=["subdivision", "resultant", "presolved"])
+def test_every_witness_is_checked_against_the_system(monkeypatch, system, stage, pipeline):
+    # a stage that reports a point off the zero set: decide_emptiness checks
+    # the point against the system it was given, on every path
+    def wrong(*args):
+        if stage == "_resultant_stage":
+            return Fraction(3), Fraction(5)
+        return nullsol.variety.SubdivisionResult("ExactZero", zero=(Fraction(3),))
+    assert decide_emptiness(system).status == NONEMPTY
+    monkeypatch.setattr(nullsol.variety, stage, wrong)
+    with pytest.raises(ArithmeticError, match="is not a zero of the system"):
+        decide_emptiness(system)
+    monkeypatch.undo()
+    assert decide_emptiness(system).diagnostics["pipeline"] == pipeline
 
 
 @pytest.mark.parametrize("dim, polys", [
@@ -548,7 +574,7 @@ def test_presolve_leaves_other_systems_alone():
 def test_presolve_stops_at_the_substitution_bound(dim, polys):
     system = RealPolySystem(dim, polys([MultiPoly.variable(dim, k) for k in range(dim)]))
     pre = nullsol.variety._presolve(system.terms, system.dimension)
-    assert pre is None or not pre.steps
+    assert not pre.steps
 
 
 def _real_value(p, point):
@@ -853,7 +879,7 @@ def test_common_factor_skips_the_stage():
         p, q = (integer_terms(((h + Y2 * Y2) * f).real_terms()) for f in (u + X2 * X2, v + Y2 * Y2))
         assert nullsol.variety._resultant(p, q) == [] == reference_resultant(p, q)
         diagnostics = {"pipeline": []}
-        assert nullsol.variety._resultant_stage(enumerate((p, q)), diagnostics) is None
+        assert nullsol.variety._resultant_stage(list(enumerate((p, q))), diagnostics) is None
         assert diagnostics == {"pipeline": []}
 
 
@@ -1172,7 +1198,7 @@ def test_resultant_stage_stops_at_its_work_bound(monkeypatch):
     diagnostics = {"pipeline": []}
     start = time.perf_counter()
     assert nullsol.variety._resultant(p, q) is None
-    assert nullsol.variety._resultant_stage(enumerate((p, q)), diagnostics) is None
+    assert nullsol.variety._resultant_stage(list(enumerate((p, q))), diagnostics) is None
     assert time.perf_counter() - start < 0.1
     assert diagnostics == {"pipeline": []}
     # an eliminant past the bound: the radius proof and subdivision run
