@@ -298,6 +298,7 @@ class _Presolved(NamedTuple):
     free: list[int]
     steps: list[tuple[int, int, int, dict]]  # (poly, axis, a, s): x_axis = s(x) / a
     certificate: dict | None                 # EMPTY without a search
+    applied: bool                            # False: terms are the input's, on all axes
 
 
 def _sign_definite(p: dict) -> bool:
@@ -353,7 +354,7 @@ def _presolve(terms, dim: int, members=()) -> _Presolved:
     ``members`` are further polynomials of the ideal, placed after
     ``terms``: they change no zero, and a polynomial index is a position in
     ``terms`` followed by ``members``.  If nothing applies, the nonzero
-    polynomials of ``terms`` are left on all axes, without ``members``.
+    polynomials of ``terms`` alone come back unchanged, on all axes.
     """
     polys, steps = [*terms, *members], []
     while (j := next((j for j, p in enumerate(polys) if p and max(map(sum, p)) == 1),
@@ -364,12 +365,13 @@ def _presolve(terms, dim: int, members=()) -> _Presolved:
     free = [k for k in range(dim) if not occurs[k] and k not in eliminated]
     signed = next((j for j, p in enumerate(polys) if p and _sign_definite(p)), None)
     if any(polys) and not steps and not free and signed is None:
-        polys, occurs = list(terms), [True] * dim
+        return _Presolved(dim, tuple(p for p in terms if p), [j for j, p in enumerate(terms) if p],
+                          list(range(dim)), [], [], None, False)
     kept = [k for k in range(dim) if occurs[k]]
     return _Presolved(len(kept), tuple({tuple(e[k] for k in kept): c for e, c in p.items()}
                                        for p in polys if p),
                       [j for j, p in enumerate(polys) if p], kept, free, steps,
-                      None if signed is None else {"kind": "SignDefinite", "poly": signed})
+                      None if signed is None else {"kind": "SignDefinite", "poly": signed}, True)
 
 
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
@@ -616,10 +618,10 @@ def _eliminant(polys: list[tuple[int, dict]]) -> tuple[list[int], list[int]] | N
     return None
 
 
-def _resultant_stage(polys: list[tuple[int, dict]], diagnostics: dict) -> tuple | None:
+def _resultant_stage(polys: list[tuple[int, dict]], diagnostics: dict) -> tuple | dict | None:
     """In d = 2, what an eliminant ``r(x1)`` and its real roots show: the
-    least rational zero, or ``(pair, r, lifts)`` when there is no real zero;
-    None if it cannot tell, or past _RESULTANT_LIMIT.
+    least rational zero (a tuple), or ``{"pair", "resultant": r, "roots":
+    lifts}`` when there is no real zero; None if it cannot tell.
 
     Every real zero has its x1 among the real roots of ``r``.  At each
     rational one, ``a``, in increasing order, the gcd in x2 of all the
@@ -661,7 +663,8 @@ def _resultant_stage(polys: list[tuple[int, dict]], diagnostics: dict) -> tuple 
                     lifts.append({"x1": str(Fraction(num, den)), "gcd": [str(c) for c in g]})
                 continue
         return Fraction(num, den), Fraction(*x2)
-    return (pair, r, lifts) if len(lifts) == len(roots) else None
+    facts = {"pair": pair, "resultant": [str(c) for c in r], "roots": lifts}
+    return facts if len(lifts) == len(roots) else None
 
 
 def _search(sys: _Presolved, config: SolverConfig,
@@ -695,19 +698,16 @@ def _search(sys: _Presolved, config: SolverConfig,
         found = _resultant_stage(polys, diagnostics)
         if curve is not None and "resultant" in diagnostics:
             diagnostics["resultant"].update(pair=[curve], derivative="x2")
-        if found is not None and len(found) == 2:  # the least rational zero
+        if isinstance(found, tuple):  # the least rational zero
             return NONEMPTY, found, {"kind": "ExactPoint"}
         if found is not None and curve is None:
-            pair, r, lifts = found
-            return EMPTY, None, {"kind": "Resultant", "pair": pair,
-                                 "resultant": [str(c) for c in r], "roots": lifts}
+            return EMPTY, None, {"kind": "Resultant", **found}
     radius = boundedness_radius(sys)
     diagnostics["pipeline"].append("boundedness")
     diagnostics["radius"] = None if radius is None else str(radius)
     if found is not None and radius is not None:
-        _, r, lifts = found
         return EMPTY, None, {"kind": "CriticalPoints", "poly": curve, "radius": str(radius),
-                             "resultant": [str(c) for c in r], "roots": lifts}
+                             "resultant": found["resultant"], "roots": found["roots"]}
 
     halfwidth = radius if radius is not None else config.default_box_halfwidth
     result = subdivision_search(sys, cube(sys.dimension, halfwidth), config)
@@ -745,9 +745,8 @@ def decide_emptiness(sys: RealPolySystem,
         status, witness, certificate = EMPTY, None, {"kind": "UnitIdeal"}
     else:
         pre = _presolve(sys.terms, sys.dimension, members)
-        reduced = bool(pre.steps or pre.free)
         # the presolve shows in the diagnostics only where something applied
-        if reduced or pre.certificate is not None or not pre.terms:
+        if pre.applied:
             diagnostics["pipeline"].append("presolve")
             diagnostics["presolve"] = {"eliminated": [k for _, k, _, _ in pre.steps],
                                        "free": pre.free}
@@ -761,7 +760,8 @@ def decide_emptiness(sys: RealPolySystem,
             status, witness, certificate = _search(pre, config, diagnostics)
         if status == NONEMPTY:
             # back to all coordinates: free ones 0, eliminated ones in reverse
-            # order; then the one exact check against the system as given
+            # order; then one exact check in the system as given, unless the
+            # subdivision of that very system made it (it keeps exact zeros only)
             x = [Fraction(0)] * sys.dimension
             for k, v in zip(pre.kept, witness):
                 x[k] = v
@@ -769,10 +769,11 @@ def decide_emptiness(sys: RealPolySystem,
                 x[k] = Fraction(sum(c * x[e.index(1)] if any(e) else c for e, c in s.items()), a)
             witness = tuple(x)
             den = math.lcm(*(v.denominator for v in witness))
-            if not _is_exact_common_zero([clear(p, den) for p in sys.terms],
-                                         tuple(int(v * den) for v in witness), 1):
+            if ((pre.applied or "subdivision" not in diagnostics["pipeline"])
+                    and not _is_exact_common_zero([clear(p, den) for p in sys.terms],
+                                                  tuple(int(v * den) for v in witness), 1)):
                 raise ArithmeticError(f"witness {witness} is not a zero of the system")
-        elif status == EMPTY and reduced:
+        elif status == EMPTY and (pre.steps or pre.free):
             wrapped = {"kind": "Presolve",
                        "eliminated": [{"poly": j, "axis": k} for j, k, _, _ in pre.steps],
                        "free": pre.free}

@@ -345,24 +345,7 @@ def test_closed_stdout_pipe_exits_quietly():
             stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
     finally:
         os.close(write_end)
-    assert proc.returncode == EXIT_INPUT_ERROR
-    assert b"Traceback" not in proc.stderr
-
-
-def test_reader_leaving_mid_output_exits_quietly():
-    # about 290 KB of generators fill the pipe; the reader takes one byte
-    # and leaves, so a later write fails with a broken pipe
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    with subprocess.Popen([sys.executable, "-m", "nullsol.cli", "content",
-                           "(X1+X2+X3+X4+X5+X6+X7+1)^8*T"],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
-        try:
-            assert len(proc.stdout.read(1)) == 1
-            proc.stdout.close()
-            code = proc.wait(timeout=60)
-        finally:
-            proc.kill()
-        assert (code, proc.stderr.read()) == (EXIT_INPUT_ERROR, b"")
+    assert (proc.returncode, proc.stderr) == (EXIT_INPUT_ERROR, b"")
 
 
 @pytest.mark.parametrize("argv, expected", [
