@@ -4,9 +4,9 @@ Each solution space has its own criterion on the symbol p: nonzero symbol
 for the compactly-supported and spatial-profile spaces, degree
 preservation under X -> 0 for smooth functions and general distributions,
 emptiness of the imaginary-axis slice of the T-coefficient variety for
-spatially tempered distributions, and a lattice resonance search for
-spatially periodic distributions.  The zero symbol is nontrivial in every
-space.
+spatially tempered distributions, and a lattice resonance test for
+spatially periodic distributions (from the rational roots of one gcd in
+d = 1, a search otherwise).  The zero symbol is nontrivial in every space.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .variety import (
     NONEMPTY,
     boundedness_radius,
     decide_emptiness,
+    gcd_real_roots,
 )
 from .witness import Witness, build_periodic_witness, build_witness
 
@@ -169,6 +170,10 @@ def classify(p: MultiPoly, space: SolutionSpace,
 
 # -- periodic lattice test -------------------------------------------------
 
+def _unit_ideal_verdict() -> Verdict:
+    return Verdict(TRIVIAL, rule="content-variety-empty", evidence={"groebner_unit": True})
+
+
 def _shell_key(box) -> tuple[int, tuple[int, ...]]:
     """The least (max-norm, descending lexicographic) key of a point of ``box``."""
     return max(max(a, -b, 0) for a, b in box), tuple(-b for _, b in box)
@@ -176,18 +181,31 @@ def _shell_key(box) -> tuple[int, tuple[int, ...]]:
 
 def periodic_test(p: MultiPoly, lattice: LatticeSpec,
                   config: SolverConfig = DEFAULT_CONFIG) -> Verdict:
-    """Resonance search over the frequency lattice 2*pi * A^-1 * Z^d.
+    """Resonance test over the frequency lattice 2*pi * A^-1 * Z^d.
 
     The space is nontrivial exactly when some lattice frequency annihilates
     every T-coefficient of p, i.e. when some v = A^-1 k zeroes every
-    pi-grade (see :func:`pi_graded_slice`).  When the real zeros of the
-    graded system are certified bounded, the search covers every k that can
-    resonate and the verdict is decisive; otherwise it stops at
-    ``config.lattice_radius`` and may return UNKNOWN.  Either way it gives up
-    with UNKNOWN after ``BOX_BUDGET`` boxes.  It is a best-first
-    branch-and-bound over integer boxes of k that drops a box when a grade's
-    exact enclosure over its image excludes 0, and it reports the first
-    resonance in shell order: least max-norm, then k = 1 before k = -1.
+    pi-grade (see :func:`pi_graded_slice`).
+
+    In d = 1 the graded zeros are the real roots of one gcd ``g``, and the
+    test is exact (:func:`gcd_real_roots`): a constant ``g`` is the unit
+    ideal; a rational root r with k = a*r an integer, for A = [[a]], is a
+    resonance, and the least |k|, positive first, is reported; with none the
+    verdict is TRIVIAL, since an irrational root is no k/a.  The evidence
+    holds ``gcd`` (its integer coefficients, highest degree first, as
+    strings), the ``rational_roots`` and, when NONTRIVIAL, the
+    ``lattice_point``.  A gcd too large to isolate whose roots Sturm counts
+    at 0 is TRIVIAL too; any other gcd past the work bounds takes the search
+    below, as d >= 2 does.
+
+    When the real zeros of the graded system are certified bounded, the
+    search covers every k that can resonate and the verdict is decisive;
+    otherwise it stops at ``config.lattice_radius`` and may return UNKNOWN.
+    Either way it gives up with UNKNOWN after ``BOX_BUDGET`` boxes.  It is a
+    best-first branch-and-bound over integer boxes of k that drops a box
+    when a grade's exact enclosure over its image excludes 0, and it reports
+    the first resonance in shell order: least max-norm, then k = 1 before
+    k = -1.
     """
     dim = lattice.dimension
     if p.nvars != dim + 2:
@@ -200,9 +218,22 @@ def periodic_test(p: MultiPoly, lattice: LatticeSpec,
     if any(all(not any(e) for e in terms) for terms in system.terms):  # a constant grade
         return Verdict(TRIVIAL, rule="nonvanishing-generator",
                        evidence={"constant_pi_grade": True})
+    if dim == 1 and (found := gcd_real_roots(system.terms)) is not None:
+        g, roots = found
+        if len(g) == 1:
+            return _unit_ideal_verdict()
+        [[a]] = lattice.rows
+        rational = [Fraction(*r) for r in roots if r is not None]
+        evidence = {"gcd": [str(c) for c in g], "rational_roots": [str(r) for r in rational]}
+        hits = [k.numerator for k in (a * r for r in rational) if k.denominator == 1]
+        if not hits:
+            return Verdict(TRIVIAL, rule="lattice-resonance-free", evidence=evidence)
+        k = min(hits, key=lambda k: (abs(k), -k))
+        evidence["lattice_point"] = [k]
+        return Verdict(NONTRIVIAL, rule="lattice-resonance", evidence=evidence,
+                       witness=build_periodic_witness(p, lattice.frequency_vector((k,))))
     if unit_ideal_test(list(system.terms), config.groebner_cap):
-        return Verdict(TRIVIAL, rule="content-variety-empty",
-                       evidence={"groebner_unit": True})
+        return _unit_ideal_verdict()
 
     evidence: dict = {}
     search_radius = config.lattice_radius

@@ -131,13 +131,20 @@ def _flag_rational(flag: str, text: str) -> Fraction:
 
 
 def _config_from_args(args) -> SolverConfig:
-    """DEFAULT_CONFIG with the solver flags this subcommand takes applied."""
+    """DEFAULT_CONFIG with the solver flags this subcommand takes applied;
+    a value SolverConfig rejects is a ValueError that names its flag."""
     given = {name: getattr(args, name)
              for name in ("max_depth", "lattice_radius", "groebner_cap")
              if hasattr(args, name)}
     if hasattr(args, "box_halfwidth"):
         given["default_box_halfwidth"] = _flag_rational("--box-halfwidth", args.box_halfwidth)
-    return dataclasses.replace(DEFAULT_CONFIG, **given)
+    try:
+        return dataclasses.replace(DEFAULT_CONFIG, **given)
+    except ValueError as err:
+        # SolverConfig's messages start with the field's name
+        name, _, rest = str(err).partition(" ")
+        flag = "--" + name.removeprefix("default_").replace("_", "-")
+        raise ValueError(f"{flag} {rest}") from None
 
 
 def _print_parse_error(text: str, err: ParseError) -> None:
@@ -238,11 +245,7 @@ def cmd_witness(args, text: str, config: SolverConfig) -> int:
         if args.freq is None:
             sys.stderr.write("error: supply --freq or --auto\n")
             return EXIT_INPUT_ERROR
-        try:
-            freq = [parse_rational(x) for x in args.freq.split(",")]
-        except (ValueError, ZeroDivisionError):
-            sys.stderr.write("error: --freq must be comma-separated rationals\n")
-            return EXIT_INPUT_ERROR
+        freq = [_flag_rational("--freq", x) for x in args.freq.split(",")]
         if len(freq) != d:
             sys.stderr.write(f"error: frequency needs {d} coordinates\n")
             return EXIT_INPUT_ERROR

@@ -92,7 +92,9 @@ _STURM_LIMIT = 110_000
 # under 0.05 s at the limit (all roots irrational, CPython 3.11, one core of
 # a 2-CPU VM); the bisection to a width of 1/lc^2 costs about n^2 * b^3.
 # A gcd past it, which _STURM_LIMIT bounds, is still counted by Sturm: a
-# lift with no real root is empty, and one with a real root gives up.
+# lift with no real root is empty, and one with a real root gives up.  The
+# d = 1 periodic test bounds the gcd of its graded system the same way (see
+# gcd_real_roots); a gcd it isolates, and so prints, has under 2,500 bits.
 _RESULTANT_LIMIT = 10_000
 
 
@@ -543,6 +545,22 @@ def _real_roots(f: list[int]) -> list[tuple[int, int] | None]:
     return roots
 
 
+def gcd_real_roots(terms) -> tuple[list[int], list[tuple[int, int] | None]] | None:
+    """The gcd ``g`` of univariate term dicts (see :func:`_univariate_gcd`)
+    and its distinct real roots as :func:`_real_roots` gives them.
+
+    They are isolated only up to _RESULTANT_LIMIT; past it, a gcd with no
+    real root comes back with an empty list.  None if the gcd is past
+    _STURM_LIMIT, or past _RESULTANT_LIMIT with a real root.
+    """
+    g = _univariate_gcd(terms)
+    if g is None:
+        return None
+    if _work(g) <= _RESULTANT_LIMIT:
+        return g, _real_roots(g)
+    return None if _real_root_count(g) else (g, [])
+
+
 def _bareiss(rows: list[list[int]]) -> int:
     """Determinant of a square integer matrix, changed in place, by
     Bareiss's fraction-free elimination (every division is exact)."""
@@ -653,10 +671,9 @@ def _resultant_stage(polys: list[tuple[int, dict]], diagnostics: dict) -> tuple 
             restricted.append({e: c for e, c in f.items() if c})
         x2: tuple[int, int] | None = (0, 1)
         if any(restricted):
-            g = _univariate_gcd(restricted)
-            if g is None or _work(g) > _RESULTANT_LIMIT and _real_root_count(g):
+            if (lift := gcd_real_roots(restricted)) is None:
                 return None
-            above = _real_roots(g) if _work(g) <= _RESULTANT_LIMIT else []
+            g, above = lift
             x2 = next(filter(None, above), None)
             if x2 is None:
                 if not above:

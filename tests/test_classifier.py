@@ -1,11 +1,13 @@
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import nullsol.classifier
+import nullsol.variety
 from nullsol.classifier import (
     NONTRIVIAL,
     TRIVIAL,
@@ -229,12 +231,24 @@ def test_periodic_unbounded_search_stops_at_box_budget():
 
 
 def test_periodic_decisive_trivial_with_complete_enumeration():
-    # the pi^2 grade 9 - 4*v^2 has bounded zeros v = +-3/2: no integer k
-    # reaches them, and the bound makes that a proof
-    v = periodic("(X1^2 + 9*PI^2)*T", [[1]])
+    # the pi^2 grade 3 - 4*|v|^2 has bounded zeros on the circle |v|^2 = 3/4:
+    # no integer k reaches it, and the bound makes that a proof
+    v = periodic("(X1^2 + X2^2 + 3*PI^2)*T", [[1, 0], [0, 1]])
     assert v.status == TRIVIAL
     assert v.rule == "lattice-resonance-free"
-    assert "complete_radius" in v.evidence
+    assert v.evidence == {"complete_radius": 2, "searched_radius": 2}
+
+
+def test_periodic_d1_trivial_from_the_rational_roots():
+    # in d = 1 the pi^2 grade 9 - 4*v^2 is its own gcd, with the roots
+    # v = +-3/2, which no integer k reaches: no search runs
+    v = periodic("(X1^2 + 9*PI^2)*T", [[1]])
+    assert (v.status, v.rule) == (TRIVIAL, "lattice-resonance-free")
+    assert v.evidence == {"gcd": ["4", "0", "-9"], "rational_roots": ["-3/2", "3/2"]}
+    v = periodic("(X1^2 + 9*PI^2)*T", [[2]])
+    assert (v.status, v.rule) == (NONTRIVIAL, "lattice-resonance")
+    assert v.evidence == {"gcd": ["4", "0", "-9"], "rational_roots": ["-3/2", "3/2"],
+                          "lattice_point": [3]}
 
 
 def test_periodic_wrong_slot_count_rejected():
@@ -257,6 +271,117 @@ def test_periodic_large_complete_radius(text, rows, status, evidence):
     # the sphere, not pay for the (2R+1)^d cube
     v = periodic(text, rows)
     assert (v.status, v.evidence) == (status, evidence)
+
+
+_D1_LATTICES = tuple(map(Fraction, (1, -1, 2, -2, Fraction(3, 2), Fraction(-4, 3))))
+
+
+def _resonance_test(p: MultiPoly):
+    """Whether every T-coefficient of a d = 1 periodic symbol vanishes at
+    X1 = 2*pi*i*v, PI = pi, as a function of v: a term c * X1^e * PI^m * T^j
+    adds c * (2i)^e * v^e to the sum of its (j, e + m), and each sum must be
+    0 in both parts."""
+    sums: dict = {}
+    for (e, m, j), (re, im) in p.terms.items():
+        re, im = ((re, im), (-im, re), (-re, -im), (im, -re))[e % 4]
+        sums.setdefault((j, e + m), []).append((e, re * 2 ** e, im * 2 ** e))
+    return lambda v: all(not sum(re * v ** e for e, re, _ in terms)
+                         and not sum(im * v ** e for e, _, im in terms)
+                         for terms in sums.values())
+
+
+def _random_d1_case(rng: random.Random, a: Fraction) -> tuple[str, set, list]:
+    """A d = 1 periodic symbol F*G1*T + F*G2 (or F*G1*T) for the period
+    ``a``, the rational roots planted in the common factor F, and the shapes
+    drawn.  X1 - 2*i*r*PI vanishes at the frequency 2*pi*r, X1^2 + 4*s*PI^2
+    at v^2 = s; G1, G2 are such linear factors with distinct roots, and G2
+    may carry a constant, which puts F alone in a second pi-grade."""
+    roots, quadratics, shapes = set(), [], []
+    for _ in range(rng.randint(0, 3)):
+        if rng.random() < 0.5:
+            roots.add(rng.randint(-4, 4) / a)
+            shapes.append("on-lattice")
+        else:
+            roots.add(Fraction(rng.choice((-9, -8, -6, -4, -3, -1, 1, 2, 3, 4, 6, 8, 9)),
+                               rng.choice((5, 7))))
+            shapes.append("off-lattice")
+    if rng.random() < 0.2:
+        roots.add(Fraction(0))
+    if rng.random() < 0.2:
+        k = rng.randint(1, 3)
+        roots |= {k / a, -k / a}
+    for _ in range(rng.randint(0, 2)):
+        quadratics.append(rng.choice((2, 3, Fraction(5, 4), 6, -1, -3, Fraction(-9, 4))))
+        shapes.append("irrational" if quadratics[-1] > 0 else "no-real")
+    shapes += ["zero-root"] * (0 in roots) + ["tie"] * any(r and -r in roots for r in roots)
+
+    def linear(r):
+        return f"(X1 - 2*i*({r.numerator}/{r.denominator})*PI)"
+
+    common = [linear(r) for r in sorted(roots)]
+    common += [f"(X1^2 + 4*({Fraction(q).numerator}/{Fraction(q).denominator})*PI^2)"
+               for q in quadratics]
+    if rng.random() < 0.1:  # no common factor: the gcd is constant
+        roots, common, shapes = set(), [], []
+    g1, g2 = (linear(Fraction(n, rng.choice((1, 5, 7))))
+              for n in rng.sample(range(-8, 9), 2))
+    if common and rng.random() < 0.3:
+        g2 = g2[:-1] + f" + {rng.randint(1, 5)})"
+    text = "*".join(common + [g1]) + "*T"
+    if rng.random() < 0.8:
+        text += " + " + "*".join(common + [g2])
+    return text, roots, shapes
+
+
+def test_periodic_d1_exact_path_matches_brute_force_enumeration():
+    # every root of a linear factor has |v| <= 8, so |k| = |a*v| <= 16: the
+    # enumeration over |k| <= 20 meets every resonance
+    rng = random.Random(20261019)
+    seen = Counter()
+    for a in _D1_LATTICES * 40:
+        text, planted, shapes = _random_d1_case(rng, a)
+        p, _ = parse(text, dim=1, allow_pi=True)
+        v = periodic_test(p, LatticeSpec.from_rows([[a]]))
+        resonates = _resonance_test(p)
+        hits = [k for k in range(-20, 21) if resonates(k / a)]
+        if hits:
+            k = min(hits, key=lambda k: (abs(k), -k))
+            assert (v.status, v.rule, v.evidence["lattice_point"]) == \
+                (NONTRIVIAL, "lattice-resonance", [k]), text
+            assert v.witness.frequency == (k / a,)
+        else:
+            assert v.status == TRIVIAL, text
+        if v.rule.startswith("lattice-"):
+            assert set(v.evidence) - {"lattice_point"} == {"gcd", "rational_roots"}
+            roots = [Fraction(r) for r in v.evidence["rational_roots"]]
+            assert roots == sorted(set(roots)) and planted <= set(roots), text
+            assert all(map(resonates, roots)), text
+        else:
+            assert v.rule == "content-variety-empty", text
+        seen[v.rule] += 1
+        seen.update(shapes)
+    assert min(seen[key] for key in ("on-lattice", "off-lattice", "irrational", "no-real",
+                                     "zero-root", "tie", "content-variety-empty",
+                                     "lattice-resonance", "lattice-resonance-free")) >= 20, seen
+
+
+def test_periodic_d1_past_the_isolation_bound():
+    # the pi^2 grade -4*(v^2 - s): a 3,200-bit gcd is past the isolation
+    # bound, so its roots are only counted
+    for s, status, evidence in [
+            # two real roots: the search runs as in d >= 2; no radius fits
+            # the 2^40 cap, so it stops at --lattice-radius
+            (9 ** 1000, UNKNOWN, {"reason": "lattice-truncated", "searched_radius": 16}),
+            # no real root: a Sturm count of 0 is the proof
+            (-9 ** 1000, TRIVIAL, {"gcd": ["1", "0", str(9 ** 1000)], "rational_roots": []})]:
+        p, _ = parse(f"(X1^2 + 4*({s})*PI^2)*T", dim=1, allow_pi=True)
+        system = pi_graded_slice(x_content(p))
+        assert nullsol.variety._work(nullsol.variety._univariate_gcd(system.terms)) \
+            > nullsol.variety._RESULTANT_LIMIT
+        start = time.perf_counter()
+        v = periodic_test(p, LatticeSpec.from_rows([[1]]))
+        assert time.perf_counter() - start < 1.0
+        assert (v.status, v.evidence) == (status, evidence)
 
 
 def _random_periodic_case(rng: random.Random) -> tuple[str, list]:
@@ -329,8 +454,13 @@ def test_periodic_search_matches_first_hit_of_reference_shells():
         v = periodic_test(p, lat, config)
         if not v.rule.startswith("lattice-"):
             continue  # decided before the search, e.g. by a unit ideal
-        assert (v.status, v.evidence) == _first_hit_of_reference_shells(p, lat, config), \
-            (text, rows)
+        status, evidence = _first_hit_of_reference_shells(p, lat, config)
+        if lat.dimension == 1:
+            # d = 1 is decided from the roots of the gcd, with its own evidence
+            assert (v.status, v.evidence.get("lattice_point")) == \
+                (status, evidence.get("lattice_point")), (text, rows)
+        else:
+            assert (v.status, v.evidence) == (status, evidence), (text, rows)
         if v.status == NONTRIVIAL:
             k = tuple(v.evidence["lattice_point"])
             assert tuple(v.witness.frequency) == lat.frequency_vector(k)

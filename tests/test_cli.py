@@ -133,7 +133,12 @@ def test_zero_denominator_box_halfwidth_is_an_input_error(capsys):
     (("content", "T", "--dim", "-2"), "dimension must be nonnegative, got -2"),
     (("witness", "X1*T", "--freq", "1/0"), "--freq"),
     # --max-depth 0 is admitted, so the bound is nonnegative
-    (("classify", "X1*T", "--max-depth", "-1"), "max_depth must be nonnegative"),
+    (("classify", "X1*T", "--max-depth", "-1"), "error: --max-depth must be nonnegative\n"),
+    (("classify", "X1*T", "--box-halfwidth", "0"), "error: --box-halfwidth must be positive\n"),
+    (("periodic", "X1*T", "--lattice", "1", "--groebner-cap", "0"),
+     "error: --groebner-cap must be positive\n"),
+    (("periodic", "X1*T", "--lattice", "1", "--lattice-radius", "0"),
+     "error: --lattice-radius must be positive\n"),
     # numbers in flags follow the grammar's rational: no exponent or decimal form
     (("periodic", "X1*T", "--lattice", "1e1000000"), "invalid lattice: --lattice: "),
     (("classify", "X1*T", "--space", "tempered", "--box-halfwidth", "1e30000000"),
@@ -143,7 +148,8 @@ def test_zero_denominator_box_halfwidth_is_an_input_error(capsys):
     (("periodic", "X1*T", "--lattice", "\u0661"), "invalid lattice"),
     (("classify", "X1*T", "--box-halfwidth", "1/0"), "--box-halfwidth: zero denominator in '1/0'"),
     (("periodic", "X1*T", "--lattice", "1/0"), "--lattice: zero denominator in '1/0'"),
-], ids=["classify-dim", "content-dim", "witness-freq", "max-depth",
+], ids=["classify-dim", "content-dim", "witness-freq", "max-depth", "box-halfwidth",
+        "groebner-cap", "lattice-radius",
         "lattice-exponent", "box-halfwidth-exponent", "freq-exponent", "lattice-decimal",
         "lattice-arabic-indic", "box-halfwidth-zero-denominator", "lattice-zero-denominator"])
 def test_input_error_names_the_flag(capsys, argv, named):
@@ -308,7 +314,7 @@ def test_text_output_lines(capsys):
     (["--auto"], "error: no witness available: verdict is TRIVIAL [content-variety-empty]\n"),
     ([], "error: supply --freq or --auto\n"),
     (["--freq", "1,2"], "error: frequency needs 1 coordinates\n"),
-    (["--freq", "1/0"], "error: --freq must be comma-separated rationals\n"),
+    (["--freq", "1/0"], "error: --freq: zero denominator in '1/0'\n"),
 ])
 def test_witness_input_errors(capsys, argv, message):
     code, out, err = run(capsys, "witness", "T - X1^2", *argv)
@@ -334,10 +340,13 @@ def test_json_byte_determinism(capsys):
 
 
 def test_closed_stdout_pipe_exits_quietly():
-    # the read end is closed before the process starts, so its first write fails
+    # the read end is closed before the process starts, so its first write
+    # fails; stdout is block-buffered, as in a shell pipeline, so the
+    # interpreter's final flush would fail again unless stdout is moved away
     read_end, write_end = os.pipe()
     os.close(read_end)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "nullsol.cli", "classify", "X1^2*T+X2+1",
