@@ -34,7 +34,7 @@ from .classifier import (
 )
 from .config import DEFAULT_CONFIG, SolverConfig
 from .multipoly import MultiPoly, format_coeff
-from .parser import ParseError, default_names, parse, parse_rational, print_canonical
+from .parser import MAX_DIM, ParseError, default_names, parse, parse_rational, print_canonical
 from .symbols import x_content
 from .variety import EmptinessVerdict
 from .witness import CertificateFailure, Witness, build_witness, verify_residual
@@ -132,12 +132,17 @@ def _flag_rational(flag: str, text: str) -> Fraction:
 
 def _config_from_args(args) -> SolverConfig:
     """DEFAULT_CONFIG with the solver flags this subcommand takes applied;
-    a value SolverConfig rejects is a ValueError that names its flag."""
+    a value SolverConfig rejects, or a --dim out of range, is a ValueError
+    that names its flag."""
     given = {name: getattr(args, name)
              for name in ("max_depth", "lattice_radius", "groebner_cap")
              if hasattr(args, name)}
     if hasattr(args, "box_halfwidth"):
         given["default_box_halfwidth"] = _flag_rational("--box-halfwidth", args.box_halfwidth)
+    dim = getattr(args, "dim", None)
+    if dim is not None and not 0 <= dim <= MAX_DIM:
+        bound = "nonnegative" if dim < 0 else f"at most {MAX_DIM}"
+        raise ValueError(f"--dim must be {bound}, got {dim}")
     try:
         return dataclasses.replace(DEFAULT_CONFIG, **given)
     except ValueError as err:
@@ -239,7 +244,7 @@ def cmd_witness(args, text: str, config: SolverConfig) -> int:
         if verdict.witness is None:
             sys.stderr.write(f"error: no witness available: verdict is {verdict.status} "
                              f"[{verdict.rule}]\n")
-            return EXIT_INPUT_ERROR
+            return EXIT_UNKNOWN if verdict.status == UNKNOWN else EXIT_INPUT_ERROR
         witness = verdict.witness
     else:
         if args.freq is None:
@@ -247,7 +252,8 @@ def cmd_witness(args, text: str, config: SolverConfig) -> int:
             return EXIT_INPUT_ERROR
         freq = [_flag_rational("--freq", x) for x in args.freq.split(",")]
         if len(freq) != d:
-            sys.stderr.write(f"error: frequency needs {d} coordinates\n")
+            sys.stderr.write(f"error: --freq needs {d} coordinate{'' if d == 1 else 's'}, "
+                             f"got {len(freq)}\n")
             return EXIT_INPUT_ERROR
         try:
             witness = build_witness(p, freq)

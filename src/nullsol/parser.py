@@ -14,13 +14,11 @@ and the imaginary unit ``i``.  In lattice-periodic mode the reserved
 constant symbol ``PI`` is also admitted; it occupies an extra slot placed
 just before T, so the time variable stays the last slot.
 
-An expanded sum, whose terms are each an optional sign, a coefficient
-(``rational``, ``rational*i``, or ``(re)``, ``(im*i)``, ``(re+im*i)``) and
-'*'-separated powers of variables, is read straight from the text by one
-regular expression per term (``_parse_expanded``).  That fast path never
-raises and has no flag: on any other text, and wherever a limit could be
-reached, it declines, and the tokenizer and recursive descent parse the
-input and report every error.  Its result equals theirs term by term.
+A term of an expanded sum (an optional coefficient ``rational``,
+``rational*i``, ``(re)``, ``(im*i)`` or ``(re+im*i)``, then '*'-separated
+powers of Xk, T and PI) is read as one ``term`` token, whose value is the
+product its fine tokens would build.  Where a limit or check may apply to
+its text, no term token is made and the fine tokens read that text.
 """
 
 from __future__ import annotations
@@ -53,9 +51,14 @@ class ParseError(Exception):
 
 
 class _Tok(NamedTuple):
-    kind: str  # 'int', 'op', 'T', 'X', 'i', 'PI', 'end'
+    kind: str  # 'term', 'int', 'op', 'T', 'X', 'i', 'PI', 'end'
     value: object
     pos: int
+
+
+# A _Tok built in C: the NamedTuple constructor is a Python function, and the
+# tokenizer makes two tokens per term of an expanded sum.
+_new_tok = tuple.__new__
 
 
 # Most monomials a product or power may expand to.
@@ -80,21 +83,16 @@ _TOKEN = re.compile(r"(?P<space>\s+)|(?P<op>[-+*/^()])|(?P<int>[0-9]+)|X(?P<X>[0
 # A flag's number: ``rational`` with an optional sign, blanks around it.
 _RATIONAL = re.compile(r"\s*-?([0-9]+)(?:/([0-9]+))?\s*")
 
-# One term of an expanded sum (see _parse_expanded).  Groups: 1 sign; 2, 3 a
-# bare rational and 4 its '*i'; 5 '-', 6, 7 the first rational in parentheses
-# and 8 its '*i', or 9 '+'/'-' and 10, 11 the imaginary part; 12 the variable
-# powers after a coefficient, 13 those of a term without one.  No two '\s*'
-# meet, so a failed match backtracks over a blank run once.
-_FAST_RAT = r"([0-9]+)(?:\s*/\s*([0-9]+))?"
-_FAST_POWER = r"(?:X[0-9]+|T|PI)(?:\s*\^\s*[0-9]+)?"
-_FAST_MONO = rf"{_FAST_POWER}(?:\s*\*\s*{_FAST_POWER})*"
-_FAST_TERM = re.compile(
-    rf"\s*(?:([-+])\s*)?"
-    rf"(?:(?:{_FAST_RAT}(\s*\*\s*i)?"
-    rf"|\(\s*(?:(-)\s*)?{_FAST_RAT}\s*(?:(\*\s*i\s*)|([-+])\s*{_FAST_RAT}\s*\*\s*i\s*)?\))"
-    rf"(?:\s*\*\s*({_FAST_MONO}))?|({_FAST_MONO}))\s*")
-# An X index without its leading zeros (a bare "X0" keeps one).
-_FAST_INDEX = re.compile(r"X0*([0-9]+)")
+# A term token: a term without its sign, then the '+', '-' or ')' after it.
+# Groups: 1 '(' and 2 '-' of a coefficient in parentheses, 3, 4 its first rational
+# and 5 that part's '*i', 6 '+'/'-' and 7, 8 an imaginary part; 9 the powers after
+# a coefficient, 10 those of a term without one; 11 the operator, '' at the end.
+_RAT = r"([0-9]+)(?:\s*/\s*([0-9]+))?"
+_POWER = r"(?:X[0-9]+|T|PI)(?:\s*\^\s*[0-9]+)?"
+_MONO = rf"{_POWER}(?:\s*\*\s*{_POWER})*"
+_TERM = re.compile(
+    rf"(?:(?:(\()\s*(?:(-)\s*)?)?{_RAT}(\s*\*\s*i)?(?(1)\s*(?:([-+])\s*{_RAT}\s*\*\s*i\s*)?\))"
+    rf"(?:\s*\*\s*({_MONO}))?|({_MONO}))\s*([-+)]|\Z)?\s*")
 
 _WORD_ERRORS = {"PI": "PI is only admitted in lattice-periodic mode",
                 "X": "X must be followed by a 1-based index"}
@@ -186,11 +184,65 @@ def _check_power(op: _Tok, base: MultiPoly, n: int) -> None:
     _check_work(op, 2 * (_work(terms(h) ** 2, h * b, h * b) + _work(terms(n) * k, n * b, b)))
 
 
-def _tokenize(text: str, allow_pi: bool) -> list[_Tok]:
+def _rational(num: str, den: str | None, negative: bool) -> int | Fraction | None:
+    """``num[/den]``, negated if ``negative``; None on a zero denominator or
+    past _MAX_DIGITS digits in all (|numerator| * denominator < 2^MAX_COEFF_BITS)."""
+    if len(num) + len(den or "") > _MAX_DIGITS or den and not den.strip("0"):
+        return None
+    n = -int(num) if negative else int(num)
+    return n if den is None else Fraction(n, int(den))
+
+
+def _term_value(m: re.Match, allow_pi: bool, dim: int) -> tuple | None:
+    """``(coeff, powers, top)`` of a _TERM match: ``(slot, exponent)`` powers
+    (Xk in slot k - 1, PI in -2, T in -1) and the highest X index.  None unless
+    an operator or the end follows, and where a check applies: a literal past
+    _MAX_DIGITS, a zero denominator, X0, an index past ``dim``, PI without ``allow_pi``."""
+    _, neg, num, den, star_i, op, inum, iden, after, alone, follow = m.groups()
+    if follow is None:
+        return None
+    c, mono = (1, 0), alone
+    if alone is None:
+        q, im = _rational(num, den, neg), _rational(inum, iden, op == "-") if op else 0
+        if q is None or im is None:
+            return None
+        c, mono = ((0, q + im) if star_i else (q, im)), after
+    powers, top = [], 0
+    for factor in mono.split("*") if mono else ():
+        name, _, power = factor.partition("^")
+        name, power = name.strip(), power.strip()
+        if name == "T" or name == "PI":
+            slot = -1 if name == "T" else -2
+        else:
+            index = name[1:].lstrip("0")
+            slot = int(index) - 1 if 0 < len(index) <= 2 else dim
+            top = slot + 1 if slot >= top else top
+        if slot >= dim or slot == -2 and not allow_pi or len(power) > _MAX_DIGITS:
+            return None
+        powers.append((slot, int(power) if power else 1))
+    return c, powers, top
+
+
+def _tokenize(text: str, allow_pi: bool, dim: int | None = None) -> list[_Tok]:
+    """The tokens of ``text``: a term token where _TERM admits one at the
+    start of a term of a sum (the start of the text, or after '(', '+' or
+    '-'), else one fine token of _TOKEN.  So none follows '^' or '/', which
+    take a bare integer, and a long product is scanned once, not per factor."""
     symbols = ("T", "i", "PI") if allow_pi else ("T", "i")
+    limit = MAX_DIM if dim is None else dim
     toks = []
-    for m in _TOKEN.finditer(text):
-        kind, value, pos = m.lastgroup, m[m.lastgroup], m.start()
+    pos, end = 0, len(text)
+    while pos < end:
+        if (not toks or toks[-1].value in ("(", "+", "-")) and (m := _TERM.match(text, pos)):
+            value = _term_value(m, allow_pi, limit)
+            if value is not None:
+                toks.append(_new_tok(_Tok, ("term", value, pos)))
+                if m[11]:
+                    toks.append(_new_tok(_Tok, ("op", m[11], m.start(11))))
+                pos = m.end()
+                continue
+        m = _TOKEN.match(text, pos)
+        kind, value = m.lastgroup, m[m.lastgroup]
         if kind == "op":
             toks.append(_Tok("op", value, pos))
         elif kind == "int" and len(value) > _MAX_DIGITS:
@@ -209,17 +261,17 @@ def _tokenize(text: str, allow_pi: bool) -> list[_Tok]:
             toks.append(_Tok(value, None, pos))
         elif kind != "space":
             raise _symbol_error(value, pos, allow_pi)
-    toks.append(_Tok("end", None, len(text)))
+        pos = m.end()
+    toks.append(_Tok("end", None, end))
     return toks
 
 
 class _Parser:
-    def __init__(self, toks: list[_Tok], nvars: int, dim: int, pi_slot: int | None):
+    def __init__(self, toks: list[_Tok], nvars: int, dim: int):
         self.toks = toks
         self.k = 0
         self.nvars = nvars
         self.dim = dim
-        self.pi_slot = pi_slot  # slot index for PI, or None
 
     def peek(self) -> _Tok:
         return self.toks[self.k]
@@ -229,30 +281,44 @@ class _Parser:
         self.k += 1
         return t
 
-    def expect_op(self, ch: str):
-        t = self.next()
-        if t.kind != "op" or t.value != ch:
-            raise ParseError(t.pos, ParseErrorKind.UNEXPECTED_TOKEN,
-                             f"expected {ch!r}")
+    def term_pair(self, t: _Tok) -> tuple:
+        """The ``(exps, coeff)`` pair of a term token."""
+        c, powers, _ = t.value
+        e = [0] * self.nvars
+        for slot, n in powers:
+            e[slot] += n
+        return tuple(e), c
 
     def parse_expr(self) -> MultiPoly:
         """A sum, whose coefficients may not pass MAX_COEFF_BITS (adding
         fractions multiplies denominators); the error is at its first operator."""
-        terms = [self.parse_term()]
-        first = None
+        pairs = []
+        first = sign = None
+        bounded = True  # each pair a term token's: its literals' digits bound its bits
+        toks = self.toks
         while True:
-            t = self.peek()
-            if t.kind == "op" and t.value in "+-":
-                self.next()
-                first = first or t
-                rhs = self.parse_term()
-                terms.append(-rhs if t.value == "-" else rhs)
+            t = toks[self.k]
+            if t.kind == "term":  # a whole term: '+', '-', ')' or the end follows
+                self.k += 1
+                items = (self.term_pair(t),)
             else:
-                total = MultiPoly.sum_of(self.nvars, terms)
-                if first and _bits(total) > MAX_COEFF_BITS:
-                    raise ParseError(first.pos, ParseErrorKind.EXPANSION_LIMIT,
-                                     f"coefficients exceed the limit of {MAX_COEFF_BITS} bits")
-                return total
+                items = self.parse_term().terms.items()
+                bounded = False
+            for e, c in items:
+                if c[0] or c[1]:
+                    pairs.append((e, (-c[0], -c[1])) if sign == "-" else (e, c))
+            t = toks[self.k]
+            if t.kind != "op" or t.value not in "+-":
+                break
+            self.k += 1
+            first = first or t
+            sign = t.value
+        total = MultiPoly.from_terms(self.nvars, pairs)
+        merged = len(total.terms) < len(pairs)
+        if first and (merged or not bounded) and _bits(total) > MAX_COEFF_BITS:
+            raise ParseError(first.pos, ParseErrorKind.EXPANSION_LIMIT,
+                             f"coefficients exceed the limit of {MAX_COEFF_BITS} bits")
+        return total
 
     def parse_term(self) -> MultiPoly:
         """A product, whose running coefficient size ``bits`` may not pass
@@ -300,6 +366,8 @@ class _Parser:
 
     def parse_base(self) -> MultiPoly:
         t = self.next()
+        if t.kind == "term":
+            return MultiPoly(self.nvars, dict([self.term_pair(t)]))
         if t.kind == "T":
             return MultiPoly.variable(self.nvars, self.nvars - 1)
         if t.kind == "X":
@@ -308,7 +376,7 @@ class _Parser:
                                  f"X{t.value} exceeds declared dimension {self.dim}")
             return MultiPoly.variable(self.nvars, t.value - 1)
         if t.kind == "PI":
-            return MultiPoly.variable(self.nvars, self.pi_slot)
+            return MultiPoly.variable(self.nvars, self.nvars - 2)  # PI precedes T
         if t.kind == "i":
             return MultiPoly.constant(self.nvars, (0, 1))
         if t.kind == "int":
@@ -323,130 +391,14 @@ class _Parser:
                 num = Fraction(num, den.value)
             return MultiPoly.constant(self.nvars, (num, 0))
         if t.kind == "op" and t.value == "(":
-            inner = self.parse_expr()
-            self.expect_op(")")
+            inner, close = self.parse_expr(), self.next()
+            if close.kind != "op" or close.value != ")":
+                raise ParseError(close.pos, ParseErrorKind.UNEXPECTED_TOKEN, "expected ')'")
             return inner
         if t.kind == "op" and t.value == "-":
             return -self.parse_factor()
         raise ParseError(t.pos, ParseErrorKind.UNEXPECTED_TOKEN,
                          f"unexpected token at start of operand")
-
-
-def _fast_rational(num: str, den: str | None, negative: bool) -> int | Fraction | None:
-    """The literal ``num[/den]``, negated if ``negative``, with the general
-    parser's type; None on a zero denominator or past _MAX_DIGITS digits in
-    all, so that |numerator| * denominator stays below 10^_MAX_DIGITS, under
-    2^MAX_COEFF_BITS."""
-    if len(num) + len(den or "") > _MAX_DIGITS:
-        return None
-    n = -int(num) if negative else int(num)
-    if den is None:
-        return n
-    d = int(den)
-    return Fraction(n, d) if d else None
-
-
-_FRACTION_ZERO = Fraction(0)
-
-
-def _times_i(q) -> tuple:
-    """The product ``q*i`` as MultiPoly.__mul__ builds it: i itself when q is
-    1 (a monic factor is shifted), else ``(q*0 - 0*1, q*1 + 0*0)``."""
-    if q == 1:
-        return (0, 1)
-    return (0 if type(q) is int else _FRACTION_ZERO, q)
-
-
-def _parse_expanded(text: str, dim: int | None, allow_pi: bool) -> tuple[MultiPoly, int] | None:
-    """``parse`` of a sum of simple terms, read straight from the text, or None.
-
-    A term is an optional sign, an optional coefficient and '*'-separated
-    powers of Xk, T and (with ``allow_pi``) PI.  The coefficient is a
-    ``rational``, ``rational*i``, or in parentheses ``re``, ``im*i`` or
-    ``re+im*i`` (either sign, and '-' before the first part).  Each pair is
-    built by the operations the general parser applies to it, and the terms
-    are collected by MultiPoly.from_terms, as MultiPoly.sum_of collects them,
-    so the result equals the general parser's in values, types and order.  None on any other text, and
-    wherever a limit could be reached (a literal or index past _MAX_DIGITS,
-    X0, an index past MAX_DIM or ``dim``, a zero denominator, a sum past
-    MAX_COEFF_BITS): every error is left to the general parser.
-    """
-    if dim is None:
-        dim = 0
-        for index in _FAST_INDEX.findall(text):
-            if len(index) > 2:
-                return None
-            dim = max(dim, int(index))
-        if dim > MAX_DIM:
-            return None
-    nvars = dim + 2 if allow_pi else dim + 1
-    terms = []
-    pos, end = 0, len(text)
-    while True:
-        m = _FAST_TERM.match(text, pos)
-        if m is None:
-            return None
-        sign, num, den, bare_i, neg, pnum, pden, paren_i, op, inum, iden, after, alone = m.groups()
-        # the first term takes no '+', every later one needs its operator
-        if (sign == "+") if pos == 0 else (sign is None):
-            return None
-        if alone is not None:
-            c, powers = (1, 0), alone
-        elif num is not None:
-            # a leading '-' binds to the literal, a '-' between terms to the product
-            q = _fast_rational(num, den, pos == 0 and sign == "-")
-            if q is None:
-                return None
-            sign = sign if pos else None
-            c, powers = (_times_i(q) if bare_i else (q, 0)), after
-        else:
-            q = _fast_rational(pnum, pden, neg)
-            if q is None:
-                return None
-            c, powers = (_times_i(q) if paren_i else (q, 0)), after
-            if op:
-                im = _fast_rational(inum, iden, False)
-                if im is None:
-                    return None
-                if im:
-                    zero, im = _times_i(im)
-                    im = -im if op == "-" else im
-                    # q + 0 keeps q's type, but an int plus Fraction(0) is a Fraction
-                    c = ((q + zero if type(q) is int else q), im) if q else (zero, im)
-        if sign == "-":
-            c = (-c[0] if c[0] else c[0], -c[1] if c[1] else c[1])
-        e = [0] * nvars
-        for factor in powers.split("*") if powers else ():
-            name, _, power = factor.partition("^")
-            name = name.strip()
-            if name == "T":
-                slot = -1
-            elif name == "PI":
-                if not allow_pi:
-                    return None
-                slot = -2
-            else:
-                index = name[1:].lstrip("0")
-                slot = int(index) - 1 if 0 < len(index) <= 2 else -1
-                if not 0 <= slot < dim:
-                    return None
-            if not power:
-                e[slot] += 1
-                continue
-            power = power.strip()
-            if len(power) > _MAX_DIGITS:
-                return None
-            e[slot] += int(power)
-        if c[0] or c[1]:
-            terms.append((tuple(e), c))
-        pos = m.end()
-        if pos == end:
-            break
-    poly = MultiPoly.from_terms(nvars, terms)
-    # Unless two terms met, each coefficient is a term's, held below the limit.
-    if len(poly.terms) < len(terms) and _bits(poly) > MAX_COEFF_BITS:
-        return None
-    return poly, dim
 
 
 def parse_rational(text: str) -> Fraction:
@@ -476,21 +428,15 @@ def parse(text: str, dim: int | None = None, allow_pi: bool = False) -> tuple[Mu
         raise ValueError(f"dimension must be nonnegative, got {dim}")
     if dim is not None and dim > MAX_DIM:
         raise ValueError(f"dimension must be at most {MAX_DIM}, got {dim}")
-    return _parse_expanded(text, dim, allow_pi) or _parse_general(text, dim, allow_pi)
-
-
-def _parse_general(text: str, dim: int | None, allow_pi: bool) -> tuple[MultiPoly, int]:
-    """``parse`` by the tokenizer and the recursive descent: every input, every error."""
-    toks = _tokenize(text, allow_pi)
+    toks = _tokenize(text, allow_pi, dim)
     if dim is None:
-        dim = max((t.value for t in toks if t.kind == "X"), default=0)
+        dim = max((t.value if t.kind == "X" else t.value[2]
+                   for t in toks if t.kind in ("X", "term")), default=0)
         if dim > MAX_DIM:
             pos = next(t.pos for t in toks if t.kind == "X" and t.value > MAX_DIM)
             raise ParseError(pos, ParseErrorKind.DIMENSION_EXCEEDED,
                              f"variable index exceeds the limit of {MAX_DIM} dimensions")
-    nvars = dim + 2 if allow_pi else dim + 1
-    pi_slot = dim if allow_pi else None
-    p = _Parser(toks, nvars, dim, pi_slot)
+    p = _Parser(toks, dim + 2 if allow_pi else dim + 1, dim)
     poly = p.parse_expr()
     end = p.next()
     if end.kind != "end":
@@ -535,10 +481,4 @@ def print_canonical(p: MultiPoly, names: list[str] | None = None) -> str:
         else:
             s = f"{_coeff_str(c)}*{mono}"
         parts.append(s)
-    out = parts[0]
-    for s in parts[1:]:
-        if s.startswith("-"):
-            out += f" - {s[1:]}"
-        else:
-            out += f" + {s}"
-    return out
+    return parts[0] + "".join(f" - {s[1:]}" if s[0] == "-" else f" + {s}" for s in parts[1:])

@@ -129,8 +129,9 @@ def test_zero_denominator_box_halfwidth_is_an_input_error(capsys):
 
 
 @pytest.mark.parametrize("argv, named", [
-    (("classify", "T", "--dim", "-1"), "dimension must be nonnegative, got -1"),
-    (("content", "T", "--dim", "-2"), "dimension must be nonnegative, got -2"),
+    (("classify", "T", "--dim", "-1"), "error: --dim must be nonnegative, got -1\n"),
+    (("content", "T", "--dim", "-2"), "error: --dim must be nonnegative, got -2\n"),
+    (("classify", "T", "--dim", "33"), "error: --dim must be at most 32, got 33\n"),
     (("witness", "X1*T", "--freq", "1/0"), "--freq"),
     # --max-depth 0 is admitted, so the bound is nonnegative
     (("classify", "X1*T", "--max-depth", "-1"), "error: --max-depth must be nonnegative\n"),
@@ -148,8 +149,8 @@ def test_zero_denominator_box_halfwidth_is_an_input_error(capsys):
     (("periodic", "X1*T", "--lattice", "\u0661"), "invalid lattice"),
     (("classify", "X1*T", "--box-halfwidth", "1/0"), "--box-halfwidth: zero denominator in '1/0'"),
     (("periodic", "X1*T", "--lattice", "1/0"), "--lattice: zero denominator in '1/0'"),
-], ids=["classify-dim", "content-dim", "witness-freq", "max-depth", "box-halfwidth",
-        "groebner-cap", "lattice-radius",
+], ids=["classify-dim", "content-dim", "classify-dim-max", "witness-freq", "max-depth",
+        "box-halfwidth", "groebner-cap", "lattice-radius",
         "lattice-exponent", "box-halfwidth-exponent", "freq-exponent", "lattice-decimal",
         "lattice-arabic-indic", "box-halfwidth-zero-denominator", "lattice-zero-denominator"])
 def test_input_error_names_the_flag(capsys, argv, named):
@@ -313,12 +314,19 @@ def test_text_output_lines(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--auto"], "error: no witness available: verdict is TRIVIAL [content-variety-empty]\n"),
     ([], "error: supply --freq or --auto\n"),
-    (["--freq", "1,2"], "error: frequency needs 1 coordinates\n"),
+    (["--freq", "1,2"], "error: --freq needs 1 coordinate, got 2\n"),
     (["--freq", "1/0"], "error: --freq: zero denominator in '1/0'\n"),
 ])
 def test_witness_input_errors(capsys, argv, message):
     code, out, err = run(capsys, "witness", "T - X1^2", *argv)
     assert (code, out, err) == (EXIT_INPUT_ERROR, "", message)
+
+
+def test_witness_auto_exits_2_on_an_unknown_verdict(capsys):
+    code, out, err = run(capsys, "witness", "X1^2+X2^2-4*X1-2*X2+1", "--auto")
+    assert (code, out) == (EXIT_UNKNOWN, "")
+    assert err == ("error: no witness available: verdict is UNKNOWN "
+                   "[content-variety-undecided]\n")
 
 
 def test_stdin_expression(capsys, monkeypatch):

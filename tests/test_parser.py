@@ -1,9 +1,11 @@
 import random
+import re
 import time
 from fractions import Fraction
 
 import pytest
 
+from nullsol import parser
 from nullsol.multipoly import MultiPoly
 from nullsol.parser import (
     MAX_COEFF_BITS,
@@ -13,8 +15,6 @@ from nullsol.parser import (
     ParseError,
     ParseErrorKind,
     _TOKEN,
-    _parse_expanded,
-    _parse_general,
     _tokenize,
     default_names,
     parse,
@@ -176,8 +176,9 @@ def test_non_decimal_numeral_is_an_unknown_symbol(text, position):
     ("X12^3", [("X", 12, 0), ("op", "^", 3), ("int", 3, 4), ("end", None, 5)], None),
     ("X\u0663", None, (0, "X must be followed by a 1-based index")),
 ])
-def test_tokenizer_words_and_indices(text, tokens, error):
+def test_tokenizer_words_and_indices(monkeypatch, text, tokens, error):
     # a run of letters is one word; X takes the digits right after it
+    monkeypatch.setattr(parser, "_TERM", _NEVER)
     if error is None:
         assert _tokenize(text, False) == tokens
         return
@@ -194,15 +195,20 @@ def _tokenize_outcome(tokenize, text, allow_pi):
         return err.kind, err.position, err.message
 
 
-def test_tokenizer_matches_reference_loop():
+def test_tokenizer_matches_reference_loop(monkeypatch):
+    # the fine tokens match the reference; term tokens change no error
     alphabet = [" ", "\t", "\n", "+", "-", "*", "/", "^", "(", ")", "0", "1", "7", "42",
                 "X", "T", "i", "PI", "P", "I", "a", "Y", "x", "\u00e9", "$", "\u0663"]
     rng = random.Random(10)
     for _ in range(20_000):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 10)))
         for allow_pi in (False, True):
-            assert (_tokenize_outcome(_tokenize, text, allow_pi)
-                    == _tokenize_outcome(reference_tokenize, text, allow_pi)), text
+            reference = _tokenize_outcome(reference_tokenize, text, allow_pi)
+            if isinstance(reference, tuple):
+                assert _tokenize_outcome(_tokenize, text, allow_pi) == reference, text
+            with monkeypatch.context() as patch:
+                patch.setattr(parser, "_TERM", _NEVER)
+                assert _tokenize_outcome(_tokenize, text, allow_pi) == reference, text
 
 
 @pytest.mark.parametrize("text, printed", [
@@ -229,6 +235,14 @@ def test_expansion_limit_points_at_the_operator(text, position):
 def test_expansion_limit_admits_moderate_powers():
     p, _ = parse("(X1+X2+X3+1)^12")
     assert len(p.terms) == 455
+
+
+def test_a_long_product_before_a_parenthesis_parses_fast():
+    # a term token is tried only where a term of a sum may start, not per factor
+    start = time.perf_counter()
+    p, _ = parse("X1*" * 10_000 + "(X2+1)")
+    assert time.perf_counter() - start < 1.0
+    assert p == MultiPoly(3, {(10_000, 1, 0): 1, (10_000, 0, 0): 1})
 
 
 def test_huge_exponent_of_a_monomial_parses_fast():
@@ -398,27 +412,33 @@ def test_parse_matches_ring_arithmetic_on_random_trees():
             assert evaluate(p, point) == _evaluate_tree(tree, point), text
 
 
-# -- the expanded-sum fast path against the general parser -----------------
+# -- the term lane, the tokenizer's fast path, on and off -----------------
+# Every input must give the same outcome whether or not the tokenizer reads
+# whole terms as term tokens: with the term pattern patched to never match,
+# the fine tokens read all of the text.
 
-def _typed(result):
-    """The terms in order, each part with its type, and the dimension."""
-    poly, dim = result
-    return [(e, [(type(x), x) for x in c]) for e, c in poly.terms.items()], dim
+_NEVER = re.compile(r"(?!)")
 
 
-def _general_outcome(text, dim, allow_pi):
+def _outcome(text, dim, allow_pi):
     try:
-        return _typed(_parse_general(text, dim, allow_pi))
-    except (ParseError, ValueError) as err:
+        return parse(text, dim, allow_pi)
+    except ParseError as err:
+        return err.kind, err.position, err.message
+    except ValueError as err:
         return repr(err)
 
 
-def _fast_agrees(text, dim=None, allow_pi=False) -> bool:
-    """Whether the fast path took ``text``; fails if it differs from the general path."""
-    fast = _parse_expanded(text, dim, allow_pi)
-    if fast is not None:
-        assert _typed(fast) == _general_outcome(text, dim, allow_pi), (text, dim, allow_pi)
-    return fast is not None
+def _lanes_agree(monkeypatch, text, dim=None, allow_pi=False) -> bool:
+    """Whether term tokens read every operand of ``text`` and it parses;
+    fails if the outcome differs with the fine tokens alone."""
+    on = _outcome(text, dim, allow_pi)
+    with monkeypatch.context() as patch:
+        patch.setattr(parser, "_TERM", _NEVER)
+        assert _outcome(text, dim, allow_pi) == on, (text, dim, allow_pi)
+    if not isinstance(on[0], MultiPoly):
+        return False
+    return all(t.kind in ("term", "op", "end") for t in _tokenize(text, allow_pi, dim))
 
 
 def _bench_coeff(re, im) -> str:
@@ -439,7 +459,7 @@ def _bench_render(p: MultiPoly, names) -> str:
 
 
 def _generated_texts(rng, count):
-    """(text, dim, allow_pi): canonical and benchmark-style renders of random symbols."""
+    """(text, dim, allow_pi, poly): canonical and benchmark-style renders of random symbols."""
     for k in range(count):
         allow_pi = k % 2 == 1
         nvars = rng.randint(2 if allow_pi else 1, 5)
@@ -448,7 +468,7 @@ def _generated_texts(rng, count):
                              complex_coeffs=rng.random() < 0.7)
         names = default_names(nvars, pi_slot=dim if allow_pi else None)
         render = print_canonical if k % 4 < 2 else _bench_render
-        yield render(p, names), dim, allow_pi
+        yield render(p, names), dim, allow_pi, p
 
 
 def _respaced(rng, text) -> str:
@@ -460,13 +480,13 @@ def _respaced(rng, text) -> str:
     return "".join(out) + rng.choice(["", " ", "\n"])
 
 
-def test_fast_path_takes_every_generated_text():
+def test_fast_path_takes_every_generated_text(monkeypatch):
     rng = random.Random(5)
-    for text, dim, allow_pi in _generated_texts(rng, 400):
+    for text, dim, allow_pi, p in _generated_texts(rng, 400):
         for d in (dim, None):
-            assert _fast_agrees(text, d, allow_pi), text
-            assert _fast_agrees(_respaced(rng, text), d, allow_pi), text
-        assert parse(text, dim, allow_pi) == _parse_general(text, dim, allow_pi)
+            assert _lanes_agree(monkeypatch, text, d, allow_pi), text
+            assert _lanes_agree(monkeypatch, _respaced(rng, text), d, allow_pi), text
+        assert parse(text, dim, allow_pi)[0] == p, text
 
 
 @pytest.mark.parametrize("text", [
@@ -476,14 +496,14 @@ def test_fast_path_takes_every_generated_text():
     "(-1/2+1*i)*X1 + (1/2-1*i)*X1 + 1/3*X1", "-(1+2*i)*X1 - (3-4*i)", "4/2 + 6/3*X1",
     "007*X01^02", "1 / 2 * X1 ^ 2 * T", "( - 3 / 4 - 5 * i ) * T", "-3*i - 3*i",
 ])
-def test_fast_path_on_signs_zeros_and_cancellations(text):
-    assert _fast_agrees(text, None, False)
-    assert _fast_agrees(text, 2, True)
+def test_fast_path_on_signs_zeros_and_cancellations(monkeypatch, text):
+    assert _lanes_agree(monkeypatch, text, None, False)
+    assert _lanes_agree(monkeypatch, text, 2, True)
 
 
-def test_fast_path_under_single_character_edits():
+def test_fast_path_under_single_character_edits(monkeypatch):
     rng = random.Random(8)
-    samples = [text for text, _, _ in _generated_texts(rng, 40) if 10 < len(text) < 60][:8]
+    samples = [text for text, _, _, _ in _generated_texts(rng, 40) if 10 < len(text) < 60][:8]
     samples += ["-(1/2-3*i)*X1*PI^2*T + 2*i*T - 1/3", "(-1)*X2^2 + (4/3*i)*X1*T"]
     alphabet = "017+-*/^() XTPIia\t"
     for text in samples:
@@ -492,8 +512,8 @@ def test_fast_path_under_single_character_edits():
             edits += [text[:k] + ch + text[k + 1:] for ch in alphabet if ch != text[k]]
             for edited in edits:
                 for allow_pi in (False, True):
-                    _fast_agrees(edited, None, allow_pi)
-                    _fast_agrees(edited, 3, allow_pi)
+                    _lanes_agree(monkeypatch, edited, None, allow_pi)
+                    _lanes_agree(monkeypatch, edited, 3, allow_pi)
 
 
 @pytest.mark.parametrize("text, dim, taken", [
@@ -524,13 +544,35 @@ def test_fast_path_under_single_character_edits():
     ("", None, False),
     ("  ", None, False),
     ("+X1", None, False),
-    ("X1 + -X2", None, False),
+    ("X1 + -X2", None, True),
     ("2 X1", None, False),
     ("X1^2^3", None, False),
     ("T^1/2", None, False),
 ], ids=lambda v: v if isinstance(v, (bool, type(None))) or len(str(v)) < 30 else str(v)[:30])
-def test_fast_path_declines_at_every_limit(text, dim, taken):
-    assert _fast_agrees(text, dim) is taken
-    if not taken and not isinstance(_general_outcome(text, dim, False), tuple):
-        with pytest.raises(ParseError):
-            parse(text, dim)
+def test_fast_path_declines_at_every_limit(monkeypatch, text, dim, taken):
+    # a limit is reached by the fine tokens alone, so its error is raised in one place
+    assert _lanes_agree(monkeypatch, text, dim) is taken
+
+
+@pytest.mark.parametrize("text, dim, outcome", [
+    ("1/2/3*X1", None, (ParseErrorKind.UNEXPECTED_TOKEN, 3)),
+    ("2^2/3*X1", None, (ParseErrorKind.BAD_EXPONENT, 3)),
+    ("2*+3*X1", None, (ParseErrorKind.UNEXPECTED_TOKEN, 2)),
+    ("X1^2^3", None, (ParseErrorKind.UNEXPECTED_TOKEN, 4)),
+    ("3 4*X1", None, (ParseErrorKind.UNEXPECTED_TOKEN, 2)),
+    ("2/X1", None, (ParseErrorKind.UNEXPECTED_TOKEN, 2)),
+    ("X3*T + (", 2, (ParseErrorKind.DIMENSION_EXCEEDED, 0)),
+    ("X1 + X33*T", None, (ParseErrorKind.DIMENSION_EXCEEDED, 5)),
+    ("PI*T", None, (ParseErrorKind.UNKNOWN_SYMBOL, 0)),
+    ("+X1", None, (ParseErrorKind.UNEXPECTED_TOKEN, 0)),
+    ("(X1+1)^2*X2", None, MultiPoly(3, {(2, 1, 0): 1, (1, 1, 0): 2, (0, 1, 0): 1})),
+    ("2*-3*X1", None, MultiPoly(2, {(1, 0): -6})),
+    ("X1 + -X2", None, MultiPoly(3, {(1, 0, 0): 1, (0, 1, 0): -1})),
+    ("(2*i+3*i)*X1 - (-1/2*i-1/3*i)", None,
+     MultiPoly(2, {(1, 0): (0, 5), (0, 0): (0, Fraction(5, 6))})),
+])
+def test_term_tokens_keep_the_outcomes_at_their_edges(monkeypatch, text, dim, outcome):
+    # '^' and '/' take a bare integer, and signs stay operator tokens
+    result = _outcome(text, dim, False)
+    assert (result[0] if isinstance(outcome, MultiPoly) else result[:2]) == outcome
+    _lanes_agree(monkeypatch, text, dim)
