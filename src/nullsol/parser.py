@@ -197,16 +197,17 @@ def _term_value(m: re.Match, allow_pi: bool, dim: int) -> tuple | None:
     """``(coeff, powers, top)`` of a _TERM match: ``(slot, exponent)`` powers
     (Xk in slot k - 1, PI in -2, T in -1) and the highest X index.  None unless
     an operator or the end follows, and where a check applies: a literal past
-    _MAX_DIGITS, a zero denominator, X0, an index past ``dim``, PI without ``allow_pi``."""
+    _MAX_DIGITS, a zero denominator, X0, an index past ``dim``, PI without ``allow_pi``,
+    or ``(q*i+r*i)``, a sum whose size the digits of its literals do not bound."""
     _, neg, num, den, star_i, op, inum, iden, after, alone, follow = m.groups()
     if follow is None:
         return None
     c, mono = (1, 0), alone
     if alone is None:
         q, im = _rational(num, den, neg), _rational(inum, iden, op == "-") if op else 0
-        if q is None or im is None:
+        if q is None or im is None or star_i and op:
             return None
-        c, mono = ((0, q + im) if star_i else (q, im)), after
+        c, mono = ((0, q) if star_i else (q, im)), after
     powers, top = [], 0
     for factor in mono.split("*") if mono else ():
         name, _, power = factor.partition("^")
@@ -481,4 +482,10 @@ def print_canonical(p: MultiPoly, names: list[str] | None = None) -> str:
         else:
             s = f"{_coeff_str(c)}*{mono}"
         parts.append(s)
-    return parts[0] + "".join(f" - {s[1:]}" if s[0] == "-" else f" + {s}" for s in parts[1:])
+    out = parts[0]
+    for s in parts[1:]:
+        if s.startswith("-"):
+            out += f" - {s[1:]}"
+        else:
+            out += f" + {s}"
+    return out

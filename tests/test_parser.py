@@ -570,6 +570,9 @@ def test_fast_path_declines_at_every_limit(monkeypatch, text, dim, taken):
     ("X1 + -X2", None, MultiPoly(3, {(1, 0, 0): 1, (0, 1, 0): -1})),
     ("(2*i+3*i)*X1 - (-1/2*i-1/3*i)", None,
      MultiPoly(2, {(1, 0): (0, 5), (0, 0): (0, Fraction(5, 6))})),
+    # two imaginary literals within the digit limit whose sum is past MAX_COEFF_BITS
+    pytest.param(f"(1/{2 ** 4980}*i+1/{3 ** 3140}*i)*T", None,
+                 (ParseErrorKind.EXPANSION_LIMIT, len(f"(1/{2 ** 4980}*i")), id="imaginary-sum-bits"),
 ])
 def test_term_tokens_keep_the_outcomes_at_their_edges(monkeypatch, text, dim, outcome):
     # '^' and '/' take a bare integer, and signs stay operator tokens
