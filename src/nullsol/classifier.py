@@ -194,9 +194,10 @@ def periodic_test(p: MultiPoly, lattice: LatticeSpec,
     verdict is TRIVIAL, since an irrational root is no k/a.  The evidence
     holds ``gcd`` (its integer coefficients, highest degree first, as
     strings), the ``rational_roots`` and, when NONTRIVIAL, the
-    ``lattice_point``.  A gcd too large to isolate whose roots Sturm counts
-    at 0 is TRIVIAL too; any other gcd past the work bounds takes the search
-    below, as d >= 2 does.
+    ``lattice_point``.  A gcd too large to isolate is still decided when it
+    is quadratic (by the integer square root of its discriminant) or when
+    Sturm counts no real root; any other gcd past the work bounds takes the
+    search below, as d >= 2 does.
 
     When the real zeros of the graded system are certified bounded, the
     search covers every k that can resonate and the verdict is decisive;

@@ -75,6 +75,10 @@ MAX_WORK = 1_000_000
 _UNWEIGHED = 64
 # Most digits of a literal: 10^n has n*log2(10) bits.
 _MAX_DIGITS = int(MAX_COEFF_BITS / math.log2(10))
+# Most parentheses and unary minus signs open at once.  A level costs up to
+# four nested calls of the descent, so the bound stays well inside Python's
+# default recursion limit of 1000.
+MAX_NESTING = 100
 
 # One alternative per token class, tried in this order at each position.
 _TOKEN = re.compile(r"(?P<space>\s+)|(?P<op>[-+*/^()])|(?P<int>[0-9]+)|X(?P<X>[0-9]+)"
@@ -273,6 +277,7 @@ class _Parser:
         self.k = 0
         self.nvars = nvars
         self.dim = dim
+        self.depth = 0  # parentheses and unary minus signs open
 
     def peek(self) -> _Tok:
         return self.toks[self.k]
@@ -391,13 +396,19 @@ class _Parser:
                                      "expected nonzero integer denominator")
                 num = Fraction(num, den.value)
             return MultiPoly.constant(self.nvars, (num, 0))
-        if t.kind == "op" and t.value == "(":
-            inner, close = self.parse_expr(), self.next()
-            if close.kind != "op" or close.value != ")":
-                raise ParseError(close.pos, ParseErrorKind.UNEXPECTED_TOKEN, "expected ')'")
+        if t.kind == "op" and t.value in "(-":
+            if self.depth == MAX_NESTING:
+                raise ParseError(t.pos, ParseErrorKind.EXPANSION_LIMIT,
+                                 f"nesting exceeds the limit of {MAX_NESTING} levels")
+            self.depth += 1
+            if t.value == "-":
+                inner = -self.parse_factor()
+            else:
+                inner, close = self.parse_expr(), self.next()
+                if close.kind != "op" or close.value != ")":
+                    raise ParseError(close.pos, ParseErrorKind.UNEXPECTED_TOKEN, "expected ')'")
+            self.depth -= 1
             return inner
-        if t.kind == "op" and t.value == "-":
-            return -self.parse_factor()
         raise ParseError(t.pos, ParseErrorKind.UNEXPECTED_TOKEN,
                          f"unexpected token at start of operand")
 

@@ -1,23 +1,30 @@
 """Certified three-valued emptiness decision for real polynomial systems.
 
-Pipeline: unit-ideal shortcut (no common complex zero implies no common
-real zero), then an exact presolve (affine elimination, with the affine
-members of the Groebner basis after the generators, free variables,
-sign-definite generators; see :func:`_presolve`), then in one variable a
-Sturm count of the distinct real zeros, which decides EMPTY when it is 0,
-and in two variables an eliminant ``r(x1)`` of the ideal (a polynomial
-free of x2, or ``Res_x2`` of a pair) whose real roots are isolated and
-lifted exactly (see :func:`_resultant_stage`); a single curve ``p`` goes
-there as the pair ``(p, dp/dx2)``: a nonempty compact zero set has a
-point where x1 is largest, and by the implicit function theorem
-``dp/dx2`` vanishes there, so no such critical point decides EMPTY once
-the radius bounds the zeros (see :func:`_search`).  Then a boundedness
-reduction that confines all real zeros of the (reduced) system to an
-exact cube, then certified branch-and-bound subdivision with exact
-interval arithmetic on integers.  The stages return facts, and
-:func:`decide_emptiness` builds the one verdict: NONEMPTY carries an exact
-rational common zero, checked once against the system as given; EMPTY a
-machine-checkable certificate; UNKNOWN is honest, never silently coerced.
+Stages: the unit-ideal test (no common complex zero implies no common real
+zero); an exact presolve (affine elimination, with the affine members of
+the Groebner basis after the generators, free variables, sign-definite
+generators; see :func:`_presolve`); then in one variable a Sturm count of
+the distinct real zeros, which decides EMPTY when it is 0, and in two
+variables an eliminant ``r(x1)`` of the ideal (a polynomial free of x2, or
+``Res_x2`` of a pair) whose real roots are isolated and lifted exactly
+(see :func:`_resultant_stage`); a single curve ``p`` goes there as the pair
+``(p, dp/dx2)``: a nonempty compact zero set has a point where x1 is
+largest, and by the implicit function theorem ``dp/dx2`` vanishes there,
+so no such critical point decides EMPTY once the radius bounds the zeros
+(see :func:`_search`).  Then a boundedness reduction that confines all
+real zeros of the (reduced) system to an exact cube, then certified
+branch-and-bound subdivision with exact interval arithmetic on integers.
+
+Two orders (see :func:`_exact_first`).  A pair of nonconstant polynomials
+runs the presolve, the Sturm count and the resultant stage on its own
+polynomials first, and the unit-ideal test only when they leave it
+undecided; affine ideal members the test then finds go through the
+presolve and those stages once more.  Every other system starts with the
+unit-ideal test and runs the exact stages once, with the members.  The
+stages return facts, and :func:`decide_emptiness` builds the one verdict:
+NONEMPTY carries an exact rational common zero, checked once against the
+system as given; EMPTY a machine-checkable certificate; UNKNOWN is honest,
+never silently coerced.
 """
 
 from __future__ import annotations
@@ -91,10 +98,11 @@ _STURM_LIMIT = 110_000
 # subdivision run instead.  Isolating the roots of one polynomial takes
 # under 0.05 s at the limit (all roots irrational, CPython 3.11, one core of
 # a 2-CPU VM); the bisection to a width of 1/lc^2 costs about n^2 * b^3.
-# A gcd past it, which _STURM_LIMIT bounds, is still counted by Sturm: a
-# lift with no real root is empty, and one with a real root gives up.  The
-# d = 1 periodic test bounds the gcd of its graded system the same way (see
-# gcd_real_roots); a gcd it isolates, and so prints, has under 2,500 bits.
+# A gcd past it, which _STURM_LIMIT bounds, is solved by its discriminant
+# when it is quadratic and else counted by Sturm: a lift with no real root
+# is empty, and any other gives up.  The d = 1 periodic test bounds the gcd
+# of its graded system the same way (see gcd_real_roots); a gcd it prints
+# has under 2,500 bits, or is quadratic and within _STURM_LIMIT.
 _RESULTANT_LIMIT = 10_000
 
 
@@ -549,15 +557,27 @@ def gcd_real_roots(terms) -> tuple[list[int], list[tuple[int, int] | None]] | No
     """The gcd ``g`` of univariate term dicts (see :func:`_univariate_gcd`)
     and its distinct real roots as :func:`_real_roots` gives them.
 
-    They are isolated only up to _RESULTANT_LIMIT; past it, a gcd with no
-    real root comes back with an empty list.  None if the gcd is past
-    _STURM_LIMIT, or past _RESULTANT_LIMIT with a real root.
+    They are isolated only up to _RESULTANT_LIMIT.  Past it, a quadratic
+    gcd gets its roots from the integer square root of its discriminant,
+    and any other one with no real root comes back with an empty list.
+    None if the gcd is past _STURM_LIMIT, or past _RESULTANT_LIMIT with a
+    real root and a degree other than 2.
     """
     g = _univariate_gcd(terms)
     if g is None:
         return None
     if _work(g) <= _RESULTANT_LIMIT:
         return g, _real_roots(g)
+    if len(g) == 3:
+        a, b, c = g
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return g, []
+        s = math.isqrt(disc)
+        if s * s != disc:
+            return g, [None, None]
+        # (-b -+ s) / 2a, in increasing order as a > 0; one root when s = 0
+        return g, [Fraction(t - b, 2 * a).as_integer_ratio() for t in sorted({-s, s})]
     return None if _real_root_count(g) else (g, [])
 
 
@@ -647,8 +667,9 @@ def _resultant_stage(polys: list[tuple[int, dict]], diagnostics: dict) -> tuple 
     root, or 0 if every polynomial vanishes there, gives the least rational
     zero in lexicographic order.  No real zero when every real root of
     ``r`` is rational and no gcd has a real root; ``lifts`` lists each ``a``
-    with its gcd.  A gcd past _RESULTANT_LIMIT is only counted: with no
-    real root its lift is empty, else the stage gives up.  ``polys`` holds
+    with its gcd.  A gcd past _RESULTANT_LIMIT is solved only when it is
+    quadratic, and else only counted: with no real root its lift is empty,
+    else the stage gives up.  ``polys`` holds
     (polynomial index, nonzero term dict) pairs, and ``pair`` names the
     polynomials ``r`` comes from by that index.
     """
@@ -684,12 +705,24 @@ def _resultant_stage(polys: list[tuple[int, dict]], diagnostics: dict) -> tuple 
     return facts if len(lifts) == len(roots) else None
 
 
-def _search(sys: _Presolved, config: SolverConfig,
-            diagnostics: dict) -> tuple[str, tuple[Fraction, ...] | None, dict | None]:
-    """``(status, witness, certificate)`` of a presolved system with a
-    nonzero polynomial: in d = 1 a Sturm count, which decides EMPTY when it
-    is 0, and in d = 2 the resultant stage; then the boundedness radius and
-    subdivision of its cube (or the default cube).
+def _exact_first(terms) -> bool:
+    """Whether the exact stages run before the unit-ideal test: for exactly
+    two nonzero polynomials, neither a nonzero constant.  A pair's presolve,
+    Sturm count and resultant are cheap exact eliminations that decide most
+    pairs; with more polynomials the resultant stage eliminates only one
+    pair, while Groebner sees them all, and a constant is a unit at once."""
+    nonzero = [p for p in terms if p]
+    return len(nonzero) == 2 and all(any(map(any, p)) for p in nonzero)
+
+
+def _exact_stages(sys: RealPolySystem, members: list,
+                  diagnostics: dict) -> tuple[_Presolved, tuple | None, tuple | None]:
+    """``(pre, outcome, critical)``: the presolve of the system with the
+    ideal ``members`` after it, then in d = 1 a Sturm count, which decides
+    EMPTY when it is 0, and in d = 2 the resultant stage.  ``outcome`` is
+    ``(status, witness, certificate)`` once decided, else None; ``critical``
+    is ``(poly, facts)`` when a single curve has no real critical point,
+    which decides EMPTY once a radius bounds its zeros (see :func:`_search`).
 
     The gcd has a positive leading coefficient, so an odd degree or a
     constant term <= 0 shows a real zero without the count.
@@ -697,32 +730,58 @@ def _search(sys: _Presolved, config: SolverConfig,
     A single curve ``p`` in d = 2 that involves x2 goes to the resultant
     stage as the pair ``(p, dp/dx2)``, its critical points for x1 (Basu,
     Pollack & Roy, "Algorithms in Real Algebraic Geometry").  A common zero
-    of the pair is a zero of ``p``.  No common real zero proves ``p`` EMPTY
-    once a radius bounds its zeros: on a nonempty compact zero set, take a
-    point ``z`` where x1 is largest.  If dp/dx2(z) were not 0, the implicit
-    function theorem would make the set a graph ``x2 = phi(x1)`` near ``z``,
-    which reaches x1 > z1.  So dp/dx2(z) = 0."""
-    if (sys.dimension == 1 and (g := _univariate_gcd(sys.terms)) is not None
+    of the pair is a zero of ``p``."""
+    pre = _presolve(sys.terms, sys.dimension, members)
+    # the presolve shows in the diagnostics only where something applied
+    if pre.applied:
+        diagnostics["pipeline"].append("presolve")
+        diagnostics["presolve"] = {"eliminated": [k for _, k, _, _ in pre.steps],
+                                   "free": pre.free}
+        if members:
+            diagnostics["presolve"]["ideal_members"] = len(members)
+    if pre.certificate is not None:
+        return pre, (EMPTY, None, pre.certificate), None
+    if not pre.terms:
+        return pre, (NONEMPTY, (), {"kind": "ExactPoint"}), None
+    if (pre.dimension == 1 and (g := _univariate_gcd(pre.terms)) is not None
             and len(g) % 2 and g[-1] > 0 and not _real_root_count(g)):
         diagnostics["pipeline"].append("sturm")
-        return EMPTY, None, {"kind": "Sturm", "gcd": [str(c) for c in g]}
-    found = curve = None
-    if sys.dimension == 2:
-        polys = list(zip(sys.index, sys.terms))
-        if len(polys) == 1 and any(e[1] for e in sys.terms[0]):
-            curve, p = polys[0]
-            polys.append((curve, {(a, b - 1): b * c for (a, b), c in p.items() if b}))
-        found = _resultant_stage(polys, diagnostics)
-        if curve is not None and "resultant" in diagnostics:
-            diagnostics["resultant"].update(pair=[curve], derivative="x2")
-        if isinstance(found, tuple):  # the least rational zero
-            return NONEMPTY, found, {"kind": "ExactPoint"}
-        if found is not None and curve is None:
-            return EMPTY, None, {"kind": "Resultant", **found}
+        return pre, (EMPTY, None, {"kind": "Sturm", "gcd": [str(c) for c in g]}), None
+    if pre.dimension != 2:
+        return pre, None, None
+    polys, curve = list(zip(pre.index, pre.terms)), None
+    if len(polys) == 1 and any(e[1] for e in pre.terms[0]):
+        curve, p = polys[0]
+        polys.append((curve, {(a, b - 1): b * c for (a, b), c in p.items() if b}))
+    found = _resultant_stage(polys, diagnostics)
+    if curve is not None and diagnostics["pipeline"][-1:] == ["resultant"]:
+        diagnostics["resultant"].update(pair=[curve], derivative="x2")
+    if isinstance(found, tuple):  # the least rational zero
+        return pre, (NONEMPTY, found, {"kind": "ExactPoint"}), None
+    if found is None:
+        return pre, None, None
+    if curve is None:
+        return pre, (EMPTY, None, {"kind": "Resultant", **found}), None
+    return pre, None, (curve, found)
+
+
+def _search(sys: _Presolved, critical: tuple | None, config: SolverConfig,
+            diagnostics: dict) -> tuple[str, tuple[Fraction, ...] | None, dict | None]:
+    """``(status, witness, certificate)`` of a presolved system with a
+    nonzero polynomial that the exact stages left undecided: the
+    boundedness radius, then subdivision of its cube (or the default cube).
+
+    ``critical`` is a single curve ``p`` with no real critical point for
+    x1 (see :func:`_exact_stages`), which is EMPTY once the radius bounds
+    its zeros: on a nonempty compact zero set, take a point ``z`` where x1
+    is largest.  If dp/dx2(z) were not 0, the implicit function theorem
+    would make the set a graph ``x2 = phi(x1)`` near ``z``, which reaches
+    x1 > z1.  So dp/dx2(z) = 0."""
     radius = boundedness_radius(sys)
     diagnostics["pipeline"].append("boundedness")
     diagnostics["radius"] = None if radius is None else str(radius)
-    if found is not None and radius is not None:
+    if critical is not None and radius is not None:
+        curve, found = critical
         return EMPTY, None, {"kind": "CriticalPoints", "poly": curve, "radius": str(radius),
                              "resultant": found["resultant"], "roots": found["roots"]}
 
@@ -747,7 +806,16 @@ def _search(sys: _Presolved, config: SolverConfig,
 
 def decide_emptiness(sys: RealPolySystem,
                      config: SolverConfig = DEFAULT_CONFIG) -> EmptinessVerdict:
-    """Three-valued emptiness decision; see module docstring for pipeline."""
+    """Three-valued emptiness decision; see the module docstring for the
+    two orders of the stages.
+
+    ``diagnostics["pipeline"]`` lists the stages in the order they ran.
+    ``"groebner"`` and ``groebner_unit`` are there only when the unit-ideal
+    test ran (``groebner_unit: None`` when it hit its cap): a pair the
+    exact stages decide never reaches it.  When the test ran after them and
+    found affine ideal members, the presolve and the exact stages run once
+    more, and the ``presolve`` and ``resultant`` entries are those of the
+    last run."""
     diagnostics: dict = {"pipeline": []}
 
     # A zero polynomial is passed through: the unit-ideal test drops it, and
@@ -755,50 +823,45 @@ def decide_emptiness(sys: RealPolySystem,
     # polynomial, every axis is free and the origin is a zero.  The affine
     # members of the Groebner basis go to the presolve after the system.
     members: list = []
-    unit = unit_ideal_test(list(sys.terms), config.groebner_cap, members)
-    diagnostics["pipeline"].append("groebner")
-    diagnostics["groebner_unit"] = unit
-    if unit:
-        status, witness, certificate = EMPTY, None, {"kind": "UnitIdeal"}
-    else:
-        pre = _presolve(sys.terms, sys.dimension, members)
-        # the presolve shows in the diagnostics only where something applied
-        if pre.applied:
-            diagnostics["pipeline"].append("presolve")
-            diagnostics["presolve"] = {"eliminated": [k for _, k, _, _ in pre.steps],
-                                       "free": pre.free}
-            if members:
-                diagnostics["presolve"]["ideal_members"] = len(members)
-        if pre.certificate is not None:
-            status, witness, certificate = EMPTY, None, pre.certificate
-        elif not pre.terms:
-            status, witness, certificate = NONEMPTY, (), {"kind": "ExactPoint"}
-        else:
-            status, witness, certificate = _search(pre, config, diagnostics)
-        if status == NONEMPTY:
-            # back to all coordinates: free ones 0, eliminated ones in reverse
-            # order; then one exact check in the system as given, unless the
-            # subdivision of that very system made it (it keeps exact zeros only)
-            x = [Fraction(0)] * sys.dimension
-            for k, v in zip(pre.kept, witness):
-                x[k] = v
-            for _, k, a, s in reversed(pre.steps):
-                x[k] = Fraction(sum(c * x[e.index(1)] if any(e) else c for e, c in s.items()), a)
-            witness = tuple(x)
-            den = math.lcm(*(v.denominator for v in witness))
-            if ((pre.applied or "subdivision" not in diagnostics["pipeline"])
-                    and not _is_exact_common_zero([clear(p, den) for p in sys.terms],
-                                                  tuple(int(v * den) for v in witness), 1)):
-                raise ArithmeticError(f"witness {witness} is not a zero of the system")
-        elif status == EMPTY and (pre.steps or pre.free):
-            wrapped = {"kind": "Presolve",
-                       "eliminated": [{"poly": j, "axis": k} for j, k, _, _ in pre.steps],
-                       "free": pre.free}
-            if members:
-                # each as its x_1, ..., x_d coefficients, then its constant term
-                exps = [tuple(int(i == k) for i in range(sys.dimension))
-                        for k in range(sys.dimension)] + [(0,) * sys.dimension]
-                wrapped["ideal_members"] = [[str(m.get(e, 0)) for e in exps] for m in members]
-            wrapped["reduced"] = certificate
-            certificate = wrapped
+    first = _exact_first(sys.terms)
+    outcome = None
+    if first:
+        pre, outcome, critical = _exact_stages(sys, members, diagnostics)
+    if outcome is None:
+        unit = unit_ideal_test(list(sys.terms), config.groebner_cap, members)
+        diagnostics["pipeline"].append("groebner")
+        diagnostics["groebner_unit"] = unit
+        if unit:
+            return EmptinessVerdict(EMPTY, None, {"kind": "UnitIdeal"}, diagnostics)
+        if members or not first:
+            pre, outcome, critical = _exact_stages(sys, members, diagnostics)
+        if outcome is None:
+            outcome = _search(pre, critical, config, diagnostics)
+    status, witness, certificate = outcome
+    if status == NONEMPTY:
+        # back to all coordinates: free ones 0, eliminated ones in reverse
+        # order; then one exact check in the system as given, unless the
+        # subdivision of that very system made it (it keeps exact zeros only)
+        x = [Fraction(0)] * sys.dimension
+        for k, v in zip(pre.kept, witness):
+            x[k] = v
+        for _, k, a, s in reversed(pre.steps):
+            x[k] = Fraction(sum(c * x[e.index(1)] if any(e) else c for e, c in s.items()), a)
+        witness = tuple(x)
+        den = math.lcm(*(v.denominator for v in witness))
+        if ((pre.applied or "subdivision" not in diagnostics["pipeline"])
+                and not _is_exact_common_zero([clear(p, den) for p in sys.terms],
+                                              tuple(int(v * den) for v in witness), 1)):
+            raise ArithmeticError(f"witness {witness} is not a zero of the system")
+    elif status == EMPTY and (pre.steps or pre.free):
+        wrapped = {"kind": "Presolve",
+                   "eliminated": [{"poly": j, "axis": k} for j, k, _, _ in pre.steps],
+                   "free": pre.free}
+        if members:
+            # each as its x_1, ..., x_d coefficients, then its constant term
+            exps = [tuple(int(i == k) for i in range(sys.dimension))
+                    for k in range(sys.dimension)] + [(0,) * sys.dimension]
+            wrapped["ideal_members"] = [[str(m.get(e, 0)) for e in exps] for m in members]
+        wrapped["reduced"] = certificate
+        certificate = wrapped
     return EmptinessVerdict(status, witness, certificate, diagnostics)

@@ -367,12 +367,14 @@ def test_periodic_d1_exact_path_matches_brute_force_enumeration():
 
 def test_periodic_d1_past_the_isolation_bound():
     # the pi^2 grade -4*(v^2 - s): a 3,200-bit gcd is past the isolation
-    # bound, so its roots are only counted
+    # bound, so its roots are not isolated
     for s, status, evidence in [
-            # two real roots: the search runs as in d >= 2; no radius fits
-            # the 2^40 cap, so it stops at --lattice-radius
-            (9 ** 1000, UNKNOWN, {"reason": "lattice-truncated", "searched_radius": 16}),
-            # no real root: a Sturm count of 0 is the proof
+            # two real roots, +-3^1000: a quadratic gets them exactly from
+            # the integer square root of its discriminant
+            (9 ** 1000, NONTRIVIAL, {"gcd": ["1", "0", str(-9 ** 1000)],
+                                     "rational_roots": [str(-3 ** 1000), str(3 ** 1000)],
+                                     "lattice_point": [3 ** 1000]}),
+            # no real root: a negative discriminant is the proof
             (-9 ** 1000, TRIVIAL, {"gcd": ["1", "0", str(9 ** 1000)], "rational_roots": []})]:
         p, _ = parse(f"(X1^2 + 4*({s})*PI^2)*T", dim=1, allow_pi=True)
         system = pi_graded_slice(x_content(p))

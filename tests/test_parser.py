@@ -10,6 +10,7 @@ from nullsol.multipoly import MultiPoly
 from nullsol.parser import (
     MAX_COEFF_BITS,
     MAX_DIM,
+    MAX_NESTING,
     MAX_TERMS,
     MAX_WORK,
     ParseError,
@@ -235,6 +236,27 @@ def test_expansion_limit_points_at_the_operator(text, position):
 def test_expansion_limit_admits_moderate_powers():
     p, _ = parse("(X1+X2+X3+1)^12")
     assert len(p.terms) == 455
+
+
+@pytest.mark.parametrize("text, position", [
+    ("(" * 250 + "X1" + ")" * 250 + "*T", MAX_NESTING),
+    ("2*" + "-" * 600 + "X1*T", 2 + MAX_NESTING),
+], ids=["parentheses", "unary-minus"])
+def test_nesting_limit_points_at_the_level_past_it(text, position):
+    # past the limit the descent would run out of Python's recursion limit
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (e.value.kind, e.value.position) == (ParseErrorKind.EXPANSION_LIMIT, position)
+    assert str(MAX_NESTING) in e.value.message
+
+
+def test_nesting_limit_admits_100_levels():
+    x1t = parse("X1*T")[0]
+    assert parse("(" * 100 + "X1" + ")" * 100 + "*T")[0] == x1t
+    assert parse("-" * 100 + "X1*T")[0] == x1t
+    assert parse("(-" * 50 + "X1" + ")" * 50 + "*T")[0] == x1t
+    # the depth is of the levels open at once, not of all levels read
+    assert parse(" + ".join(["(-X1*T)"] * 150))[0] == parse("-150*X1*T")[0]
 
 
 def test_a_long_product_before_a_parenthesis_parses_fast():

@@ -418,8 +418,7 @@ SHIFTED_POSDEF = (X2 - const(2, 1)) ** 2 + (Y2 - const(2, 1)) ** 2 + const(2, 1)
 
 @pytest.mark.parametrize("system, status, radius, stats, calls", [
     # the circle around (2, -1) misses the unit circle by a gap: their
-    # difference is an affine ideal member, and the Sturm count decides the
-    # rest without a radius or a box
+    # resultant has no real root, which decides it without a radius or a box
     (sys_of(CIRCLE_21, X2 * X2 + Y2 * Y2 - const(2, 1)), EMPTY, None, None, 0),
     # the critical points decide it: only the radius proof encloses (see
     # test_shifted_posdef_box_search_counts for its box search)
@@ -480,42 +479,49 @@ def test_monotone_in_depth():
 # -- presolve ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("system, status, witness, certificate, presolve", [
+# A pair is presolved before the unit-ideal test, which runs only when the
+# exact stages leave it undecided; other systems start with the test.
+@pytest.mark.parametrize("system, status, witness, certificate, presolve, pipeline", [
     (sys_of(X3 + Z3 - const(3, 1), const(3, 1) - Y3, -Z3), NONEMPTY, (1, 1, 0),
-     {"kind": "ExactPoint"}, {"eliminated": [0, 1, 2], "free": []}),
+     {"kind": "ExactPoint"}, {"eliminated": [0, 1, 2], "free": []}, ["groebner", "presolve"]),
     # y occurs in fewer polynomials than x: y = x leaves x^2 + 1
     (sys_of(X2 - Y2, X2 * X2 + const(2, 1)), EMPTY, None,
      {"kind": "Presolve", "eliminated": [{"poly": 0, "axis": 1}], "free": [],
-      "reduced": {"kind": "SignDefinite", "poly": 1}}, {"eliminated": [1], "free": []}),
+      "reduced": {"kind": "SignDefinite", "poly": 1}}, {"eliminated": [1], "free": []},
+     ["presolve"]),
     (sys_of(Y2 ** 4 + X2 * X2 + const(2, 3)), EMPTY, None,
-     {"kind": "SignDefinite", "poly": 0}, {"eliminated": [], "free": []}),
+     {"kind": "SignDefinite", "poly": 0}, {"eliminated": [], "free": []},
+     ["groebner", "presolve"]),
     # x = 7/2 - y leaves 8y^2 - 4y + 9, which has no real zero
     (sys_of(CIRCLE_21, X2 + Y2 - const(2, Fraction(7, 2))), EMPTY, None,
      {"kind": "Presolve", "eliminated": [{"poly": 1, "axis": 0}], "free": [],
       "reduced": {"kind": "Sturm", "gcd": ["8", "-4", "9"]}},
-     {"eliminated": [0], "free": []}),
+     {"eliminated": [0], "free": []}, ["presolve", "sturm"]),
     # y and z are free: the zero of 1 - x^2 extends by 0
     (sys_of(const(3, 1) - X3 * X3), NONEMPTY, (-1, 0, 0),
-     {"kind": "ExactPoint"}, {"eliminated": [], "free": [1, 2]}),
+     {"kind": "ExactPoint"}, {"eliminated": [], "free": [1, 2]},
+     ["groebner", "presolve", "boundedness", "subdivision"]),
     (sys_of(X3 * X3 + const(3, 1)), EMPTY, None,
      {"kind": "Presolve", "eliminated": [], "free": [1, 2],
-      "reduced": {"kind": "SignDefinite", "poly": 0}}, {"eliminated": [], "free": [1, 2]}),
+      "reduced": {"kind": "SignDefinite", "poly": 0}}, {"eliminated": [], "free": [1, 2]},
+     ["groebner", "presolve"]),
     # an irrational zero stays undecided after the elimination
     (sys_of(X2 - Y2, X2 * X2 - const(2, 3)), UNKNOWN, None, None,
-     {"eliminated": [1], "free": []}),
+     {"eliminated": [1], "free": []}, ["presolve", "groebner", "boundedness", "subdivision"]),
     # x2 occurs in no other polynomial, so it is solved for, not x1: nothing
     # is substituted, and 1 - x1^12 is left in x1 alone
     (sys_of(sum(X8[1:], X8[0]), X8[0] ** 12 - const(8, 1)), NONEMPTY, (-1, 1) + (0,) * 6,
-     {"kind": "ExactPoint"}, {"eliminated": [1], "free": [2, 3, 4, 5, 6, 7]}),
+     {"kind": "ExactPoint"}, {"eliminated": [1], "free": [2, 3, 4, 5, 6, 7]},
+     ["presolve", "groebner", "boundedness", "subdivision"]),
 ], ids=["affine-point", "line-misses-x2+1", "sign-definite", "circle-misses-line",
         "free-axes", "free-axes-empty", "irrational", "axis-in-fewest-polys"])
-def test_presolve_verdicts(system, status, witness, certificate, presolve):
+def test_presolve_verdicts(system, status, witness, certificate, presolve, pipeline):
     verdict = decide_emptiness(system)
     assert verdict.status == status
     assert verdict.witness == (None if witness is None else tuple(map(Fraction, witness)))
     assert verdict.certificate == certificate
     assert verdict.diagnostics["presolve"] == presolve
-    assert verdict.diagnostics["pipeline"][:2] == ["groebner", "presolve"]
+    assert verdict.diagnostics["pipeline"] == pipeline
     assert json.loads(json.dumps(verdict.certificate)) == verdict.certificate
 
 
@@ -539,7 +545,7 @@ def test_presolve_leaves_other_systems_alone():
 
 
 @pytest.mark.parametrize("system, stage, pipeline", [
-    (sys_of(HYPERBOLA_AXES, CIRCLE), "_resultant_stage", ["groebner", "resultant"]),
+    (sys_of(HYPERBOLA_AXES, CIRCLE), "_resultant_stage", ["resultant"]),
     # y and z are free: 1 - x^2 reaches subdivision in d = 1
     (sys_of(MultiPoly(3, {(2, 0, 0): -1, (0, 0, 0): 1})), "subdivision_search",
      ["groebner", "presolve", "boundedness", "subdivision"]),
@@ -750,20 +756,29 @@ def test_sturm_count_stops_at_its_work_bound():
 
 def test_two_circles_decide_through_an_ideal_member():
     # The unit circles around (2, -1) and (0, 0) are sqrt(5) - 2 apart: no real
-    # zero.  Their difference -4x + 2y + 5 is an affine member of the
-    # Groebner basis, listed after the two generators, and x = (2y + 5)/4
-    # leaves 20y^2 + 20y + 9, which the Sturm count finds no root of.
-    system = sys_of(CIRCLE_21, X2 * X2 + Y2 * Y2 - const(2, 1))
+    # zero.  As a pair, their resultant 20x^2 - 40x + 21 has no real root,
+    # and the unit-ideal test never runs.
+    circles = (CIRCLE_21, X2 * X2 + Y2 * Y2 - const(2, 1))
+    verdict = decide_emptiness(sys_of(*circles))
+    assert verdict.certificate == {"kind": "Resultant", "pair": [0, 1],
+                                   "resultant": ["20", "-40", "21"], "roots": []}
+    assert verdict.diagnostics["pipeline"] == ["resultant"]
+    # With their sum as a third polynomial, the unit-ideal test runs first.
+    # The difference -4x + 2y + 5 is an affine member of the Groebner basis,
+    # listed after the three generators, and x = (2y + 5)/4 leaves
+    # 20y^2 + 20y + 9, which the Sturm count finds no root of.
+    system = sys_of(*circles, circles[0] + circles[1])
     verdict = decide_emptiness(system)
     assert verdict.status == EMPTY and verdict.witness is None
     assert verdict.certificate == {
-        "kind": "Presolve", "eliminated": [{"poly": 2, "axis": 0}], "free": [],
+        "kind": "Presolve", "eliminated": [{"poly": 3, "axis": 0}], "free": [],
         "ideal_members": [["-4", "2", "5"]],
         "reduced": {"kind": "Sturm", "gcd": ["20", "20", "9"]}}
     assert verdict.diagnostics["pipeline"] == ["groebner", "presolve", "sturm"]
     assert verdict.diagnostics["presolve"] == {"eliminated": [0], "free": [], "ideal_members": 1}
-    # any two circles with a gap: the eliminated polynomial is the member,
-    # proportional to the difference of the circles
+    # any two circles with a gap: as a pair, the resultant has no real root;
+    # with their sum, the eliminated polynomial is the member, proportional
+    # to the difference of the circles
     rng = random.Random(7)
     for _ in range(30):
         a, b = rng.choice([(3, 4), (4, -3), (5, 12), (-8, 15)])
@@ -774,9 +789,14 @@ def test_two_circles_decide_through_an_ideal_member():
         circles = [(X2 - const(2, x)) ** 2 + (Y2 - const(2, y)) ** 2 - const(2, r * r)
                    for (x, y), r in ((c1, r1), (c2, r2))]
         verdict = decide_emptiness(sys_of(*circles))
+        assert verdict.status == EMPTY and verdict.certificate["kind"] == "Resultant"
+        assert verdict.certificate["roots"] == []
+        _check_resultant_certificate(sys_of(*circles), verdict.certificate)
+        circles.append(circles[0] + circles[1])
+        verdict = decide_emptiness(sys_of(*circles))
         cert = verdict.certificate
         assert verdict.status == EMPTY and cert["kind"] == "Presolve"
-        assert cert["eliminated"][0]["poly"] == 2
+        assert cert["eliminated"][0]["poly"] == 3
         (member,) = _members(2, cert)
         assert _proportional((circles[0] - circles[1]).real_terms(), member.real_terms())
         assert cert["reduced"]["kind"] == "Sturm"
@@ -784,6 +804,20 @@ def test_two_circles_decide_through_an_ideal_member():
                 for q in _replay(sys_of(*circles), cert["eliminated"], [member])]
         assert _scaled(_q_gcd(rest), list(map(int, cert["reduced"]["gcd"])))
         assert _q_real_root_count(_q_gcd(rest)) == 0
+
+
+def test_two_spheres_decide_through_an_ideal_member():
+    # A pair in d = 3 with nothing to eliminate passes the exact stages
+    # undecided.  The unit-ideal test then finds the affine member 2x - 3,
+    # the difference of the unit spheres around the origin and (3, 0, 0),
+    # and the presolve runs again with it: x = 3/2 leaves y^2 + z^2 + 5/4.
+    spheres = (X3 * X3 + Y3 * Y3 + Z3 * Z3 - const(3, 1),
+               (X3 - const(3, 3)) ** 2 + Y3 * Y3 + Z3 * Z3 - const(3, 1))
+    verdict = decide_emptiness(sys_of(*spheres))
+    assert verdict.certificate == {
+        "kind": "Presolve", "eliminated": [{"poly": 2, "axis": 0}], "free": [],
+        "ideal_members": [["2", "0", "0", "-3"]], "reduced": {"kind": "SignDefinite", "poly": 0}}
+    assert verdict.diagnostics["pipeline"] == ["groebner", "presolve"]
 
 
 def test_presolve_on_planted_affine_systems():
@@ -1125,11 +1159,14 @@ def test_single_curve_pins(poly, status, witness, pipeline, kind):
         _check_resultant_certificate(system, verdict.certificate)
 
 
-@pytest.mark.parametrize("system, certificate", [
+# A pair reaches the resultant stage before the unit-ideal test, and it
+# decides them, so the test never runs; the three polynomials of the last
+# case start with the test.
+@pytest.mark.parametrize("system, certificate, pipeline", [
     # the zero set of x2 = x1^2 misses x2 = x1^4 + 1: r = x1^4 - x1^2 + 1
     (sys_of(X2 * X2 - Y2, Y2 - X2 ** 4 - const(2, 1)),
      {"kind": "Resultant", "pair": [0, 1], "resultant": ["1", "0", "-1", "0", "1"],
-      "roots": []}),
+      "roots": []}, ["resultant"]),
     # the acceptance suite's third UNKNOWN: r has the one real root 0, and
     # the first polynomial is 5/3 there
     (sys_of(const(2, Fraction(-2, 7)) * X2 * X2 * Y2 + const(2, Fraction(5, 3)),
@@ -1137,21 +1174,21 @@ def test_single_curve_pins(poly, status, witness, pipeline, kind):
             + const(2, Fraction(5, 4)) * Y2 - const(2, 1)),
      {"kind": "Resultant", "pair": [0, 1],
       "resultant": ["141120", "-48384", "0", "352800", "823200", "0"],
-      "roots": [{"x1": "0", "gcd": ["1"]}]}),
+      "roots": [{"x1": "0", "gcd": ["1"]}]}, ["resultant"]),
     # the same in d = 3 after x3 = x1 + x2 is eliminated, behind a zero
     # polynomial: the pair keeps its polynomial indices
     (RealPolySystem(3, (MultiPoly.zero(3), Z3 - X3 - Y3, X3 * X3 - Y3,
                         Y3 - X3 ** 4 - const(3, 1))),
      {"kind": "Presolve", "eliminated": [{"poly": 1, "axis": 2}], "free": [],
       "reduced": {"kind": "Resultant", "pair": [2, 3], "resultant": ["1", "0", "-1", "0", "1"],
-                  "roots": []}}),
+                  "roots": []}}, ["groebner", "presolve", "resultant"]),
 ], ids=["parabola-quartic", "suite-unknown-3", "presolved"])
-def test_resultant_decides_empty_systems_without_a_radius(monkeypatch, system, certificate):
+def test_resultant_decides_empty_systems_without_a_radius(monkeypatch, system, certificate,
+                                                          pipeline):
     verdict = decide_emptiness(system)
     assert verdict.status == EMPTY and verdict.certificate == certificate
-    presolved = certificate["kind"] == "Presolve"
-    assert verdict.diagnostics["pipeline"] == ["groebner", *["presolve"] * presolved, "resultant"]
-    if presolved:
+    assert verdict.diagnostics["pipeline"] == pipeline
+    if certificate["kind"] == "Presolve":
         system, certificate = _reduced(system, certificate), certificate["reduced"]
     _check_resultant_certificate(system, certificate)
     monkeypatch.setattr(nullsol.variety, "_resultant_stage", lambda terms, diagnostics: None)
@@ -1165,10 +1202,11 @@ def test_resultant_decides_empty_systems_without_a_radius(monkeypatch, system, c
     (sys_of(HYPERBOLA_AXES, CIRCLE), NONEMPTY, (-1, 0),
      {"pair": [0, 1], "degree": 4, "real_roots": 3, "rational_roots": 3}, []),
     # x1 = x2^2 on the circle of radius sqrt(3): r = (x1^2 + x1 - 3)^2 has
-    # only irrational roots, and the box search runs
+    # only irrational roots; the unit-ideal test, which finds no unit and no
+    # affine member, and the box search run
     (sys_of(X2 * X2 + Y2 * Y2 - const(2, 3), X2 - Y2 * Y2), UNKNOWN, None,
      {"pair": [0, 1], "degree": 4, "real_roots": 2, "rational_roots": 0},
-     ["boundedness", "subdivision"]),
+     ["groebner", "boundedness", "subdivision"]),
     # a polynomial free of x2 is the eliminant: x1 = 2, then x2^2 = 4 - 3
     (sys_of(X2 * X2 + Y2 * Y2 - const(2, 5), X2 * X2 - const(2, 4)), NONEMPTY, (-2, -1),
      {"pair": [1], "degree": 2, "real_roots": 2, "rational_roots": 2}, []),
@@ -1176,13 +1214,13 @@ def test_resultant_decides_empty_systems_without_a_radius(monkeypatch, system, c
     # are not: no verdict, although every root of r is rational
     (sys_of(X2 * X2 - X2, Y2 * Y2 - X2 - const(2, 2)), UNKNOWN, None,
      {"pair": [0], "degree": 2, "real_roots": 2, "rational_roots": 2},
-     ["boundedness", "subdivision"]),
+     ["groebner", "boundedness", "subdivision"]),
 ], ids=["axes-circle", "irrational", "member", "irrational-lift"])
 def test_resultant_diagnostics(system, status, witness, resultant, pipeline):
     verdict = decide_emptiness(system)
     assert verdict.status == status
     assert verdict.witness == (None if witness is None else tuple(map(Fraction, witness)))
-    assert verdict.diagnostics["pipeline"] == ["groebner", "resultant", *pipeline]
+    assert verdict.diagnostics["pipeline"] == ["resultant", *pipeline]
     assert verdict.diagnostics["resultant"] == resultant
 
 
@@ -1224,13 +1262,27 @@ def test_lift_past_the_isolation_bound(power, status, reason):
     assert verdict.status == status
     assert verdict.diagnostics.get("reason") == reason
     if status == EMPTY:
-        assert verdict.diagnostics["pipeline"] == ["groebner", "resultant"]
+        assert verdict.diagnostics["pipeline"] == ["resultant"]
         assert verdict.certificate == {"kind": "Resultant", "pair": [0], "resultant": ["1", "0", "0"],
                                        "roots": [{"x1": "0", "gcd": list(map(str, gcd))}]}
         _check_resultant_certificate(system, verdict.certificate)
     else:
-        assert verdict.diagnostics["pipeline"] == ["groebner", "resultant", "boundedness",
+        assert verdict.diagnostics["pipeline"] == ["resultant", "groebner", "boundedness",
                                                    "subdivision"]
+
+
+def test_quadratic_lift_past_the_isolation_bound():
+    # the gcd x2^2 - 9^1000 above the root x1 = 0 of x1^2 is past
+    # _RESULTANT_LIMIT: its roots +-3^1000 come from the integer square root
+    # of its discriminant, and the lesser one is the least zero
+    system = sys_of(X2 * X2, Y2 * Y2 + X2 * Y2 - const(2, 9 ** 1000))
+    gcd = [1, 0, -9 ** 1000]
+    assert nullsol.variety._work(gcd) > nullsol.variety._RESULTANT_LIMIT
+    verdict = decide_emptiness(system)
+    assert verdict.status == NONEMPTY and verdict.witness == (0, -3 ** 1000)
+    assert verdict.diagnostics["pipeline"] == ["resultant"]
+    assert nullsol.variety.gcd_real_roots([{(2,): 1, (0,): -2 * 9 ** 1000}]) == (
+        [1, 0, -2 * 9 ** 1000], [None, None])
 
 
 def test_critical_points_stop_at_the_work_bound(monkeypatch):
@@ -1264,3 +1316,58 @@ def test_line_against_a_parabola_in_x(constant, status, reason):
     if status == EMPTY:
         assert verdict.certificate == {"kind": "Presolve", "eliminated": [{"poly": 0, "axis": 1}],
                                        "free": [], "reduced": {"kind": "SignDefinite", "poly": 1}}
+
+
+# -- stage order ---------------------------------------------------------------
+
+
+def _seeded_pairs(rng, count):
+    """Pairs of random polynomials in d = 1-3 of degree at most 3, each plus a
+    multiple of the square of a variable; every other pair is shifted to
+    vanish at a planted rational point."""
+    systems = []
+    for i in range(count):
+        dim = rng.randint(1, 3)
+        x = [MultiPoly.variable(dim, k) for k in range(dim)]
+        polys = [random_multipoly(rng, dim, max_deg=3, max_terms=3, height=5, complex_coeffs=False)
+                 + const(dim, rng.choice([-2, -1, 1, 2])) * rng.choice(x) ** 2
+                 for _ in range(2)]
+        if i % 2:
+            z = [random_rational(rng, 3) for _ in range(dim)]
+            polys = [p - const(dim, _real_value(p, z)) for p in polys]
+        systems.append(RealPolySystem(dim, tuple(polys)))
+    return systems
+
+
+def test_stage_order_changes_no_status(monkeypatch):
+    # The unit-ideal test first for every system, as for all but pairs,
+    # against the exact stages first for pairs: the same statuses, and every
+    # witness an exact zero.
+    pairs = _seeded_pairs(random.Random(28), 150)
+    cases = ([(s, SUITE_CONFIG) for s in generate_suite(random.Random(2024))]
+             + [(s, GUARD_CONFIG) for s in pairs])
+    new = [decide_emptiness(s, config) for s, config in cases]
+    with monkeypatch.context() as m:
+        m.setattr(nullsol.variety, "_exact_first", lambda terms: False)
+        old = [decide_emptiness(s, config) for s, config in cases]
+    assert [v.status for v in new] == [v.status for v in old]
+    for (system, _), verdict in zip(cases, new):
+        if verdict.status == NONEMPTY:
+            assert exact_common_zero(system, verdict.witness)
+    assert all(v.diagnostics["pipeline"][:1] == ["groebner"] for v in old)
+    first = Counter(v.status for v in new if "groebner" not in v.diagnostics["pipeline"])
+    assert first[EMPTY] >= 20 and first[NONEMPTY] >= 20, first
+
+
+def test_stage_order_by_polynomial_count():
+    # three polynomials start with the unit-ideal test, even when a pair of
+    # them would be decided by the resultant
+    system = sys_of(X2 * X2 - Y2, Y2 - X2 ** 4 - const(2, 1), X2 * Y2 - const(2, 1))
+    assert decide_emptiness(system).diagnostics["pipeline"][0] == "groebner"
+    # a pair in d = 3 without a variable to eliminate passes the exact
+    # stages undecided; the unit-ideal test then finds the unit
+    system = sys_of(X3 * Y3 * Z3 - const(3, 1), X3 * Y3 * Z3 - const(3, 2))
+    assert nullsol.variety._exact_first(system.terms)
+    verdict = decide_emptiness(system)
+    assert verdict.certificate == {"kind": "UnitIdeal"}
+    assert verdict.diagnostics == {"pipeline": ["groebner"], "groebner_unit": True}
