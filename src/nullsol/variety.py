@@ -98,9 +98,9 @@ _STURM_LIMIT = 110_000
 # subdivision run instead.  Isolating the roots of one polynomial takes
 # under 0.05 s at the limit (all roots irrational, CPython 3.11, one core of
 # a 2-CPU VM); the bisection to a width of 1/lc^2 costs about n^2 * b^3.
-# A gcd past it, which _STURM_LIMIT bounds, is solved by its discriminant
-# when it is quadratic and else counted by Sturm: a lift with no real root
-# is empty, and any other gives up.  The d = 1 periodic test bounds the gcd
+# A quadratic gcd is solved by its discriminant at any size; any other gcd
+# past it, which _STURM_LIMIT bounds, is counted by Sturm: a lift with no
+# real root is empty, and any other gives up.  The d = 1 periodic test bounds the gcd
 # of its graded system the same way (see gcd_real_roots); a gcd it prints
 # has under 2,500 bits, or is quadratic and within _STURM_LIMIT.
 _RESULTANT_LIMIT = 10_000
@@ -557,17 +557,15 @@ def gcd_real_roots(terms) -> tuple[list[int], list[tuple[int, int] | None]] | No
     """The gcd ``g`` of univariate term dicts (see :func:`_univariate_gcd`)
     and its distinct real roots as :func:`_real_roots` gives them.
 
-    They are isolated only up to _RESULTANT_LIMIT.  Past it, a quadratic
-    gcd gets its roots from the integer square root of its discriminant,
-    and any other one with no real root comes back with an empty list.
-    None if the gcd is past _STURM_LIMIT, or past _RESULTANT_LIMIT with a
-    real root and a degree other than 2.
+    A quadratic gcd gets its roots from the integer square root of its
+    discriminant, at any size.  Any other is isolated only up to
+    _RESULTANT_LIMIT, and past it comes back with an empty list when it has
+    no real root.  None if the gcd is past _STURM_LIMIT, or past
+    _RESULTANT_LIMIT with a real root and a degree other than 2.
     """
     g = _univariate_gcd(terms)
     if g is None:
         return None
-    if _work(g) <= _RESULTANT_LIMIT:
-        return g, _real_roots(g)
     if len(g) == 3:
         a, b, c = g
         disc = b * b - 4 * a * c
@@ -578,6 +576,8 @@ def gcd_real_roots(terms) -> tuple[list[int], list[tuple[int, int] | None]] | No
             return g, [None, None]
         # (-b -+ s) / 2a, in increasing order as a > 0; one root when s = 0
         return g, [Fraction(t - b, 2 * a).as_integer_ratio() for t in sorted({-s, s})]
+    if _work(g) <= _RESULTANT_LIMIT:
+        return g, _real_roots(g)
     return None if _real_root_count(g) else (g, [])
 
 
@@ -667,9 +667,9 @@ def _resultant_stage(polys: list[tuple[int, dict]], diagnostics: dict) -> tuple 
     root, or 0 if every polynomial vanishes there, gives the least rational
     zero in lexicographic order.  No real zero when every real root of
     ``r`` is rational and no gcd has a real root; ``lifts`` lists each ``a``
-    with its gcd.  A gcd past _RESULTANT_LIMIT is solved only when it is
-    quadratic, and else only counted: with no real root its lift is empty,
-    else the stage gives up.  ``polys`` holds
+    with its gcd.  A quadratic gcd is solved by its discriminant; any other
+    past _RESULTANT_LIMIT is only counted: with no real root its lift is
+    empty, else the stage gives up.  ``polys`` holds
     (polynomial index, nonzero term dict) pairs, and ``pair`` names the
     polynomials ``r`` comes from by that index.
     """
@@ -814,8 +814,8 @@ def decide_emptiness(sys: RealPolySystem,
     test ran (``groebner_unit: None`` when it hit its cap): a pair the
     exact stages decide never reaches it.  When the test ran after them and
     found affine ideal members, the presolve and the exact stages run once
-    more, and the ``presolve`` and ``resultant`` entries are those of the
-    last run."""
+    more; the ``presolve`` and ``resultant`` entries are then those of the
+    last run that had them, and the pipeline shows where each ran."""
     diagnostics: dict = {"pipeline": []}
 
     # A zero polynomial is passed through: the unit-ideal test drops it, and

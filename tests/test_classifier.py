@@ -366,20 +366,31 @@ def test_periodic_d1_exact_path_matches_brute_force_enumeration():
 
 
 def test_periodic_d1_past_the_isolation_bound():
-    # the pi^2 grade -4*(v^2 - s): a 3,200-bit gcd is past the isolation
-    # bound, so its roots are not isolated
-    for s, status, evidence in [
-            # two real roots, +-3^1000: a quadratic gets them exactly from
-            # the integer square root of its discriminant
-            (9 ** 1000, NONTRIVIAL, {"gcd": ["1", "0", str(-9 ** 1000)],
-                                     "rational_roots": [str(-3 ** 1000), str(3 ** 1000)],
-                                     "lattice_point": [3 ** 1000]}),
+    # each gcd is past the isolation bound, so its roots are not isolated
+    for text, degree, status, evidence in [
+            # the pi^2 grade -4*(v^2 - 9^1000), with two real roots +-3^1000:
+            # a quadratic gets them exactly from the integer square root of
+            # its discriminant
+            (f"(X1^2 + 4*({9 ** 1000})*PI^2)*T", 2, NONTRIVIAL,
+             {"gcd": ["1", "0", str(-9 ** 1000)],
+              "rational_roots": [str(-3 ** 1000), str(3 ** 1000)],
+              "lattice_point": [3 ** 1000]}),
             # no real root: a negative discriminant is the proof
-            (-9 ** 1000, TRIVIAL, {"gcd": ["1", "0", str(9 ** 1000)], "rational_roots": []})]:
-        p, _ = parse(f"(X1^2 + 4*({s})*PI^2)*T", dim=1, allow_pi=True)
+            (f"(X1^2 + 4*({-9 ** 1000})*PI^2)*T", 2, TRIVIAL,
+             {"gcd": ["1", "0", str(9 ** 1000)], "rational_roots": []}),
+            # the pi^3 grade of a cubic has a real root, which is only
+            # counted: the search runs as in d >= 2; no radius fits the
+            # 2^40 cap, so it stops at --lattice-radius
+            (f"(X1^3 + 8*i*({2 * 27 ** 700})*PI^3)*T", 3, UNKNOWN,
+             {"reason": "lattice-truncated", "searched_radius": 16}),
+            # the pi^4 grade 16*(v^4 + 7^1200): a Sturm count of 0 is the proof
+            (f"(X1^4 + 16*({7 ** 1200})*PI^4)*T", 4, TRIVIAL,
+             {"gcd": ["1", "0", "0", "0", str(7 ** 1200)], "rational_roots": []})]:
+        p, _ = parse(text, dim=1, allow_pi=True)
         system = pi_graded_slice(x_content(p))
-        assert nullsol.variety._work(nullsol.variety._univariate_gcd(system.terms)) \
-            > nullsol.variety._RESULTANT_LIMIT
+        g = nullsol.variety._univariate_gcd(system.terms)
+        assert nullsol.variety._work(g) > nullsol.variety._RESULTANT_LIMIT
+        assert len(g) == degree + 1
         start = time.perf_counter()
         v = periodic_test(p, LatticeSpec.from_rows([[1]]))
         assert time.perf_counter() - start < 1.0
