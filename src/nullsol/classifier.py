@@ -170,10 +170,6 @@ def classify(p: MultiPoly, space: SolutionSpace,
 
 # -- periodic lattice test -------------------------------------------------
 
-def _unit_ideal_verdict() -> Verdict:
-    return Verdict(TRIVIAL, rule="content-variety-empty", evidence={"groebner_unit": True})
-
-
 def _shell_key(box) -> tuple[int, tuple[int, ...]]:
     """The least (max-norm, descending lexicographic) key of a point of ``box``."""
     return max(max(a, -b, 0) for a, b in box), tuple(-b for _, b in box)
@@ -194,10 +190,9 @@ def periodic_test(p: MultiPoly, lattice: LatticeSpec,
     verdict is TRIVIAL, since an irrational root is no k/a.  The evidence
     holds ``gcd`` (its integer coefficients, highest degree first, as
     strings), the ``rational_roots`` and, when NONTRIVIAL, the
-    ``lattice_point``.  A gcd too large to isolate is still decided when it
-    is quadratic (by the integer square root of its discriminant) or when
-    Sturm counts no real root; any other gcd past the work bounds takes the
-    search below, as d >= 2 does.
+    ``lattice_point``.  Where the gcd or its roots give up on their work
+    bounds (see :func:`nullsol.variety._real_roots`), the search below runs,
+    as in d >= 2.
 
     When the real zeros of the graded system are certified bounded, the
     search covers every k that can resonate and the verdict is decisive;
@@ -221,11 +216,11 @@ def periodic_test(p: MultiPoly, lattice: LatticeSpec,
                        evidence={"constant_pi_grade": True})
     if dim == 1 and (found := gcd_real_roots(system.terms)) is not None:
         g, roots = found
-        if len(g) == 1:
-            return _unit_ideal_verdict()
         [[a]] = lattice.rows
         rational = [Fraction(*r) for r in roots if r is not None]
         evidence = {"gcd": [str(c) for c in g], "rational_roots": [str(r) for r in rational]}
+        if len(g) == 1:
+            return Verdict(TRIVIAL, rule="content-variety-empty", evidence=evidence)
         hits = [k.numerator for k in (a * r for r in rational) if k.denominator == 1]
         if not hits:
             return Verdict(TRIVIAL, rule="lattice-resonance-free", evidence=evidence)
@@ -234,7 +229,7 @@ def periodic_test(p: MultiPoly, lattice: LatticeSpec,
         return Verdict(NONTRIVIAL, rule="lattice-resonance", evidence=evidence,
                        witness=build_periodic_witness(p, lattice.frequency_vector((k,))))
     if unit_ideal_test(list(system.terms), config.groebner_cap):
-        return _unit_ideal_verdict()
+        return Verdict(TRIVIAL, rule="content-variety-empty", evidence={"groebner_unit": True})
 
     evidence: dict = {}
     search_radius = config.lattice_radius

@@ -83,26 +83,26 @@ BOX_BUDGET = 100_000
 # Most term products, and most coefficient bits added, that one affine
 # substitution of the presolve may cost; past either it stops eliminating.
 _SUBSTITUTION_LIMIT = 10_000
-# Most work, n^2 * (b + log2 n) for a univariate generator with n
-# coefficients of up to b bits, that the Sturm count in d = 1 takes on;
-# past it the radius proof and subdivision run instead.  The count takes
-# under 0.1 s at the limit (dense, CPython 3.11, one core of a 2-CPU VM).
-# A gcd the certificate prints has no real root, so n >= 3 and b < 12,220;
-# its coefficients have at most b + n + 1 bits (Mignotte's bound on a
-# factor), well under the 4,300 digits Python prints of an int.
+# Most work, n^2 * (b + log2 n) for a univariate polynomial with n
+# coefficients of up to b bits, that the gcd of univariate polynomials
+# (see _univariate_gcd) takes on, in the d = 1 Sturm stage and the d = 1
+# periodic test; past it the radius proof and subdivision, or the lattice
+# search, run instead.  The count takes under 0.1 s at the limit (dense,
+# CPython 3.11, one core of a 2-CPU VM).  A gcd that a certificate or the
+# periodic evidence prints is constant, or linear with its root found
+# within _RESULTANT_LIMIT (see _real_roots), or of degree 2 or more, so
+# each polynomial it divides has n >= 3 and b < 12,220; its coefficients
+# have at most b + n + 1 bits (Mignotte's bound on a factor), well under
+# the 4,300 digits Python prints of an int.
 _STURM_LIMIT = 110_000
-# Most work that the resultant stage in d = 2 takes on: (D + 1) * s^3 for
-# the D + 1 Sylvester determinants of size s, and n^2 * (b + log2 n), as
-# above, for each polynomial whose real roots it isolates (the eliminant and
-# the gcd above each of its rational roots); past it the radius proof and
-# subdivision run instead.  Isolating the roots of one polynomial takes
-# under 0.05 s at the limit (all roots irrational, CPython 3.11, one core of
-# a 2-CPU VM); the bisection to a width of 1/lc^2 costs about n^2 * b^3.
-# A quadratic gcd is solved by its discriminant at any size; any other gcd
-# past it, which _STURM_LIMIT bounds, is counted by Sturm: a lift with no
-# real root is empty, and any other gives up.  The d = 1 periodic test bounds the gcd
-# of its graded system the same way (see gcd_real_roots); a gcd it prints
-# has under 2,500 bits, or is quadratic and within _STURM_LIMIT.
+# Most work that the resultant stage in d = 2 takes on, (D + 1) * s^3 for
+# the D + 1 Sylvester determinants of size s, and that _real_roots isolates
+# the roots of one polynomial within, n^2 * (b + log2 n) as above; past it
+# the radius proof and subdivision run instead.  Isolating the roots of one
+# polynomial takes under 0.05 s at the limit (all roots irrational, CPython
+# 3.11, one core of a 2-CPU VM); the bisection to a width of 1/lc^2 costs
+# about n^2 * b^3.  The stage keeps its eliminant within it too, as a
+# Resultant certificate prints it without dividing out its content.
 _RESULTANT_LIMIT = 10_000
 
 
@@ -468,17 +468,6 @@ def _sign_changes(seq: list[list[int]], num: int, den: int) -> int:
     return sum(map(ne, signs, signs[1:]))
 
 
-def _real_root_count(g: list[int]) -> int:
-    """Number of distinct real roots of a nonzero integer polynomial.
-
-    A multiple root needs no squarefree part first: the Sturm sequence then
-    ends in gcd(g, g'), which divides every term and so changes no sign
-    count at +-oo.
-    """
-    seq = _sturm_sequence(g)
-    return _sign_changes(seq, -1, 0) - _sign_changes(seq, 1, 0)
-
-
 def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
     """``a / b`` for an integer ``b`` that divides ``a`` with an integer
     quotient (a primitive ``b`` that divides ``a`` over Q, by Gauss)."""
@@ -526,23 +515,45 @@ def _narrow(s: list[int], k: int, lo: int, hi: int) -> tuple[int, int] | None:
     return hi // g, (1 << k) // g
 
 
-def _real_roots(f: list[int]) -> list[tuple[int, int] | None]:
+def _real_roots(f: list[int]) -> list[tuple[int, int] | None] | None:
     """The distinct real roots of a nonzero integer polynomial, in increasing
     order: a reduced ``(num, den)`` for a rational one, None for another.
+    None instead of the list if it has a real root and is past
+    _RESULTANT_LIMIT.
 
-    The roots of the squarefree part lie in ``(-B, B]`` for Cauchy's bound
-    ``B``; Sturm counts at dyadic points split that interval until each part
-    holds one root, which :func:`_narrow` then pins down.
+    The one routine for real roots.  A quadratic is solved by the integer
+    square root of its discriminant, at any size.  Any other is counted by
+    Sturm at +-B, for Cauchy's bound ``B`` (a multiple root changes no
+    count); with a real root and within the limit, Sturm counts at dyadic
+    points split ``(-B, B]`` until each part holds one root of the
+    squarefree part, which :func:`_narrow` then pins down.
     """
+    if len(f) == 3:
+        a, b, c = f if f[0] > 0 else [-x for x in f]
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return []
+        s = math.isqrt(disc)
+        if s * s != disc:
+            return [None, None]
+        # (-b -+ s) / 2a, in increasing order as a > 0; one root when s = 0
+        return [Fraction(t - b, 2 * a).as_integer_ratio() for t in sorted({-s, s})]
     f = _primitive(f)
     seq = _sturm_sequence(f)
+    bound = 2 + max(map(abs, f[1:]), default=0) // abs(f[0])
+    at_lo, at_hi = _sign_changes(seq, -bound, 1), _sign_changes(seq, bound, 1)
+    if at_lo == at_hi:
+        return []
+    if _work(f) > _RESULTANT_LIMIT:
+        return None
     if len(seq[-1]) > 1:
+        # the squarefree part has a sequence of its own, with other counts
         f = _exact_quotient(f, seq[-1])
         seq = _sturm_sequence(f)
-    bound = 2 + max(map(abs, f[1:]), default=0) // abs(f[0])
+        at_lo, at_hi = _sign_changes(seq, -bound, 1), _sign_changes(seq, bound, 1)
     roots: list[tuple[int, int] | None] = []
     # (k, lo, hi, changes at lo/2^k, changes at hi/2^k), the leftmost on top
-    stack = [(0, -bound, bound, _sign_changes(seq, -bound, 1), _sign_changes(seq, bound, 1))]
+    stack = [(0, -bound, bound, at_lo, at_hi)]
     while stack:
         k, lo, hi, at_lo, at_hi = stack.pop()
         if at_lo - at_hi == 1:
@@ -555,30 +566,11 @@ def _real_roots(f: list[int]) -> list[tuple[int, int] | None]:
 
 def gcd_real_roots(terms) -> tuple[list[int], list[tuple[int, int] | None]] | None:
     """The gcd ``g`` of univariate term dicts (see :func:`_univariate_gcd`)
-    and its distinct real roots as :func:`_real_roots` gives them.
-
-    A quadratic gcd gets its roots from the integer square root of its
-    discriminant, at any size.  Any other is isolated only up to
-    _RESULTANT_LIMIT, and past it comes back with an empty list when it has
-    no real root.  None if the gcd is past _STURM_LIMIT, or past
-    _RESULTANT_LIMIT with a real root and a degree other than 2.
-    """
-    g = _univariate_gcd(terms)
-    if g is None:
+    and its distinct real roots (see :func:`_real_roots`); None when either
+    gives up on its work bound."""
+    if (g := _univariate_gcd(terms)) is None or (roots := _real_roots(g)) is None:
         return None
-    if len(g) == 3:
-        a, b, c = g
-        disc = b * b - 4 * a * c
-        if disc < 0:
-            return g, []
-        s = math.isqrt(disc)
-        if s * s != disc:
-            return g, [None, None]
-        # (-b -+ s) / 2a, in increasing order as a > 0; one root when s = 0
-        return g, [Fraction(t - b, 2 * a).as_integer_ratio() for t in sorted({-s, s})]
-    if _work(g) <= _RESULTANT_LIMIT:
-        return g, _real_roots(g)
-    return None if _real_root_count(g) else (g, [])
+    return g, roots
 
 
 def _bareiss(rows: list[list[int]]) -> int:
@@ -667,11 +659,10 @@ def _resultant_stage(polys: list[tuple[int, dict]], diagnostics: dict) -> tuple 
     root, or 0 if every polynomial vanishes there, gives the least rational
     zero in lexicographic order.  No real zero when every real root of
     ``r`` is rational and no gcd has a real root; ``lifts`` lists each ``a``
-    with its gcd.  A quadratic gcd is solved by its discriminant; any other
-    past _RESULTANT_LIMIT is only counted: with no real root its lift is
-    empty, else the stage gives up.  ``polys`` holds
-    (polynomial index, nonzero term dict) pairs, and ``pair`` names the
-    polynomials ``r`` comes from by that index.
+    with its gcd.  The roots come from :func:`_real_roots`, and where it
+    gives up, so does the stage.  ``polys`` holds (polynomial index,
+    nonzero term dict) pairs, and ``pair`` names the polynomials ``r``
+    comes from by that index.
     """
     found = _eliminant(polys)
     if found is None or _work(found[1]) > _RESULTANT_LIMIT:
@@ -718,11 +709,12 @@ def _exact_first(terms) -> bool:
 def _exact_stages(sys: RealPolySystem, members: list,
                   diagnostics: dict) -> tuple[_Presolved, tuple | None, tuple | None]:
     """``(pre, outcome, critical)``: the presolve of the system with the
-    ideal ``members`` after it, then in d = 1 a Sturm count, which decides
-    EMPTY when it is 0, and in d = 2 the resultant stage.  ``outcome`` is
-    ``(status, witness, certificate)`` once decided, else None; ``critical``
-    is ``(poly, facts)`` when a single curve has no real critical point,
-    which decides EMPTY once a radius bounds its zeros (see :func:`_search`).
+    ideal ``members`` after it, then in d = 1 a Sturm count of the gcd
+    (see :func:`_real_roots`), which decides EMPTY when it is 0, and in
+    d = 2 the resultant stage.  ``outcome`` is ``(status, witness,
+    certificate)`` once decided, else None; ``critical`` is ``(poly,
+    facts)`` when a single curve has no real critical point, which decides
+    EMPTY once a radius bounds its zeros (see :func:`_search`).
 
     The gcd has a positive leading coefficient, so an odd degree or a
     constant term <= 0 shows a real zero without the count.
@@ -744,7 +736,7 @@ def _exact_stages(sys: RealPolySystem, members: list,
     if not pre.terms:
         return pre, (NONEMPTY, (), {"kind": "ExactPoint"}), None
     if (pre.dimension == 1 and (g := _univariate_gcd(pre.terms)) is not None
-            and len(g) % 2 and g[-1] > 0 and not _real_root_count(g)):
+            and len(g) % 2 and g[-1] > 0 and _real_roots(g) == []):
         diagnostics["pipeline"].append("sturm")
         return pre, (EMPTY, None, {"kind": "Sturm", "gcd": [str(c) for c in g]}), None
     if pre.dimension != 2:

@@ -188,6 +188,14 @@ def test_periodic_constant_generator():
         assert v.rule == "nonvanishing-generator"
 
 
+def test_periodic_unit_ideal_in_d2():
+    # the grades 2*i*v1 and 1 - 4*v1*v2 share no complex zero: the
+    # Groebner basis is {1}, and no search runs
+    v = periodic("X1*X2*T + X1*T + PI^2*T", [[1, 0], [0, 1]])
+    assert (v.status, v.rule) == (TRIVIAL, "content-variety-empty")
+    assert v.evidence == {"groebner_unit": True}
+
+
 def test_periodic_resonance_at_origin():
     v = periodic("X1*X2*T", [[1, 0], [0, 1]])
     assert v.status == NONTRIVIAL
@@ -357,7 +365,9 @@ def test_periodic_d1_exact_path_matches_brute_force_enumeration():
             assert roots == sorted(set(roots)) and planted <= set(roots), text
             assert all(map(resonates, roots)), text
         else:
+            # a constant gcd: no Groebner basis runs in d = 1
             assert v.rule == "content-variety-empty", text
+            assert v.evidence == {"gcd": ["1"], "rational_roots": []}, text
         seen[v.rule] += 1
         seen.update(shapes)
     assert min(seen[key] for key in ("on-lattice", "off-lattice", "irrational", "no-real",
@@ -366,7 +376,8 @@ def test_periodic_d1_exact_path_matches_brute_force_enumeration():
 
 
 def test_periodic_d1_past_the_isolation_bound():
-    # each gcd is past the isolation bound, so its roots are not isolated
+    # each gcd is past the isolation bound, so its roots are not isolated;
+    # past _STURM_LIMIT (degree None) no gcd is taken at all
     for text, degree, status, evidence in [
             # the pi^2 grade -4*(v^2 - 9^1000), with two real roots +-3^1000:
             # a quadratic gets them exactly from the integer square root of
@@ -385,12 +396,19 @@ def test_periodic_d1_past_the_isolation_bound():
              {"reason": "lattice-truncated", "searched_radius": 16}),
             # the pi^4 grade 16*(v^4 + 7^1200): a Sturm count of 0 is the proof
             (f"(X1^4 + 16*({7 ** 1200})*PI^4)*T", 4, TRIVIAL,
-             {"gcd": ["1", "0", "0", "0", str(7 ** 1200)], "rational_roots": []})]:
+             {"gcd": ["1", "0", "0", "0", str(7 ** 1200)], "rational_roots": []}),
+            # the pi^9 grade i*(512*v^9 + 3^700) has work 10^2 * (4 + 1,110)
+            # = 111,400: the search runs and stops as for the cubic
+            (f"(X1^9 + {3 ** 700}*i*PI^9)*T", None, UNKNOWN,
+             {"reason": "lattice-truncated", "searched_radius": 16})]:
         p, _ = parse(text, dim=1, allow_pi=True)
         system = pi_graded_slice(x_content(p))
         g = nullsol.variety._univariate_gcd(system.terms)
-        assert nullsol.variety._work(g) > nullsol.variety._RESULTANT_LIMIT
-        assert len(g) == degree + 1
+        if degree is None:
+            assert g is None
+        else:
+            assert nullsol.variety._work(g) > nullsol.variety._RESULTANT_LIMIT
+            assert len(g) == degree + 1
         start = time.perf_counter()
         v = periodic_test(p, LatticeSpec.from_rows([[1]]))
         assert time.perf_counter() - start < 1.0

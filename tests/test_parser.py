@@ -352,6 +352,8 @@ def test_dimension_limit_on_a_declared_dimension():
     assert parse("T", dim=MAX_DIM)[0].nvars == MAX_DIM + 1
     with pytest.raises(ValueError, match="at most 32"):
         parse("X1*T", dim=MAX_DIM + 1)
+    with pytest.raises(ValueError, match="^dimension must be nonnegative, got -1$"):
+        parse("T", dim=-1)
 
 
 # -- differential test of the pair arithmetic ------------------------------

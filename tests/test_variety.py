@@ -711,7 +711,7 @@ def test_sturm_count_on_planted_roots():
         g = nullsol.variety._univariate_gcd(system.terms)
         assert g[0] > 0 and math.gcd(*g) == 1
         assert _scaled(g, _q_gcd(polys))
-        assert nullsol.variety._real_root_count(g) == len(shared) == _q_real_root_count(g)
+        assert len(nullsol.variety._real_roots(g)) == len(shared) == _q_real_root_count(g)
         seen.add(len(shared))
         verdict = decide_emptiness(system)
         assert (verdict.status == EMPTY) == (not shared)
@@ -735,7 +735,7 @@ def test_pseudo_remainder_and_count_match_the_rational_reference():
         r = nullsol.variety._pseudo_remainder(a, b)
         assert r == [scale * c for c in _q_rem(list(map(Fraction, a)), b)]
         if a:
-            assert nullsol.variety._real_root_count(a) == _q_real_root_count(a)
+            assert len(nullsol.variety._real_roots(a)) == _q_real_root_count(a)
 
 
 def test_sturm_count_stops_at_its_work_bound():
@@ -926,8 +926,10 @@ def test_common_factor_skips_the_stage():
     ([1, 0, 1], []),                                          # no real root
     ([6, 17, 7], [(-7, 3), (-1, 2)]),                         # (3x + 7)(2x + 1)
     ([-1, 0, 2], [None, None]),                               # 2 - x^2
+    # (x + 1)^2 (x - 1)(x^2 + 1): the squarefree part has its own counts
+    ([1, 1, 0, 0, -1, -1], [(-1, 1), (1, 1)]),
 ], ids=["zero", "zero-alone", "multiple", "midpoint", "lc-2^61", "lc-2^61-irrational",
-        "no-root", "negative", "irrational"])
+        "no-root", "negative", "irrational", "multiple-and-simple"])
 def test_real_roots_pinned(f, roots):
     assert nullsol.variety._real_roots(f) == roots
 
