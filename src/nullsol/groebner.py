@@ -3,10 +3,15 @@
 The input is integer term dicts ``{exponent tuple: nonzero int}``, the
 form ``RealPolySystem.terms`` holds: the system is cleared of denominators
 there, once.  Each one is divided by its content to a primitive polynomial
-(integer coefficients with gcd 1) whose monomials are keyed by the grevlex
-encoding ``(deg, -e_n, ..., -e_1)``: a plain ``max`` is the leading
-monomial, the encoding of a product of monomials is the sum of their
-encodings, and the lcm of two monomials is its own pair-heap key.
+(integer coefficients with gcd 1) whose monomials are packed into ints
+(Monagan & Pearce, CASC 2007): ``E(e) = deg(e)*B^n - sum e_i*B^(i-1)``,
+``B = 2^w``.  While degrees stay below ``B/2``, no field spills into the
+next and the top (guard) bit of each stays clear.  So int order is the
+grevlex order of ``(deg, -e_n, ..., -e_1)``: the degree dominates, then the
+smaller ``e_n``, and so on down.  ``E`` is linear, so products are sums.
+``g`` divides ``m`` exactly when ``E(g) - E(m)`` has no guard bit set, as
+the lowest field with ``m_i < g_i`` wraps below zero into its guard bit.  A
+basis element past the degree the fields allow ends the run as the cap does.
 S-polynomials and reduction steps use integer cofactors instead of
 dividing by leading coefficients (the fraction-free form of Buchberger's
 algorithm; Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*,
@@ -32,31 +37,52 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from operator import add, ge, sub
+from operator import lshift
 from typing import Iterator
 
 from .config import DEFAULT_CONFIG
 
+_HEADROOM = 4  # spare bits per field: basis degrees may reach 2^4 times the input's
+
 Terms = dict[tuple[int, ...], int]
-# An integer polynomial keyed by encoded monomials.
-_Poly = dict[tuple[int, ...], int]
-# A basis element: encoded leading monomial, its negated exponents
-# (the encoding without the degree), leading coefficient, polynomial.
-_Entry = tuple[tuple[int, ...], tuple[int, ...], int, _Poly]
+# An integer polynomial keyed by packed monomials.
+_Poly = dict[int, int]
+# A basis element: packed leading monomial, leading coefficient, polynomial.
+_Entry = tuple[int, int, _Poly]
 
 
 class GroebnerCapExceeded(Exception):
-    """Reduction budget exhausted before the basis stabilized."""
+    """Reduction budget or field width exhausted before the basis stabilized."""
 
 
-def add_multiple(acc: dict, p: dict, exps: tuple[int, ...], coeff) -> None:
-    """acc += coeff * X^exps * p, in place, dropping cancelled terms.
+class _Packing:
+    """Monomials in ``n`` variables, packed for basis leads up to ``max_lead``."""
 
-    Works on exponent tuples and on grevlex encodings alike, since both
-    add under multiplication of monomials.
-    """
+    def __init__(self, n: int, top: int):
+        self.w = w = (2 * top).bit_length() + _HEADROOM + 1
+        self.shift, self.fields = n * w, range(0, n * w, w)
+        self.mask, self.guard = (1 << n * w) - 1, sum(1 << s + w - 1 for s in self.fields)
+        self.max_lead = ((1 << w - 2) - 1) << n * w   # E <= D*B^n iff deg <= D
+
+    def encode(self, e: tuple[int, ...]) -> int:
+        return (sum(e) << self.shift) - sum(map(lshift, e, self.fields))
+
+    def decode(self, m: int) -> tuple[int, ...]:
+        return tuple(-m >> s & (1 << self.w) - 1 for s in self.fields)
+
+    def lcm(self, a: int, b: int) -> int:
+        """Fieldwise max of the exponents ``-E mod B^n``, by the guard bits of
+        ``(a | guard) - b``; the degree is their sum, the value mod ``B - 1``."""
+        a, b, w = -a & self.mask, -b & self.mask, self.w
+        ge = ((a | self.guard) - b & self.guard) >> w - 1
+        low = b ^ (a ^ b) & (ge << w) - ge
+        return (low % ((1 << w) - 1) << self.shift) - low
+
+
+def _add_multiple(acc: _Poly, p: _Poly, delta: int, coeff: int) -> None:
+    """acc += coeff * X^delta * p, in place, dropping cancelled terms."""
     for e, c in p.items():
-        m = tuple(map(add, e, exps))
+        m = e + delta
         v = acc.get(m, 0) + coeff * c
         if v:
             acc[m] = v
@@ -64,35 +90,27 @@ def add_multiple(acc: dict, p: dict, exps: tuple[int, ...], coeff) -> None:
             del acc[m]
 
 
-def _primitive(p: _Poly) -> _Poly:
-    g = math.gcd(*p.values())
-    return p if g == 1 else {m: c // g for m, c in p.items()}
-
-
-def _cleared(p: Terms) -> _Poly:
-    """The primitive part of an integer term dict, on encoded monomials."""
-    return _primitive({(sum(e), *(-x for x in reversed(e))): c for e, c in p.items()})
-
-
 def _entry(p: _Poly) -> _Entry:
+    """The basis element of the primitive part of a nonzero polynomial."""
+    g = math.gcd(*p.values())
+    p = p if g == 1 else {m: c // g for m, c in p.items()}
     lead = max(p)
-    return lead, lead[1:], p[lead], p
+    return lead, p[lead], p
 
 
-def _normal_form(f: _Poly, basis: list[_Entry], steps: Iterator[int], cap: int) -> _Poly:
+def _normal_form(f: _Poly, basis: list[_Entry], guard: int, steps: Iterator, cap: int) -> _Poly:
     """Top-reduced form, up to a nonzero integer factor: while the leading
     term is divisible by the leading monomial of a basis element, the first
-    such element cancels it; lower terms are left as they are.  Each step
-    takes the next number from ``steps`` and raises GroebnerCapExceeded once
-    that passes ``cap``.  A step scales the polynomial by ``g_c/gcd`` and
-    subtracts ``(lt_c/gcd) * X^delta * g``."""
+    such element (by the packing's ``guard`` bits) cancels it; lower terms
+    are left as they are.  Each step takes the next number from ``steps``
+    and raises GroebnerCapExceeded once that passes ``cap``.  A step scales
+    the polynomial by ``g_c/gcd`` and subtracts ``(lt_c/gcd) * X^delta * g``."""
     work = dict(f)
     while work:
         lead = max(work)
         lt_c = work[lead]
-        tail = lead[1:]
-        for g_lead, g_tail, g_c, g in basis:
-            if all(map(ge, g_tail, tail)):
+        for g_lead, g_c, g in basis:
+            if not g_lead - lead & guard:
                 break
         else:
             return work
@@ -103,51 +121,50 @@ def _normal_form(f: _Poly, basis: list[_Entry], steps: Iterator[int], cap: int) 
         if scale != 1:
             for m in work:
                 work[m] *= scale
-        add_multiple(work, g, tuple(map(sub, lead, g_lead)), -(lt_c // d))
+        _add_multiple(work, g, lead - g_lead, -(lt_c // d))
     return work
 
 
-def _s_poly(f: _Entry, g: _Entry) -> _Poly:
-    (f_lead, f_tail, f_c, f_p), (g_lead, g_tail, g_c, g_p) = f, g
-    lcm_tail = tuple(map(min, f_tail, g_tail))
-    lcm = (-sum(lcm_tail), *lcm_tail)
+def _s_poly(f: _Entry, g: _Entry, lcm: int) -> _Poly:
+    (f_lead, f_c, f_p), (g_lead, g_c, g_p) = f, g
     d = math.gcd(f_c, g_c)
     s: _Poly = {}
-    add_multiple(s, f_p, tuple(map(sub, lcm, f_lead)), g_c // d)
-    add_multiple(s, g_p, tuple(map(sub, lcm, g_lead)), -(f_c // d))
+    _add_multiple(s, f_p, lcm - f_lead, g_c // d)
+    _add_multiple(s, g_p, lcm - g_lead, -(f_c // d))
     return s
 
 
-def _basis(polys: list[Terms], cap: int) -> list[_Entry]:
-    """Groebner basis entries of nonzero generators; the unit alone once a
-    nonzero constant turns up.
+def _basis(polys: list[_Poly], pk: _Packing, cap: int) -> list[_Entry]:
+    """Groebner basis entries of nonzero packed generators, made primitive;
+    the unit alone once a nonzero constant turns up.
 
     Pairs are taken by least grevlex lcm, ties in the order they were
-    formed.  Raises GroebnerCapExceeded on reduction step ``cap + 1``.
-    """
-    basis = [_entry(_cleared(p)) for p in polys]
+    formed.  Raises GroebnerCapExceeded on reduction step ``cap + 1``, or
+    on a new element whose lead passes ``pk.max_lead``."""
+    basis = [_entry(p) for p in polys]
     steps = itertools.count(1)
     pairs: list = []
     formed = itertools.count()
 
     def push(i: int, j: int) -> None:
-        lcm_tail = tuple(map(min, basis[i][1], basis[j][1]))
-        heapq.heappush(pairs, ((-sum(lcm_tail), *lcm_tail), next(formed), i, j))
+        lcm = pk.lcm(basis[i][0], basis[j][0])
+        # Buchberger's first criterion: coprime leading monomials.
+        if lcm != basis[i][0] + basis[j][0]:
+            heapq.heappush(pairs, (lcm, next(formed), i, j))
 
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             push(i, j)
     while pairs:
-        _, _, i, j = heapq.heappop(pairs)
-        # Buchberger's first criterion: coprime leading monomials.
-        if not any(map(max, basis[i][1], basis[j][1])):
-            continue
-        r = _normal_form(_s_poly(basis[i], basis[j]), basis, steps, cap)
+        lcm, _, i, j = heapq.heappop(pairs)
+        r = _normal_form(_s_poly(basis[i], basis[j], lcm), basis, pk.guard, steps, cap)
         if r:
-            entry = _entry(_primitive(r))
-            if not entry[0][0]:
+            entry = _entry(r)
+            if not entry[0]:
                 # Unit in the ideal; basis is the whole ring.
-                return [_entry({entry[0]: 1})]
+                return [(0, 1, {0: 1})]
+            if entry[0] > pk.max_lead:
+                raise GroebnerCapExceeded()
             basis.append(entry)
             for m in range(len(basis) - 1):
                 push(m, len(basis) - 1)
@@ -156,7 +173,7 @@ def _basis(polys: list[Terms], cap: int) -> list[_Entry]:
 
 def unit_ideal_test(polys: list[Terms], cap: int = DEFAULT_CONFIG.groebner_cap,
                     members: list[Terms] | None = None) -> bool | None:
-    """True/False for a decided unit-ideal question; None if cap exceeded.
+    """True/False for a decided unit-ideal question; None past the cap or field width.
 
     With a list for ``members``, a decided False also appends to it, as
     primitive integer term dicts, the basis elements beyond the generators
@@ -165,18 +182,20 @@ def unit_ideal_test(polys: list[Terms], cap: int = DEFAULT_CONFIG.groebner_cap,
     generator is affine, as each such member is then a combination of them.
     """
     nonzero = [p for p in polys if p]
-    if any(all(sum(e) == 0 for e in p) for p in nonzero):
+    degrees = [max(map(sum, p)) for p in nonzero]
+    if not all(degrees):
         return True
     if len(nonzero) < 2:
         # no pair to reduce: a nonconstant generator is its own basis
         return False
+    pk = _Packing(len(next(iter(nonzero[0]))), max(degrees))
     try:
-        basis = _basis(nonzero, cap)
+        basis = _basis([{pk.encode(e): c for e, c in p.items()} for p in nonzero], pk, cap)
     except GroebnerCapExceeded:
         return None
-    if any(not lead[0] for lead, _, _, _ in basis):
+    if not basis[0][0]:
         return True
-    if members is not None and any(lead[0] > 1 for lead, _, _, _ in basis[:len(nonzero)]):
-        members.extend({tuple(-x for x in reversed(m[1:])): c for m, c in p.items()}
-                       for lead, _, _, p in basis[len(nonzero):] if lead[0] == 1)
+    if members is not None and max(degrees) > 1:
+        members.extend({pk.decode(m): c for m, c in p.items()}
+                       for lead, _, p in basis[len(nonzero):] if lead <= 1 << pk.shift)
     return False

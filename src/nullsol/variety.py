@@ -37,7 +37,7 @@ from operator import add, ne
 from typing import NamedTuple
 
 from .config import DEFAULT_CONFIG, SolverConfig
-from .groebner import add_multiple, unit_ideal_test
+from .groebner import unit_ideal_test
 from .intervals import (
     Box,
     DyadicBox,
@@ -296,6 +296,17 @@ def subdivision_search(sys: RealPolySystem, box: Box,
                        config: SolverConfig = DEFAULT_CONFIG) -> SubdivisionResult:
     """Subdivision search for a common zero of ``sys`` in ``box``."""
     return _branch_and_bound(sys.terms, box, config.max_depth)
+
+
+def add_multiple(acc: dict, p: dict, exps: tuple[int, ...], coeff) -> None:
+    """acc += coeff * X^exps * p on exponent tuples, in place; drops zeros."""
+    for e, c in p.items():
+        m = tuple(map(add, e, exps))
+        v = acc.get(m, 0) + coeff * c
+        if v:
+            acc[m] = v
+        else:
+            del acc[m]
 
 
 class _Presolved(NamedTuple):
@@ -803,7 +814,7 @@ def decide_emptiness(sys: RealPolySystem,
 
     ``diagnostics["pipeline"]`` lists the stages in the order they ran.
     ``"groebner"`` and ``groebner_unit`` are there only when the unit-ideal
-    test ran (``groebner_unit: None`` when it hit its cap): a pair the
+    test ran (``groebner_unit: None`` at its cap or field width): a pair the
     exact stages decide never reaches it.  When the test ran after them and
     found affine ideal members, the presolve and the exact stages run once
     more; the ``presolve`` and ``resultant`` entries are then those of the

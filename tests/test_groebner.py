@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from nullsol.groebner import _basis, _cleared, _entry, _normal_form, _s_poly, unit_ideal_test
+import nullsol.groebner
+from nullsol.groebner import _basis, _entry, _normal_form, _Packing, _s_poly, unit_ideal_test
 from nullsol.multipoly import MultiPoly
-from nullsol.parser import parse
+from nullsol.parser import MAX_DIM, parse
+from nullsol.symbols import RealPolySystem
+from nullsol.variety import decide_emptiness
 
 from helpers import integer_terms, random_multipoly
 
@@ -17,34 +20,106 @@ def _terms(expr: str, dim: int) -> dict:
     return integer_terms(parse(expr, dim=dim)[0].coefficients_in_T()[0].real_terms())
 
 
-def _reduce(f, basis) -> dict:
-    """Top-reduced form of an integer polynomial modulo basis entries,
+def _packed(polys: list) -> tuple:
+    """The packing of integer term dicts, and the dicts packed."""
+    pk = _Packing(len(next(iter(polys[0]))), max(sum(e) for p in polys for e in p))
+    return pk, [{pk.encode(e): c for e, c in p.items()} for p in polys]
+
+
+def _reduce(f, basis, pk) -> dict:
+    """Top-reduced form of a packed polynomial modulo basis entries,
     uncapped; it is {} exactly when the full normal form is."""
-    return _normal_form(f, basis, itertools.count(1), float("inf"))
+    return _normal_form(f, basis, pk.guard, itertools.count(1), float("inf"))
 
 
 def test_grevlex_order():
     # grevlex: grade first, then reverse-lex on reversed negated exponents;
-    # the cleared keys keep the term order, and decrease along it
+    # the packed keys decrease along the term order
     for order in [[(2, 0), (1, 1), (0, 2)], [(1, 1, 0), (1, 0, 1), (0, 1, 1)]]:
-        keys = list(_cleared({e: 1 for e in order}))
+        keys = list(_packed([{e: 1 for e in order}])[1][0])
         assert len(keys) == 3 and keys == sorted(keys, reverse=True)
 
 
+def _monomial(rng, n: int, total: int) -> tuple:
+    """A random exponent vector in ``n`` variables of degree ``total``."""
+    cuts = sorted(rng.randint(0, total) for _ in range(n - 1))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, MAX_DIM])
+def test_packing_laws(n):
+    rng = random.Random(n)
+    for top in (1, 5, 1000):
+        pk = _Packing(n, top)
+        # every degree below B/2 packs; basis leads reach degree `top` at least,
+        # and the lcm of two of them packs
+        limit, most = (1 << pk.w - 1) - 1, pk.max_lead >> pk.shift
+        assert top <= most and 2 * most <= limit
+        pairs = []
+        for _ in range(300):
+            a = _monomial(rng, n, rng.choice([limit, rng.randint(0, limit)]))
+            b = _monomial(rng, n, rng.randint(0, limit - sum(a)))
+            pairs.append((a, b))
+            g = tuple(max(0, x + rng.choice([-1, 0, 1])) for x in a)
+            if sum(g) <= limit:
+                pairs.append((g, a))
+        # neighbours across the top bit of each field, in both roles
+        half = 1 << pk.w - 2
+        for i in range(n):
+            lo, hi = (tuple(x if k == i else 0 for k in range(n)) for x in (half - 1, half))
+            pairs += [(lo, hi), (hi, lo)]
+        grevlex = sorted({e for pair in pairs for e in pair},
+                         key=lambda e: (sum(e), [-x for x in reversed(e)]))
+        assert sorted(grevlex, key=pk.encode) == grevlex
+        for a, b in pairs:
+            ea, eb = pk.encode(a), pk.encode(b)
+            assert pk.decode(ea) == a and -(-ea >> pk.shift) == sum(a)
+            assert ea <= sum(a) << pk.shift and (not a or ea > sum(a) - 1 << pk.shift)
+            divides = all(x <= y for x, y in zip(a, b))
+            assert (not ea - eb & pk.guard) is divides, (a, b)
+            lcm = tuple(map(max, a, b))
+            if sum(lcm) <= limit:
+                assert pk.lcm(ea, eb) == pk.encode(lcm)
+            if sum(a) + sum(b) <= limit:
+                assert ea + eb == pk.encode(tuple(x + y for x, y in zip(a, b)))
+
+
+def test_field_overflow_is_the_cap(monkeypatch):
+    # Degree-3 generators whose basis reaches degree 4: with no headroom the
+    # fields allow basis leads of degree 3 at most, so the run stops undecided.
+    exprs = ["4*X2^2*X3 + 7*X1*X3^2", "15*X1^2*X3 - 4*X3", "X2*X3^2"]
+    polys = [_terms(e, 3) for e in exprs]
+    system = RealPolySystem(3, tuple(parse(e, dim=3)[0].coefficients_in_T()[0] for e in exprs))
+    assert unit_ideal_test(polys) is False
+    decided = decide_emptiness(system)
+    assert decided.diagnostics["groebner_unit"] is False
+    monkeypatch.setattr(nullsol.groebner, "_HEADROOM", 0)
+    pk = _Packing(3, 3)
+    assert pk.max_lead >> pk.shift == 3
+    assert unit_ideal_test(polys) is None
+    verdict = decide_emptiness(system)
+    assert verdict.diagnostics["groebner_unit"] is None
+    assert verdict.diagnostics["pipeline"] == ["groebner", "boundedness", "subdivision"]
+    assert verdict.status == decided.status
+
+
 def test_leading_term():
-    lead, _, c, _ = _entry(_cleared(_terms("X1^2 + 3*X1*X2 - 1", 2)))
-    assert lead == (2, 0, -2)   # X1^2: degree 2, then -e2, -e1
+    pk, (p,) = _packed([_terms("X1^2 + 3*X1*X2 - 1", 2)])
+    lead, c, _ = _entry(p)
+    assert pk.decode(lead) == (2, 0)   # X1^2 leads X1*X2: the smaller e2
     assert c == 1
 
 
 def test_cleared_is_primitive_integer_multiple():
-    p = _cleared(integer_terms({(1, 0): Fraction(2, 3), (0, 1): Fraction(-4, 9), (0, 0): 2}))
-    assert p == {(1, 0, -1): 3, (1, -1, 0): -2, (0, 0, 0): 9}   # 9/2 times p
+    pk, (p,) = _packed([integer_terms({(1, 0): Fraction(2, 3), (0, 1): Fraction(-4, 9),
+                                       (0, 0): 2})])
+    # the basis element keeps the primitive part, 9/2 times p
+    assert _entry(p)[2] == {pk.encode((1, 0)): 3, pk.encode((0, 1)): -2, 0: 9}
 
 
 def test_reduce_to_zero_in_ideal():
-    basis = [_entry(_cleared(_terms(g, 2))) for g in ("X1", "X2")]
-    assert _reduce(_cleared(_terms("X1*X2 + 3*X1 - X2", 2)), basis) == {}
+    pk, (*gens, f) = _packed([_terms(e, 2) for e in ("X1", "X2", "X1*X2 + 3*X1 - X2")])
+    assert _reduce(f, [_entry(g) for g in gens], pk) == {}
 
 
 def test_unit_ideal_examples():
@@ -65,7 +140,8 @@ def test_affine_members():
     assert members == [{(1, 0): 4, (0, 1): -2, (0, 0): -5}]
     # all generators affine: the member X2 - 1 of the basis is not passed on
     lines = [_terms("X1 - X2", 2), _terms("X1 + X2 - 2", 2)]
-    assert len(_basis(lines, 10)) == 3
+    pk, packed = _packed(lines)
+    assert len(_basis(packed, pk, 10)) == 3
     assert unit_ideal_test(lines, members=members) is False
     # a unit ideal, or the cap hit, leaves the list as it is
     assert unit_ideal_test([*circles, _terms("X1^2 + X2^2 - 2", 2)], members=members) is True
@@ -115,10 +191,12 @@ def test_buchberger_criterion_random():
         polys = [p for p in polys if p]
         if not polys:
             continue
-        basis = _basis(polys, cap=20000)
+        pk, packed = _packed(polys)
+        basis = _basis(packed, pk, cap=20000)
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
-                assert _reduce(_s_poly(basis[i], basis[j]), basis) == {}
+                lcm = pk.lcm(basis[i][0], basis[j][0])
+                assert _reduce(_s_poly(basis[i], basis[j], lcm), basis, pk) == {}
                 checked += 1
     assert checked > 0
 

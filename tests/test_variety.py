@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from nullsol.config import DEFAULT_CONFIG
-from nullsol.groebner import add_multiple, unit_ideal_test
+from nullsol.groebner import unit_ideal_test
 from nullsol.intervals import cube
 from nullsol.multipoly import MultiPoly
 from nullsol.symbols import RealPolySystem
@@ -21,6 +21,7 @@ from nullsol.variety import (
     UNKNOWN,
     _branch_and_bound,
     _simplest_rational,
+    add_multiple,
     boundedness_radius,
     decide_emptiness,
     subdivision_search,
