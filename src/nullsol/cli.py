@@ -232,7 +232,9 @@ def cmd_content(args, text: str, config: SolverConfig) -> int:
     gens = [print_canonical(a, names) for a in content.generators]
     report = _base_report(p, d, default_names(p.nvars))
     report["content"] = {"dimension": d, "generators": gens}
-    report["lines"] = [f"  generator a_{k}: {g}" for k, g in enumerate(gens)] or ["  zero ideal"]
+    # a_j is the coefficient of T^j; x_content lists the nonzero ones by j
+    powers = sorted({e[-1] for e in p.terms})
+    report["lines"] = [f"  generator a_{j}: {g}" for j, g in zip(powers, gens)] or ["  zero ideal"]
     _emit(report, args)
     return EXIT_OK
 

@@ -87,8 +87,13 @@ def is_characteristic_normal(p: MultiPoly, n: Sequence[Fraction]) -> bool:
 
 
 def x_content(p: MultiPoly) -> ContentGenerators:
-    """Generators of the ideal of T-coefficients (zero entries dropped)."""
-    gens = tuple(a for a in p.coefficients_in_T() if not a.is_zero())
+    """Generators of the ideal of T-coefficients: the nonzero ones, in
+    increasing power of T.  They are grouped from the terms, so a high power
+    of T costs no more than its terms (zero coefficients are never built)."""
+    groups: dict[int, dict] = {}
+    for e, c in p.terms.items():
+        groups.setdefault(e[-1], {})[e[:-1]] = c
+    gens = tuple(MultiPoly.from_clean(p.nvars - 1, groups[k]) for k in sorted(groups))
     return ContentGenerators(dimension=p.nvars - 1, generators=gens)
 
 

@@ -29,11 +29,12 @@ never silently coerced.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, ne
+from operator import add, ne, not_
 from typing import NamedTuple
 
 from .config import DEFAULT_CONFIG, SolverConfig
@@ -95,14 +96,16 @@ _SUBSTITUTION_LIMIT = 10_000
 # have at most b + n + 1 bits (Mignotte's bound on a factor), well under
 # the 4,300 digits Python prints of an int.
 _STURM_LIMIT = 110_000
-# Most work that the resultant stage in d = 2 takes on, (D + 1) * s^3 for
-# the D + 1 Sylvester determinants of size s, and that _real_roots isolates
-# the roots of one polynomial within, n^2 * (b + log2 n) as above; past it
-# the radius proof and subdivision run instead.  Isolating the roots of one
-# polynomial takes under 0.05 s at the limit (all roots irrational, CPython
-# 3.11, one core of a 2-CPU VM); the bisection to a width of 1/lc^2 costs
-# about n^2 * b^3.  The stage keeps its eliminant within it too, as a
-# Resultant certificate prints it without dividing out its content.
+# Most size of a pair, (D + 1) * (m + n)^3 for x2-degrees m, n and D as in
+# _resultant, that the resultant stage in d = 2 takes on, kept from the
+# sampled Sylvester determinants so that the same pairs skip it: at the
+# bound the subresultant sequence takes 0.1 s on a dense pair linear in x2
+# (x1-degree 625, 2-bit coefficients), 20 ms at x2-degree 2 or more.  Also
+# most work, n^2 * (b + log2 n) as above, of a polynomial whose roots
+# _real_roots isolates, or that a Resultant certificate prints with its
+# content: under 0.05 s at the limit (all roots irrational), as bisection to
+# a width of 1/lc^2 costs about n^2 * b^3.  Past either the radius proof and
+# subdivision run instead (CPython 3.11, one core of a 2-CPU VM).
 _RESULTANT_LIMIT = 10_000
 
 
@@ -481,13 +484,16 @@ def _sign_changes(seq: list[list[int]], num: int, den: int) -> int:
 
 def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
     """``a / b`` for an integer ``b`` that divides ``a`` with an integer
-    quotient (a primitive ``b`` that divides ``a`` over Q, by Gauss)."""
+    quotient (a primitive ``b`` that divides ``a`` over Q, by Gauss);
+    ArithmeticError if it does not."""
     r, q = list(a), []
     for i in range(len(a) - len(b) + 1):
         c = r[i] // b[0]
         q.append(c)
-        for j in range(1, len(b)):
+        for j in range(len(b)):
             r[i + j] -= c * b[j]
+    if any(r):
+        raise ArithmeticError("inexact polynomial division")
     return q
 
 
@@ -584,62 +590,61 @@ def gcd_real_roots(terms) -> tuple[list[int], list[tuple[int, int] | None]] | No
     return g, roots
 
 
-def _bareiss(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix, changed in place, by
-    Bareiss's fraction-free elimination (every division is exact)."""
-    sign, prev, n = 1, 1, len(rows)
-    for k in range(n - 1):
-        if not rows[k][k]:
-            i = next((i for i in range(k + 1, n) if rows[i][k]), None)
-            if i is None:
-                return 0
-            rows[k], rows[i], sign = rows[i], rows[k], -sign
-        top, pivot = rows[k], rows[k][k]
-        for row in rows[k + 1:]:
-            f = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - f * top[j]) // prev
-        prev = pivot
-    return sign * rows[-1][-1]
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    """The product of two polynomials in x1, lists as in _pseudo_remainder."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _sub(a: list[int], b: list[int]) -> list[int]:
+    """``a - b`` for two polynomials in x1, with no leading zero."""
+    d = [x - y for x, y in itertools.zip_longest(a[::-1], b[::-1], fillvalue=0)]
+    return list(itertools.dropwhile(not_, d[::-1]))
 
 
 def _resultant(p: dict, q: dict) -> list[int] | None:
     """``Res_x2(p, q)`` as x1-coefficients, highest degree first ([] when it is
     0), or None past _RESULTANT_LIMIT.
 
-    The Sylvester matrix, built with the formal x2-degrees m, n of p, q, is
-    taken at x1 = 0..D, each determinant by Bareiss.  Its entries in a row of
-    p have degree at most deg p - m plus the column offset, so the resultant
-    has degree at most D = n*deg p + m*deg q - m*n <= deg p * deg q.  Newton's
-    forward differences interpolate on integers: the k-th difference at 0 of
-    an integer polynomial is a multiple of k!.
+    The subresultant pseudo-remainder sequence in x2 over Z[x1] (Collins
+    1967; Brown & Traub 1971; Cohen, GTM 138, alg. 3.3.7), every exact
+    division checked; a zero remainder is a common factor, so Res = 0.  The
+    sign is that of the Sylvester matrix with the x2-degrees m, n of p, q,
+    rows of p first; its degree in x1 is at most D = n*deg p + m*deg q - m*n.
     """
     m, n = max(e[1] for e in p), max(e[1] for e in q)
     bound = n * max(map(sum, p)) + m * max(map(sum, q)) - m * n
     if (bound + 1) * (m + n) ** 3 > _RESULTANT_LIMIT:
         return None
-    values = []
-    for t in range(bound + 1):
-        a, b = [0] * (m + 1), [0] * (n + 1)
-        for coeffs, f, deg in ((a, p, m), (b, q, n)):
-            for (i, j), c in f.items():
-                coeffs[deg - j] += c * t ** i
-        values.append(_bareiss([[0] * k + a + [0] * (n - 1 - k) for k in range(n)]
-                               + [[0] * k + b + [0] * (m - 1 - k) for k in range(m)]))
-    newton, factorial = [], 1
-    for k in range(bound + 1):
-        factorial *= k or 1
-        c, rest = divmod(values[0], factorial)
-        if rest:
-            raise ArithmeticError(f"resultant samples exceed degree {bound}")
-        newton.append(c)
-        values = [b - a for a, b in zip(values, values[1:])]
-    # r = c_0 + x*(c_1 + (x - 1)*(c_2 + ...)), from the inside out
-    r = [newton[bound]]
-    for k in range(bound - 1, -1, -1):
-        r = [a - k * b for a, b in zip(r + [0], [0] + r)]
-        r[-1] += newton[k]
-    return r[next((i for i, c in enumerate(r) if c), len(r)):]
+    # the coefficients of x2^deg, ..., x2^0, each a polynomial in x1
+    a, b = ([[f.get((i, j), 0)
+              for i in range(max((e[0] for e in f if e[1] == j), default=-1), -1, -1)]
+             for j in range(deg, -1, -1)] for f, deg in ((p, m), (q, n)))
+    sign = -1 if m < n and m * n % 2 else 1
+    a, b = (b, a) if m < n else (a, b)
+    g = h = [1]
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -sign
+        r = list(a)  # lc(b)^(delta + 1) * a mod b
+        for i in range(delta + 1):
+            r[i + 1:] = [_mul(b[0], c) for c in r[i + 1:]]
+            for j in range(1, len(b)):
+                r[i + j] = _sub(r[i + j], _mul(r[i], b[j]))
+        r = list(itertools.dropwhile(not_, r[delta + 1:]))
+        if not r:
+            return []
+        hd = functools.reduce(_mul, [h] * delta, [1])  # h^delta
+        divisor = _mul(g, hd)  # g = lc(a), 1 at first
+        a, b, g = b, [_exact_quotient(c, divisor) for c in r], b[0]
+        h = _exact_quotient(functools.reduce(_mul, [g] * delta, h), hd)  # g^delta / h^(delta-1)
+    # b is a constant in x2: the resultant is lc(b)^deg a / h^(deg a - 1)
+    return _exact_quotient(functools.reduce(_mul, [b[0]] * (len(a) - 1), [sign * c for c in h]),
+                           functools.reduce(_mul, [h] * (len(a) - 1), [1]))
 
 
 def _eliminant(polys: list[tuple[int, dict]]) -> tuple[list[int], list[int]] | None:

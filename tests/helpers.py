@@ -243,9 +243,9 @@ def reference_resultant(p: dict, q: dict) -> list[Fraction]:
     highest degree first ([] when it is 0).
 
     The Sylvester matrix over Q[x1], with the formal x2-degrees of ``p`` and
-    ``q``, expanded by cofactors column by column: no evaluation, no
-    interpolation and no elimination, so it is independent of the solver's
-    Bareiss determinants at integer points.
+    ``q``, expanded by cofactors column by column: no division and no
+    remainder, so it is independent of the solver's subresultant
+    pseudo-remainder sequence.
     """
     m, n = max(e[1] for e in p), max(e[1] for e in q)
 

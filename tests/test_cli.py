@@ -303,6 +303,10 @@ def test_text_output_lines(capsys):
     code, out, _ = run(capsys, "content", "T - X1^2")
     assert (code, out) == (EXIT_OK, "symbol: -X1^2 + T   (d = 1)\n"
                                      "  generator a_0: -X1^2\n  generator a_1: 1\n")
+    # a_j is the coefficient of T^j, also where a power of T is missing
+    code, out, _ = run(capsys, "content", "T^2 + X1")
+    assert (code, out) == (EXIT_OK, "symbol: T^2 + X1   (d = 1)\n"
+                                     "  generator a_0: X1\n  generator a_2: 1\n")
     code, out, _ = run(capsys, "content", "0", "--dim", "1")
     assert (code, out) == (EXIT_OK, "symbol: 0   (d = 1)\n  zero ideal\n")
     code, out, _ = run(capsys, "witness", "(X1^2+X2^2+1)*(T+1)", "--freq", "1,0")
@@ -363,6 +367,28 @@ def test_closed_stdout_pipe_exits_quietly():
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (EXIT_INPUT_ERROR, b"")
+
+
+@pytest.mark.parametrize("command", ["classify", "content"])
+def test_high_power_of_T_with_few_terms_fits_in_memory(command):
+    # T^100000001 + X1 has two nonzero T-coefficients; a list of all 10^8 + 1
+    # of them does not fit in the 300 MB address space the child runs in
+    resource = pytest.importorskip("resource")
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nullsol.cli", command, "T^100000001 + X1", "--output", "json",
+         "--no-timing"],
+        capture_output=True, env=env, preexec_fn=cap_memory, timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr.decode()[-500:]
+    report = json.loads(proc.stdout)
+    if command == "classify":
+        assert len(report["verdicts"]) == 9
+    else:
+        assert report["content"]["generators"] == ["X1", "1"]
 
 
 @pytest.mark.parametrize("argv, expected", [

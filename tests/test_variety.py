@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -892,7 +893,7 @@ def _random_x2_poly(rng):
 
 def test_resultant_matches_the_cofactor_reference():
     # every third pair has the leading x2-coefficient x1 - t, t in 0..2,
-    # which vanishes at one of the Sylvester evaluation points
+    # which vanishes at an integer x1: there the x2-degree drops
     rng = random.Random(21)
     for i in range(240):
         p, q = _random_x2_poly(rng), _random_x2_poly(rng)
@@ -900,6 +901,79 @@ def test_resultant_matches_the_cofactor_reference():
             t = rng.randint(0, 2)
             p = {e: c for e, c in p.items() if e[1] < 2} | {(1, 2): 1} | ({(0, 2): -t} if t else {})
         assert nullsol.variety._resultant(p, q) == list(map(int, reference_resultant(p, q)))
+
+
+def _random_dense(rng, x2_degree, x1_degree, bits):
+    return {(i, j): rng.getrandbits(bits) - (1 << (bits - 1)) or 1
+            for i in range(x1_degree + 1) for j in range(x2_degree + 1)}
+
+
+@pytest.mark.parametrize("case", [
+    "m<n-odd", "m<n-even", "m=n", "drop-mid-sequence", "drop-last-step", "zero-remainder",
+    "lc-vanishes-at-1", "x1-degree-60", "200-bit"])
+def test_resultant_on_each_branch_of_the_subresultant_sequence(case):
+    # each pair takes one branch of the subresultant sequence in x2 (m, n
+    # the x2-degrees of p, q); Res_x2 is the cofactor reference's
+    x, y = X2, Y2
+    c = functools.partial(const, 2)
+    cubic = (x + c(2)) * y ** 3 + x * y * y - c(3) * y + x
+    quadratic = (x + c(2)) * y * y + x * y - c(3)
+    pairs = {
+        # p and q swap places, with the sign (-1)^(m*n)
+        "m<n-odd": ((x + c(2)) * y + x * x - c(1),
+                    (c(2) * x - c(1)) * y ** 3 + x * y * y + c(3) * y + x + c(1)),
+        "m<n-even": ((x + c(2)) * y + x * x - c(1), (c(3) * x + c(1)) * y * y + x * y - c(2)),
+        # a first step that keeps the degree leaves the scale h at 1
+        "m=n": ((x + c(2)) * y * y + x * y + c(1), (x - c(3)) * y * y + y + x * x),
+        # p mod the cubic has x2-degree 1: the degree drops by 2, and one
+        # more step follows
+        "drop-mid-sequence": ((y + x) * cubic + (x - c(3)) * y + c(2) * x + c(1), cubic),
+        # p mod the quadratic is a constant: the sequence ends on a drop of 2,
+        # with the scale h = lc(quadratic) = x1 + 2
+        "drop-last-step": ((y + x) * quadratic + c(2) * x + c(1), quadratic),
+        # a common factor y + x: the remainder is 0 and so is Res
+        "zero-remainder": ((y + x) * (x * y + c(1)), (y + x) * (y - c(2) * x + c(3))),
+        "lc-vanishes-at-1": ((x - c(1)) * y * y + y + x, (x + c(1)) * y - c(2)),
+    }
+    rng = random.Random(25)
+    if case in pairs:
+        p, q = (integer_terms(f.real_terms()) for f in pairs[case])
+    elif case == "x1-degree-60":
+        p, q = _random_dense(rng, 2, 60, 200), _random_dense(rng, 1, 60, 200)
+    else:
+        p, q = _random_dense(rng, 3, 10, 200), _random_dense(rng, 2, 10, 200)
+    r = nullsol.variety._resultant(p, q)
+    assert r == list(map(int, reference_resultant(p, q)))
+    assert (r == []) == (case == "zero-remainder")
+
+
+def test_exact_quotient_checks_its_remainder():
+    assert nullsol.variety._exact_quotient([2, 0, -2], [1, 1]) == [2, -2]
+    assert nullsol.variety._exact_quotient([], [3, 1]) == []
+    # x^2 + 1 by x + 1, 3x by 2, 1 by x + 1: no integer quotient
+    for a, b in (([1, 0, 1], [1, 1]), ([3, 0], [2]), ([1], [1, 1])):
+        with pytest.raises(ArithmeticError):
+            nullsol.variety._exact_quotient(a, b)
+
+
+def test_resultant_of_a_long_linear_pair_is_fast():
+    # linear in x2, dense of x1-degree 600: within the size bound, and the
+    # sequence is one step, Res = a1*b0 - a0*b1 for p = a1*x2 + a0,
+    # q = b1*x2 + b0
+    rng = random.Random(26)
+    p, q = ({(i, j): rng.choice([-2, -1, 1, 2]) for i in range(601) for j in range(2)}
+            for _ in range(2))
+    start = time.perf_counter()
+    r = nullsol.variety._resultant(p, q)
+    assert time.perf_counter() - start < 1
+    a1, a0, b1, b0 = ([f[(i, j)] for i in range(600, -1, -1)] for f in (p, q) for j in (1, 0))
+    expected = [0] * 1201
+    for i, u in enumerate(a1):
+        for k, v in enumerate(b0):
+            expected[i + k] += u * v
+        for k, v in enumerate(b1):
+            expected[i + k] -= a0[i] * v
+    assert r == expected[next(i for i, x in enumerate(expected) if x):]
 
 
 def test_common_factor_skips_the_stage():
@@ -1228,9 +1302,9 @@ def test_resultant_diagnostics(system, status, witness, resultant, pipeline):
 
 
 def test_resultant_stage_stops_at_its_work_bound(monkeypatch):
-    # a dense pair of degree 40: 41 * 42 / 2 terms each, so the Sylvester
-    # work alone, 1601 * 80^3, is far past the bound; the stage ends before
-    # any determinant
+    # a dense pair of degree 40: 41 * 42 / 2 terms each, so its size,
+    # 1601 * 80^3, is far past the bound; the stage ends before any
+    # pseudo-remainder
     rng = random.Random(40)
     p, q = ({(i, j): rng.choice([-2, -1, 1, 2]) for i in range(41) for j in range(41 - i)}
             for _ in range(2))
@@ -1289,10 +1363,10 @@ def test_quadratic_lift_past_the_isolation_bound():
 
 
 def test_critical_points_stop_at_the_work_bound(monkeypatch):
-    # a dense single polynomial of degree 40: Res_x2(p, dp/dx2), 1561
-    # Sylvester determinants of size 79, is far past the bound, so the
-    # stage ends before any determinant and the radius proof runs next
-    # (here stubbed: on degree 80 it alone takes minutes)
+    # a dense single polynomial of degree 40: the pair (p, dp/dx2), of size
+    # 1561 * 79^3, is far past the bound, so the stage ends before any
+    # pseudo-remainder and the radius proof runs next (here stubbed: on
+    # degree 80 it alone takes minutes)
     rng = random.Random(41)
     p = MultiPoly(2, {(i, j): rng.choice([-2, -1, 1, 2]) for i in range(41) for j in range(41 - i)})
     monkeypatch.setattr(nullsol.variety, "boundedness_radius", lambda sys: None)
