@@ -6,7 +6,8 @@ preservation under X -> 0 for smooth functions and general distributions,
 emptiness of the imaginary-axis slice of the T-coefficient variety for
 spatially tempered distributions, and a lattice resonance test for
 spatially periodic distributions (from the rational roots of one gcd in
-d = 1, a search otherwise).  The zero symbol is nontrivial in every space.
+d = 1; otherwise a search over k1..k_{d-1} whose fibres are solved for
+k_d the same way).  The zero symbol is nontrivial in every space.
 """
 
 from __future__ import annotations
@@ -175,6 +176,22 @@ def _shell_key(box) -> tuple[int, tuple[int, ...]]:
     return max(max(a, -b, 0) for a, b in box), tuple(-b for _, b in box)
 
 
+def _fibre(terms: dict, den: int, inv: list[list[int]], prefix: list[int]) -> dict:
+    """``den^D * q(inv*k/den)`` for a grade ``q`` of degree D on the fibre
+    ``k = (*prefix, t)``, as a univariate term dict in t."""
+    degree = max(map(sum, terms))
+    out = [0] * (degree + 1)  # coefficients of t^0, t^1, ...
+    for e, c in terms.items():
+        f = [c * den ** (degree - sum(e))]
+        for row, n in zip(inv, e):
+            x = sum(m * k for m, k in zip(row, prefix))
+            for _ in range(n):  # times (x + row[-1]*t)
+                f = [u * x + w * row[-1] for u, w in zip(f + [0], [0] + f)]
+        for j, u in enumerate(f):
+            out[j] += u
+    return {(j,): v for j, v in enumerate(out) if v}
+
+
 def periodic_test(p: MultiPoly, lattice: LatticeSpec,
                   config: SolverConfig = DEFAULT_CONFIG) -> Verdict:
     """Resonance test over the frequency lattice 2*pi * A^-1 * Z^d.
@@ -197,11 +214,17 @@ def periodic_test(p: MultiPoly, lattice: LatticeSpec,
     When the real zeros of the graded system are certified bounded, the
     search covers every k that can resonate and the verdict is decisive;
     otherwise it stops at ``config.lattice_radius`` and may return UNKNOWN.
-    Either way it gives up with UNKNOWN after ``BOX_BUDGET`` boxes.  It is a
-    best-first branch-and-bound over integer boxes of k that drops a box
-    when a grade's exact enclosure over its image excludes 0, and it reports
-    the first resonance in shell order: least max-norm, then k = 1 before
-    k = -1.
+    Either way it gives up with UNKNOWN after ``BOX_BUDGET`` boxes, a fibre
+    solve counted as one.  It is a best-first branch-and-bound over integer
+    boxes of k that drops a box when a grade's exact enclosure over its
+    image excludes 0, and splits the widest of k1..k_{d-1} with the value
+    nearest 0 as a child of its own; k_d stays whole.  Once k1..k_{d-1} are
+    a point, the fibre is solved: the integer roots in range of the gcd of
+    the grades in k_d (:func:`_fibre`, :func:`gcd_real_roots`) are queued
+    as points, each checked exactly when popped.  A fibre on which every
+    grade vanishes, or whose gcd gives up, is split along k_d instead.  It
+    reports the first resonance in shell order: least max-norm, then k = 1
+    before k = -1.
     """
     dim = lattice.dimension
     if p.nvars != dim + 2:
@@ -243,11 +266,30 @@ def periodic_test(p: MultiPoly, lattice: LatticeSpec,
     den = math.lcm(*(x.denominator for row in lattice.inverse() for x in row))
     inv = [[int(x * den) for x in row] for row in lattice.inverse()]
     polys = [clear(terms, den) for terms in system.terms]
-    cube = ((-search_radius, search_radius),) * dim
-    heap = [(_shell_key(cube), cube)]
-    budget = BOX_BUDGET
+    heap, budget = [], BOX_BUDGET
+    gave_up = {()} if dim == 1 else set()  # fibres split along k_d, not solved
+
+    def push(box):
+        """Queue a box; a fibre (k1..k_{d-1} a point) is solved exactly instead,
+        and its integer zeros in range are queued as points."""
+        nonlocal budget
+        prefix, (a, b) = box[:-1], box[-1]
+        if all(lo == hi for lo, hi in prefix) and prefix not in gave_up:
+            budget -= 1
+            fixed = [x for x, _ in prefix]
+            found = gcd_real_roots([_fibre(terms, den, inv, fixed) for terms in system.terms])
+            if found is not None:
+                for num, q in filter(None, found[1]):
+                    if q == 1 and a <= num <= b:
+                        point = prefix + ((num, num),)
+                        heapq.heappush(heap, (_shell_key(point), point))
+                return
+            gave_up.add(prefix)  # every grade vanishes, or the gcd gave up
+        heapq.heappush(heap, (_shell_key(box), box))
+
+    push(((-search_radius, search_radius),) * dim)
     while heap:
-        if not budget:
+        if budget <= 0:
             evidence["reason"] = "box-budget"
             return Verdict(UNKNOWN, rule="lattice-search-exhausted", evidence=evidence)
         budget -= 1
@@ -263,11 +305,13 @@ def periodic_test(p: MultiPoly, lattice: LatticeSpec,
             evidence["lattice_point"] = list(k)
             return Verdict(NONTRIVIAL, rule="lattice-resonance", evidence=evidence,
                            witness=build_periodic_witness(p, lattice.frequency_vector(k)))
-        i = max(range(dim), key=lambda j: box[j][1] - box[j][0])
+        widths = [b - a for a, b in box[:-1]]
+        i = widths.index(max(widths)) if any(widths) else dim - 1  # k_d: a fibre that gave up
         a, b = box[i]
-        for half in ((a, (a + b) // 2), ((a + b) // 2 + 1, b)):
-            child = box[:i] + (half,) + box[i + 1:]
-            heapq.heappush(heap, (_shell_key(child), child))
+        m = min(max(a, 0), b)  # the value nearest 0 is a child of its own
+        for part in ((a, m - 1), (m, m), (m + 1, b)):
+            if part[0] <= part[1]:
+                push(box[:i] + (part,) + box[i + 1:])
 
     evidence["searched_radius"] = search_radius
     if r0 is not None:

@@ -281,6 +281,77 @@ def test_periodic_large_complete_radius(text, rows, status, evidence):
     assert (v.status, v.evidence) == (status, evidence)
 
 
+def _record_calls(monkeypatch, name):
+    """The argument tuples of every call to ``nullsol.classifier.<name>``."""
+    calls, real = [], getattr(nullsol.classifier, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(nullsol.classifier, name, recorded)
+    return calls
+
+
+def test_periodic_whole_fibre_resonates():
+    # the pi^2 grade 4 - 4*v1^2 vanishes on the whole fibre k1 = 1 of the
+    # identity lattice: no gcd solves it, so it is split along k2 down to
+    # the first point in shell order; on 2,1;0,1 it is the line
+    # k1 - k2 = 2, met by each fibre at one root
+    assert periodic("(X1^2+4*PI^2)*T", [[1, 0], [0, 1]]).evidence == {"lattice_point": [1, 1]}
+    assert periodic("(X1^2+4*PI^2)*T", [[2, 1], [0, 1]]).evidence == {"lattice_point": [1, -1]}
+
+
+@pytest.mark.parametrize("text, rows, most", [
+    # a resonance at the origin: the fibre k1 = 0 is split off and solved
+    # first (the search over both axes took 22 enclosures)
+    ("X1*X2*T - X1*X2", [[1, 1], [-1, 1]], 6),
+    # every fibre (k1, k2) inside the projected ball is solved once, and
+    # k3 is never enclosed bit by bit (the search over all axes took 8,997)
+    ("(X1^2+X2^2+X3^2+1203*PI^2)*T", [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2_000),
+])
+def test_periodic_fibres_cut_the_enclosures(monkeypatch, text, rows, most):
+    calls = _record_calls(monkeypatch, "enclose")
+    periodic(text, rows)
+    assert len(calls) <= most
+
+
+def test_periodic_fibre_past_the_gcd_bound_is_solved_once(monkeypatch):
+    # the pi^10 grade is a multiple of c*(4*v2^2 - 1)*(v2^8 + 3), c = 3^600,
+    # whose work is past _STURM_LIMIT, and the pi grade 2*(v1 + v2) tells
+    # the fibres k1 = -16..16 apart: each gives up once and is split along
+    # k2, never solved again
+    calls = _record_calls(monkeypatch, "gcd_real_roots")
+    v = periodic(f"{3 ** 600}*(X2^10 + X2^8*PI^2 + 768*X2^2*PI^8 + 768*PI^10)*T"
+                 " + (X1 + X2)*T^2", [[1, 0], [0, 1]])
+    assert (v.status, v.rule) == (UNKNOWN, "lattice-search-exhausted")
+    assert v.evidence == {"searched_radius": 16, "reason": "lattice-truncated"}
+    fibres = [tuple(tuple(sorted(terms.items())) for terms in args[0]) for args in calls]
+    assert len(fibres) == len(set(fibres)) == 33
+    assert all(nullsol.variety._univariate_gcd(args[0]) is None for args in calls)
+
+
+def test_periodic_fibre_queues_only_integer_roots(monkeypatch):
+    # v1^2 + 4*v2^2 = 50 meets the fibres k1 = +-1, +-5, +-7 at k2 = +-7/2,
+    # +-5/2, +-1/2 and holds no lattice point, so no point is ever checked
+    calls = _record_calls(monkeypatch, "enclose")
+    v = periodic("(X1^2 + 4*X2^2 + 200*PI^2)*T", [[1, 0], [0, 1]])
+    assert (v.status, v.rule) == (TRIVIAL, "lattice-resonance-free")
+    assert not [image for _, (_, image) in calls if all(a == b for a, b in image)]
+
+
+def test_periodic_fibre_roots_stay_inside_the_radius():
+    # v1*v2 = 5 is unbounded, and its only lattice points are +-(1, 5) and
+    # +-(5, 1): at radius 3 the fibre k1 = 1 is solved, but its root k2 = 5
+    # lies outside the searched cube and must not be reported
+    p, _ = parse("(X1*X2 + 20*PI^2)*T", dim=2, allow_pi=True)
+    lat = LatticeSpec.from_rows([[1, 0], [0, 1]])
+    v = periodic_test(p, lat, SolverConfig(lattice_radius=3))
+    assert (v.status, v.evidence) == (UNKNOWN, {"searched_radius": 3, "reason": "lattice-truncated"})
+    v = periodic_test(p, lat, SolverConfig(lattice_radius=5))
+    assert (v.status, v.evidence) == (NONTRIVIAL, {"lattice_point": [5, 1]})
+
+
 _D1_LATTICES = tuple(map(Fraction, (1, -1, 2, -2, Fraction(3, 2), Fraction(-4, 3))))
 
 
