@@ -8,8 +8,9 @@ Subcommands:
   witness   EXPR (--freq "a,b,..." | --auto)       build + verify a witness
 
 Exit codes: 0 decisive, 1 input/usage error, 2 at least one UNKNOWN verdict.
-JSON reports are byte-identical across runs for the same input and config
-when --no-timing is given.
+A JSON report is one line of compact JSON, written by the json module's C
+encoder (``python -m json.tool`` pretty-prints it), and byte-identical
+across runs for the same input and config when --no-timing is given.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def _residual_text(value: float | None) -> str:
 
 def _emit(report: dict, args) -> None:
     if args.output == "json":
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report))
         return
     # text rendering
     inp = report.get("input", {})

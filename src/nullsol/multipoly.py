@@ -34,14 +34,15 @@ def grlex_key(exps: tuple[int, ...]):
 
 
 def format_coeff(c: tuple) -> str:
-    """Text of the coefficient ``(re, im)``: ``re``, ``im*i`` or ``re+im*i``."""
+    """Text of the coefficient ``(re, im)``: ``re``, ``im*i`` or ``re+im*i``.
+    The sign of ``im`` is read from its text, not by comparing numbers."""
     re, im = c
-    if im == 0:
+    if not im:
         return str(re)
-    if re == 0:
+    im = str(im)
+    if not re:
         return f"{im}*i"
-    sign = "+" if im > 0 else "-"
-    return f"{re}{sign}{abs(im)}*i"
+    return f"{re}{im}*i" if im[0] == "-" else f"{re}+{im}*i"
 
 
 def _coeff(c) -> tuple:

@@ -468,35 +468,25 @@ def default_names(nvars: int, t_last: bool = True, pi_slot: int | None = None) -
     return names
 
 
-def _coeff_str(c: tuple) -> str:
-    return f"({format_coeff(c)})" if c[0] and c[1] else format_coeff(c)
-
-
 def print_canonical(p: MultiPoly, names: list[str] | None = None) -> str:
-    """Canonical text form: graded-lex descending; re-parses to ``p``."""
+    """Canonical text form: graded-lex descending; re-parses to ``p``.  The
+    coefficients are compared as text, so only a real one can be 1 or -1."""
     if names is None:
         names = default_names(p.nvars)
-    if p.is_zero():
-        return "0"
-    parts = []
+    out = []
     for exps, c in p.sorted_terms():
-        mono = "*".join(
-            name if e == 1 else f"{name}^{e}"
-            for name, e in zip(names, exps) if e > 0
-        )
+        mono = "*".join([name if e == 1 else f"{name}^{e}"
+                         for name, e in zip(names, exps) if e])
+        coeff = f"({format_coeff(c)})" if c[1] and c[0] else format_coeff(c)
         if not mono:
-            s = _coeff_str(c)
-        elif c == (1, 0):
+            s = coeff
+        elif coeff == "1":
             s = mono
-        elif c == (-1, 0):
+        elif coeff == "-1":
             s = f"-{mono}"
         else:
-            s = f"{_coeff_str(c)}*{mono}"
-        parts.append(s)
-    out = parts[0]
-    for s in parts[1:]:
-        if s.startswith("-"):
-            out += f" - {s[1:]}"
-        else:
-            out += f" + {s}"
-    return out
+            s = f"{coeff}*{mono}"
+        if out:
+            s = f" - {s[1:]}" if s[0] == "-" else f" + {s}"
+        out.append(s)
+    return "".join(out) or "0"

@@ -6,7 +6,8 @@ imaginary-axis slice of its zero set into a real polynomial system.  For
 lattice-periodic symbols (a PI slot before T) the pi-grading does the same
 for the frequencies 2*pi*v.  Both take ``i^k`` as a rotation of the
 coefficients' ``(re, im)`` pairs from a 4-entry table, and both slices split
-the rotated term dicts into their real and imaginary parts in one pass.
+the rotated term dicts into their real and imaginary parts, clear them to
+integers and drop duplicates in one pass, keyed on the integer dicts.
 """
 
 from __future__ import annotations
@@ -49,10 +50,13 @@ class RealPolySystem:
     terms: tuple[dict[tuple[int, ...], int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        real = [p.real_terms() for p in self.polys]
-        lcm = math.lcm(*(c.denominator for p in real for c in p.values()))
-        object.__setattr__(self, "terms", tuple(
-            {e: c.numerator * (lcm // c.denominator) for e, c in p.items()} for p in real))
+        object.__setattr__(self, "terms", _cleared([p.real_terms() for p in self.polys]))
+
+
+def _cleared(parts: list[dict]) -> tuple[dict[tuple[int, ...], int], ...]:
+    """Real term dicts times the lcm of all their denominators, as ints."""
+    lcm = math.lcm(*(c.denominator for p in parts for c in p.values()))
+    return tuple({e: c.numerator * (lcm // c.denominator) for e, c in p.items()} for p in parts)
 
 
 def restrict_to_time(p: MultiPoly) -> MultiPoly:
@@ -106,15 +110,19 @@ def at_i_xi(a: MultiPoly) -> MultiPoly:
 def _real_system(dimension: int, rotated) -> RealPolySystem:
     """System of the real and imaginary parts of Q(i) term dicts, in order,
     each part a real polynomial; zero parts and structural duplicates are
-    dropped."""
-    parts: dict[frozenset, dict] = {}
-    for terms in rotated:
-        for k in (0, 1):
-            part = {e: (c[k], 0) for e, c in terms.items() if c[k]}
-            if part:
-                parts.setdefault(frozenset(part.items()), part)
-    return RealPolySystem(dimension, tuple(MultiPoly.from_clean(dimension, part)
-                                           for part in parts.values()))
+    dropped.  One common factor clears every part, so two parts are equal
+    exactly when their integer dicts are, and those are the ``terms``."""
+    parts = [part for terms in rotated for k in (0, 1)
+             if (part := {e: c[k] for e, c in terms.items() if c[k]})]
+    kept: dict[frozenset, tuple] = {}
+    for part, ints in zip(parts, _cleared(parts)):
+        kept.setdefault(frozenset(ints.items()), (part, ints))
+    system = object.__new__(RealPolySystem)  # terms given, so no __post_init__
+    object.__setattr__(system, "dimension", dimension)
+    object.__setattr__(system, "polys", tuple(MultiPoly.from_clean(
+        dimension, {e: (c, 0) for e, c in p.items()}) for p, _ in kept.values()))
+    object.__setattr__(system, "terms", tuple(ints for _, ints in kept.values()))
+    return system
 
 
 def imaginary_slice(content: ContentGenerators) -> RealPolySystem:

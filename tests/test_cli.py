@@ -342,13 +342,17 @@ def test_stdin_expression(capsys, monkeypatch):
 
 
 def test_json_byte_determinism(capsys):
-    outputs = []
-    for _ in range(3):
-        code, out, _ = run(capsys, "classify", "(X1^2+X2^2+1)*(T+1)",
-                           "--space", "tempered", "--output", "json", "--no-timing")
-        assert code == EXIT_OK
-        outputs.append(out)
-    assert len(set(outputs)) == 1
+    for argv in (("classify", "(X1^2+X2^2+1)*(T+1)", "--space", "tempered"),
+                 ("periodic", "X1^2*T + 4*PI^2*T", "--lattice", "1")):
+        outputs = []
+        for _ in range(3):
+            code, out, _ = run(capsys, *argv, "--output", "json", "--no-timing")
+            assert code == EXIT_OK
+            # one line of compact JSON
+            assert out.endswith("\n") and out.count("\n") == 1
+            assert json.loads(out)["verdicts"]
+            outputs.append(out)
+        assert len(set(outputs)) == 1
 
 
 def test_closed_stdout_pipe_exits_quietly():

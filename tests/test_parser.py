@@ -215,6 +215,10 @@ def test_tokenizer_matches_reference_loop(monkeypatch):
 @pytest.mark.parametrize("text, printed", [
     ("(1/2-3*i)*X1 - 2*i*T + 5*i - 1", "(1/2-3*i)*X1 - 2*i*T + (-1+5*i)"),
     ("-3*i*X1 + (0-1*i) + 2*X1*T", "2*X1*T - 3*i*X1 - 1*i"),
+    # parts that are Fractions equal to +-1, or a negative imaginary part
+    ("2/2*X1*T - 4/4*X1", "X1*T - X1"),
+    ("-2/2*i*X1*T + (1/3-3/3*i)", "-1*i*X1*T + (1/3-1*i)"),
+    ("(3/4-1/2*i)*X1 - 1/2*i", "(3/4-1/2*i)*X1 - 1/2*i"),
 ])
 def test_print_canonical_gaussian_coefficients(text, printed):
     # only a coefficient with both parts nonzero is parenthesized

@@ -233,5 +233,8 @@ def test_rotation_tables_match_ring_powers():
         assert at_i_xi(a) == rotated
         assert pi_grades(a) == grades
         content = ContentGenerators(a.nvars, (a,))
-        assert imaginary_slice(content).polys == _reference_slice(a.nvars, [rotated])
-        assert pi_graded_slice(content).polys == _reference_slice(a.nvars - 1, grades)
+        for result, dim, reference in ((imaginary_slice(content), a.nvars, [rotated]),
+                                       (pi_graded_slice(content), a.nvars - 1, grades)):
+            assert result.polys == _reference_slice(dim, reference)
+            # the slice clears its parts in the same pass; the constructor agrees
+            assert result.terms == RealPolySystem(dim, result.polys).terms
