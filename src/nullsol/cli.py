@@ -36,7 +36,7 @@ from .classifier import (
 from .config import DEFAULT_CONFIG, SolverConfig
 from .multipoly import MultiPoly, format_coeff
 from .parser import MAX_DIM, ParseError, default_names, parse, parse_rational, print_canonical
-from .symbols import x_content
+from .symbols import t_coefficients
 from .variety import EmptinessVerdict
 from .witness import CertificateFailure, Witness, build_witness, verify_residual
 
@@ -80,7 +80,7 @@ def _serialize_witness(w: Witness) -> dict:
         "frequency": [str(f) for f in w.frequency],
         "frequency_scale": "2*pi" if w.pi_factor else "1",
         "certificate": [format_coeff(v) for v in w.certificate],
-        "theta_max_order": len(w.theta) - 1,
+        "theta_max_order": w.theta_max_order,
         "exact_certificate_ok": report.exact_certificate_ok,
         "sampled_residual_max": report.max_numeric_residual,
         "past_ok": report.past_ok,
@@ -228,14 +228,12 @@ def cmd_periodic(args, text: str, config: SolverConfig) -> int:
 
 def cmd_content(args, text: str, config: SolverConfig) -> int:
     p, d = parse(text, dim=args.dim)
-    content = x_content(p)
+    coeffs = t_coefficients(p)
     names = default_names(d, t_last=False)
-    gens = [print_canonical(a, names) for a in content.generators]
+    gens = [print_canonical(a, names) for _, a in coeffs]
     report = _base_report(p, d, default_names(p.nvars))
     report["content"] = {"dimension": d, "generators": gens}
-    # a_j is the coefficient of T^j; x_content lists the nonzero ones by j
-    powers = sorted({e[-1] for e in p.terms})
-    report["lines"] = [f"  generator a_{j}: {g}" for j, g in zip(powers, gens)] or ["  zero ideal"]
+    report["lines"] = [f"  generator a_{j}: {g}" for (j, _), g in zip(coeffs, gens)] or ["  zero ideal"]
     _emit(report, args)
     return EXIT_OK
 

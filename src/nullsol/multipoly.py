@@ -10,11 +10,11 @@ variables the convention throughout the package is
     slots 0 .. d-1   ->  X1 .. Xd   (spatial)
     slot  nvars - 1  ->  T          (time, always last)
 
-Polynomials produced by :func:`MultiPoly.coefficients_in_T` live in one
-variable fewer (the spatial slots only).  Representation is canonical: no
-zero coefficients are stored, so structural equality is semantic equality.
-No floating point is involved anywhere on a symbolic path: equality with
-zero is a logical claim, not a tolerance check.
+The T-coefficients of a symbol (:func:`nullsol.symbols.t_coefficients`)
+live in one variable fewer (the spatial slots only).  Representation is
+canonical: no zero coefficients are stored, so structural equality is
+semantic equality.  No floating point is involved anywhere on a symbolic
+path: equality with zero is a logical claim, not a tolerance check.
 """
 
 from __future__ import annotations
@@ -229,25 +229,6 @@ class MultiPoly:
                     term *= complex(v) ** e
             acc += term
         return acc
-
-    # -- time-coefficient split ------------------------------------------
-
-    def coefficients_in_T(self) -> list["MultiPoly"]:
-        """Coefficients [a0, a1, ..., an] of powers of the last variable.
-
-        Each a_j is a polynomial in the remaining nvars-1 variables.  The
-        list is empty for the zero polynomial; otherwise the last entry is
-        nonzero.  Interior zero coefficients are retained.
-        """
-        if not self.terms:
-            return []
-        if self.nvars == 0:
-            return [self]
-        n = max(e[-1] for e in self.terms)
-        coeffs: list[dict[tuple[int, ...], tuple]] = [{} for _ in range(n + 1)]
-        for exps, c in self.terms.items():
-            coeffs[exps[-1]][exps[:-1]] = c
-        return [MultiPoly.from_clean(self.nvars - 1, d) for d in coeffs]
 
     # -- equality / hashing ----------------------------------------------
 

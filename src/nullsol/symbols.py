@@ -1,7 +1,8 @@
 """Symbolic invariants of a PDE symbol p(X1..Xd, T).
 
-Degree test, principal part, characteristic normals, the ideal generated
-by the T-coefficients of p, and the substitution X -> i*xi that turns the
+Degree test, principal part, characteristic normals, the one split of p
+into its nonzero T-coefficients with their powers (the content ideal, the
+witness and the CLI read it), and the substitution X -> i*xi that turns the
 imaginary-axis slice of its zero set into a real polynomial system.  For
 lattice-periodic symbols (a PI slot before T) the pi-grading does the same
 for the frequencies 2*pi*v.  Both take ``i^k`` as a rotation of the
@@ -90,15 +91,21 @@ def is_characteristic_normal(p: MultiPoly, n: Sequence[Fraction]) -> bool:
     return principal_part(p).evaluate_real(vec) == (0, 0)
 
 
-def x_content(p: MultiPoly) -> ContentGenerators:
-    """Generators of the ideal of T-coefficients: the nonzero ones, in
-    increasing power of T.  They are grouped from the terms, so a high power
-    of T costs no more than its terms (zero coefficients are never built)."""
+def t_coefficients(p: MultiPoly) -> tuple[tuple[int, MultiPoly], ...]:
+    """The nonzero T-coefficients of p as ``(j, a_j)`` pairs, in increasing
+    power j, each a_j a polynomial in X1..Xd.  They are grouped from the
+    terms, so a high power of T costs no more than its terms (zero
+    coefficients are never built); the zero polynomial has none."""
     groups: dict[int, dict] = {}
     for e, c in p.terms.items():
         groups.setdefault(e[-1], {})[e[:-1]] = c
-    gens = tuple(MultiPoly.from_clean(p.nvars - 1, groups[k]) for k in sorted(groups))
-    return ContentGenerators(dimension=p.nvars - 1, generators=gens)
+    return tuple((j, MultiPoly.from_clean(p.nvars - 1, groups[j])) for j in sorted(groups))
+
+
+def x_content(p: MultiPoly) -> ContentGenerators:
+    """Generators of the ideal of T-coefficients: the nonzero ones, in
+    increasing power of T."""
+    return ContentGenerators(p.nvars - 1, tuple(a for _, a in t_coefficients(p)))
 
 
 def at_i_xi(a: MultiPoly) -> MultiPoly:

@@ -373,10 +373,18 @@ def test_closed_stdout_pipe_exits_quietly():
     assert (proc.returncode, proc.stderr) == (EXIT_INPUT_ERROR, b"")
 
 
-@pytest.mark.parametrize("command", ["classify", "content"])
-def test_high_power_of_T_with_few_terms_fits_in_memory(command):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["classify", "T^100000001 + X1"], id="classify"),
+    pytest.param(["content", "T^100000001 + X1"], id="content"),
+    pytest.param(["classify", "X1*T^100000001"], id="classify-witness"),
+    pytest.param(["classify", "X1*T^3000", "--space", "tempered"], id="tempered-witness"),
+    pytest.param(["witness", "X1*T^100000001", "--freq", "0"], id="witness"),
+    pytest.param(["periodic", "X1*T^100000001", "--lattice", "1"], id="periodic-witness"),
+])
+def test_high_power_of_T_with_few_terms_fits_in_memory(argv):
     # T^100000001 + X1 has two nonzero T-coefficients; a list of all 10^8 + 1
-    # of them does not fit in the 300 MB address space the child runs in
+    # of them does not fit in the 300 MB address space the child runs in, and
+    # neither does a table of Theta derivatives up to the top power
     resource = pytest.importorskip("resource")
 
     def cap_memory():
@@ -384,15 +392,21 @@ def test_high_power_of_T_with_few_terms_fits_in_memory(command):
 
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
-        [sys.executable, "-m", "nullsol.cli", command, "T^100000001 + X1", "--output", "json",
-         "--no-timing"],
+        [sys.executable, "-m", "nullsol.cli", *argv, "--output", "json", "--no-timing"],
         capture_output=True, env=env, preexec_fn=cap_memory, timeout=60)
     assert proc.returncode == EXIT_OK, proc.stderr.decode()[-500:]
     report = json.loads(proc.stdout)
-    if command == "classify":
+    if argv[0] == "content":
+        assert report["content"]["generators"] == ["X1", "1"]
+    elif argv[1] == "T^100000001 + X1":
         assert len(report["verdicts"]) == 9
     else:
-        assert report["content"]["generators"] == ["X1", "1"]
+        # the residual sweep stops where P_j leaves float range
+        witnesses = [v["witness"] for v in report.get("verdicts", []) if "witness" in v]
+        for w in witnesses or [report["witness"]]:
+            assert w["sampled_residual_max"] is None
+            assert w["theta_max_order"] == int(argv[1].rsplit("^", 1)[1])
+            assert w["certificate"] == ["0"]
 
 
 @pytest.mark.parametrize("argv, expected", [

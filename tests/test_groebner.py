@@ -9,15 +9,20 @@ import nullsol.groebner
 from nullsol.groebner import _basis, _entry, _normal_form, _Packing, _s_poly, unit_ideal_test
 from nullsol.multipoly import MultiPoly
 from nullsol.parser import MAX_DIM, parse
-from nullsol.symbols import RealPolySystem
+from nullsol.symbols import RealPolySystem, x_content
 from nullsol.variety import decide_emptiness
 
 from helpers import integer_terms, random_multipoly
 
 
+def _spatial(expr: str, dim: int) -> MultiPoly:
+    """A T-free expression in X1..Xdim as a polynomial in those variables."""
+    return x_content(parse(expr, dim=dim)[0]).generators[0]
+
+
 def _terms(expr: str, dim: int) -> dict:
     """Integer term dict of a T-free real expression in X1..Xdim."""
-    return integer_terms(parse(expr, dim=dim)[0].coefficients_in_T()[0].real_terms())
+    return integer_terms(_spatial(expr, dim).real_terms())
 
 
 def _packed(polys: list) -> tuple:
@@ -89,7 +94,7 @@ def test_field_overflow_is_the_cap(monkeypatch):
     # fields allow basis leads of degree 3 at most, so the run stops undecided.
     exprs = ["4*X2^2*X3 + 7*X1*X3^2", "15*X1^2*X3 - 4*X3", "X2*X3^2"]
     polys = [_terms(e, 3) for e in exprs]
-    system = RealPolySystem(3, tuple(parse(e, dim=3)[0].coefficients_in_T()[0] for e in exprs))
+    system = RealPolySystem(3, tuple(_spatial(e, 3) for e in exprs))
     assert unit_ideal_test(polys) is False
     decided = decide_emptiness(system)
     assert decided.diagnostics["groebner_unit"] is False

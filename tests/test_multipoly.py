@@ -92,39 +92,6 @@ def test_evaluate_examples():
             p.evaluate_complex(point)
 
 
-def test_coefficients_in_T():
-    # T - (X1^2 + X2^2): a0 = -(X1^2+X2^2), a1 = 1
-    p = P(3, {(0, 0, 1): 1, (2, 0, 0): -1, (0, 2, 0): -1})
-    a = p.coefficients_in_T()
-    assert len(a) == 2
-    assert a[0] == P(2, {(2, 0): -1, (0, 2): -1})
-    assert a[1] == MultiPoly.constant(2, 1)
-    # X1*X2*T: interior zero a0 retained
-    q = P(3, {(1, 1, 1): 1})
-    b = q.coefficients_in_T()
-    assert len(b) == 2
-    assert b[0].is_zero()
-    assert b[1] == P(2, {(1, 1): 1})
-    assert MultiPoly.zero(3).coefficients_in_T() == []
-    # with no variable at all, the polynomial is its own coefficient of T^0
-    assert MultiPoly.constant(0, 5).coefficients_in_T() == [MultiPoly.constant(0, 5)]
-
-
-def test_coefficients_in_T_reconstruction_random():
-    rng = random.Random(7)
-    t = MultiPoly.variable(3, 2)
-    for _ in range(100):
-        p = random_multipoly(rng, 3, max_deg=4)
-        coeffs = p.coefficients_in_T()
-        acc = MultiPoly.zero(3)
-        for k, a in enumerate(coeffs):
-            lifted = MultiPoly(3, {e + (0,): c for e, c in a.terms.items()})
-            acc = acc + lifted * t ** k
-        assert acc == p
-        if coeffs:
-            assert not coeffs[-1].is_zero()
-
-
 def test_grlex_key_order():
     exps = [(0, 2), (1, 0), (2, 0), (0, 0), (1, 1)]
     assert sorted(exps, key=grlex_key) == [(0, 0), (1, 0), (0, 2), (1, 1), (2, 0)]

@@ -17,6 +17,7 @@ from nullsol.symbols import (
     pi_grades,
     principal_part,
     restrict_to_time,
+    t_coefficients,
     x_content,
 )
 from nullsol.variety import decide_emptiness
@@ -90,9 +91,24 @@ def test_x_content():
     assert c.dimension == 3
     assert c.generators == (MultiPoly(3, {(2, 0, 0): -1, (0, 2, 0): -1, (0, 0, 2): -1}),
                             MultiPoly.constant(3, 1))
+    # X1*X2*T: the zero a_0 is not built, and its power is kept with a_1
     c2 = x_content(MIXED)
     assert c2.generators == (MultiPoly(2, {(1, 1): 1}),)
+    assert t_coefficients(MIXED) == ((1, MultiPoly(2, {(1, 1): 1})),)
     assert x_content(MultiPoly.zero(3)).generators == ()
+    assert t_coefficients(MultiPoly.zero(3)) == ()
+    # the pairs rebuild p, each a_j nonzero and the powers increasing
+    rng = random.Random(7)
+    t = MultiPoly.variable(3, 2)
+    for _ in range(100):
+        p = random_multipoly(rng, 3, max_deg=4)
+        pairs = t_coefficients(p)
+        assert [j for j, _ in pairs] == sorted({e[-1] for e in p.terms})
+        assert all(not a.is_zero() for _, a in pairs)
+        assert x_content(p).generators == tuple(a for _, a in pairs)
+        lifted = (MultiPoly(3, {e + (0,): c for e, c in a.terms.items()}) * t ** j
+                  for j, a in pairs)
+        assert MultiPoly.sum_of(3, lifted) == p
 
 
 def test_imaginary_slice_splits_real_and_imaginary_parts():
@@ -226,8 +242,8 @@ def test_rotation_tables_match_ring_powers():
     # c * i^|e| and c * (2i)^|e| by GaussianRational arithmetic are the reference
     rng = random.Random(47)
     polys = [random_multipoly(rng, 3, max_deg=7, max_terms=8) for _ in range(200)]
-    polys += [parse("(3/2 - 5*i)*X1^3*X2^2 + i*X1*PI^2 + 7*X2^4*PI - 2", dim=2, allow_pi=True)[0]
-              .coefficients_in_T()[0]]
+    polys += x_content(parse("(3/2 - 5*i)*X1^3*X2^2 + i*X1*PI^2 + 7*X2^4*PI - 2", dim=2,
+                             allow_pi=True)[0]).generators
     for a in polys:
         rotated, grades = _reference_at_i_xi(a), _reference_pi_grades(a)
         assert at_i_xi(a) == rotated

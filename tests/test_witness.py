@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nullsol.parser import parse
+from nullsol.symbols import t_coefficients
 from nullsol.witness import (
     CertificateFailure,
     Witness,
@@ -82,7 +84,9 @@ def test_build_witness_zero_frequency():
     p, _ = parse("X1*X2*T")
     w = build_witness(p, [Fraction(0), Fraction(0)])
     assert w.kind == "ConstantTensorTheta"
-    assert len(w.coeff_polys) == 2  # a0 = 0 retained, a1 = X1*X2
+    # only the nonzero a_1 = X1*X2 is kept, with its power
+    assert [j for j, _ in w.coefficients] == [1]
+    assert (w.certificate, w.theta_max_order) == (((0, 0),), 1)
 
 
 def test_build_witness_rejects_bad_frequency():
@@ -104,25 +108,29 @@ def test_certificate_failure_reports_the_exact_value(text, value):
     with pytest.raises(CertificateFailure) as e:
         build_witness(p, [Fraction(1)])
     assert e.value.order == 0 and e.value.value == value
-    assert value == evaluate(p.coefficients_in_T()[0], [GaussianRational(0, 1)])
+    assert value == evaluate(dict(t_coefficients(p))[0], [GaussianRational(0, 1)])
 
 
 def test_witness_is_checked_when_constructed():
     # no Witness exists unchecked: direct construction and dataclasses.replace
     # run the exact certificate check too
     p, _ = parse("T - X1^2")
-    coeffs = tuple(p.coefficients_in_T())
+    coeffs = t_coefficients(p)
     with pytest.raises(CertificateFailure) as e:
         Witness((Fraction(1),), False, coeffs)
     assert (e.value.order, e.value.value) == (0, GaussianRational(1))
     w = Witness((Fraction(0),), False, coeffs[:1])  # the symbol -X1^2
-    assert (w.kind, w.certificate, len(w.theta)) == ("ConstantTensorTheta", ((0, 0),), 1)
+    assert (w.kind, w.certificate, w.theta_max_order) == ("ConstantTensorTheta", ((0, 0),), 0)
     with pytest.raises(CertificateFailure):
-        dataclasses.replace(w, coeff_polys=coeffs)
+        dataclasses.replace(w, coefficients=coeffs)
     with pytest.raises(ValueError):
         dataclasses.replace(w, certificate=(0,))
     with pytest.raises(ValueError):
         Witness((Fraction(0), Fraction(0)), False, coeffs[:1])
+    # the powers must increase from 0 up, and there must be one at least
+    for bad in ((), coeffs[::-1], coeffs[:1] * 2, ((-1, coeffs[0][1]),)):
+        with pytest.raises(ValueError, match="not increasing"):
+            Witness((Fraction(0),), False, bad)
 
 
 def test_periodic_witness_kind_at_zero_frequency():
@@ -130,7 +138,7 @@ def test_periodic_witness_kind_at_zero_frequency():
     p, _ = parse("X1*X2*T - X1*X2", dim=2, allow_pi=True)
     w = build_periodic_witness(p, [Fraction(0), Fraction(0)])
     assert w.kind == "PeriodicExponentialTheta"
-    assert w == Witness((0, 0), True, tuple(p.coefficients_in_T()))
+    assert w == Witness((0, 0), True, t_coefficients(p))
 
 
 def test_verify_residual_rejects_t_zero():
@@ -145,7 +153,7 @@ def test_periodic_witness():
     w = build_periodic_witness(p, [Fraction(1)])
     assert w.kind == "PeriodicExponentialTheta"
     assert w.pi_factor
-    assert len(w.certificate) == 2
+    assert len(w.certificate) == 1  # one entry per nonzero T-coefficient: a_1 only
     assert all(v == (0, 0) for v in w.certificate)
     report = verify_residual(w, [((x,), t) for x in (-1.0, 0.0, 1.0)
                                  for t in (0.5, 1.0, 2.0)])
@@ -157,3 +165,39 @@ def test_periodic_witness_rejects_non_resonant():
     p, _ = parse("T - X1^2", dim=1, allow_pi=True)
     with pytest.raises(CertificateFailure):
         build_periodic_witness(p, [Fraction(1)])
+
+
+def _reference_residual(w, grid):
+    """max_numeric_residual by the dense sum over every power 0..n with
+    theta_derivatives(n), a zero a_j included as 0; None where it overflows."""
+    coeffs = dict(w.coefficients)
+    freq = [(2 * math.pi if w.pi_factor else 1.0) * float(v) for v in w.frequency]
+    point = [1j * f for f in freq] + [complex(math.pi)] * w.pi_factor
+    thetas = theta_derivatives(w.theta_max_order)
+    values = [coeffs[j].evaluate_complex(point) if j in coeffs else 0j for j in range(len(thetas))]
+    try:
+        res = [abs(sum(c * th.theta_value(t) for c, th in zip(values, thetas))
+                   * cmath.exp(1j * sum(xi * fi for xi, fi in zip(x, freq)))) for x, t in grid]
+    except OverflowError:
+        return None
+    return max(res) if all(map(math.isfinite, res)) else None
+
+
+@pytest.mark.parametrize("text, freq, periodic", [
+    *((f"X1*T^{n}", 0, False) for n in (0, 1, 150, 151, 167, 168, 169)),
+    # a(i/10) is float noise, not 0, so the sums are nonzero below the limit
+    *((f"(X1^2+1/100)*T^{n}", Fraction(1, 10), False) for n in (1, 150, 151, 168)),
+    # zero interior coefficients, on both sides of the limit
+    ("(X1^2+1/100)*(T^150 + T^3)", Fraction(1, 10), False),
+    ("(X1^2+1/100)*(T^160 + T^3)", Fraction(1, 10), False),
+    ("X1*(T^200 + 1)", 0, False),
+    ("(X1^2+4*PI^2)*(T^150 + T)", 1, True),
+])
+def test_residual_at_the_float_range_boundary(text, freq, periodic):
+    # P_j leaves float range at j = 168, and Theta^(j)(1/2) from j = 151
+    p, _ = parse(text, dim=1, allow_pi=periodic)
+    w = (build_periodic_witness if periodic else build_witness)(p, [freq])
+    grid = [((x,), t) for x in (0.0, 1.0, -1.0) for t in (0.5, 1.0, 2.0)]
+    expected = _reference_residual(w, grid)
+    assert verify_residual(w, grid).max_numeric_residual == expected
+    assert (expected is None) == (w.theta_max_order > 150)
