@@ -65,10 +65,10 @@ _NONZERO_RULE_SPACES = {
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Invertible d x d rational matrix; rows are the transposed periods."""
+    """Invertible rational d x d A, rows the transposed periods; ``integer_inverse`` = (N, den)."""
 
     rows: tuple[tuple[Fraction, ...], ...]
-    _inverse: tuple[tuple[Fraction, ...], ...] = field(init=False, repr=False, compare=False)
+    integer_inverse: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = len(self.rows)
@@ -76,7 +76,7 @@ class LatticeSpec:
             raise ValueError("lattice matrix must be square and nonempty")
         if d > MAX_DIM:
             raise ValueError(f"lattice dimension must be at most {MAX_DIM}, got {d}")
-        object.__setattr__(self, "_inverse", _gauss_jordan_inverse(self.rows))
+        object.__setattr__(self, "integer_inverse", _integer_inverse(self.rows))
 
     @classmethod
     def from_rows(cls, rows) -> "LatticeSpec":
@@ -87,34 +87,36 @@ class LatticeSpec:
         return len(self.rows)
 
     def inverse(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Exact inverse, computed once when the lattice is built."""
-        return self._inverse
+        inv, den = self.integer_inverse
+        return tuple(tuple(Fraction(n, den) for n in row) for row in inv)
 
     def max_row_abs_sum(self) -> Fraction:
         return max(sum(abs(x) for x in row) for row in self.rows)
 
     def frequency_vector(self, k: tuple[int, ...]) -> tuple[Fraction, ...]:
         """A^-1 * k (the actual lattice frequency is 2*pi times this)."""
-        return tuple(sum(a * b for a, b in zip(row, k)) for row in self._inverse)
+        inv, den = self.integer_inverse
+        return tuple(Fraction(sum(a * b for a, b in zip(row, k)), den) for row in inv)
 
 
-def _gauss_jordan_inverse(rows) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of a square rational matrix; raises if singular."""
+def _integer_inverse(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``(N, den)`` with A^-1 = N/den in lowest terms, den > 0; raises if singular.
+    Fraction-free Gauss-Jordan takes [L*A | L*I], L clearing A, to [piv*I | piv*A^-1]."""
     d = len(rows)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(d)]
+    lcm = math.lcm(*(x.denominator for row in rows for x in row))
+    aug = [[int(x * lcm) for x in row] + [lcm * (i == j) for j in range(d)]
            for i, row in enumerate(rows)]
+    piv = 1
     for col in range(d):
-        pivot = next((r for r in range(col, d) if aug[r][col] != 0), None)
+        pivot = next((r for r in range(col, d) if aug[r][col]), None)
         if pivot is None:
             raise ValueError("lattice matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[d:]) for row in aug)
+        aug.insert(col, top := aug.pop(pivot))
+        aug = [row if row is top else [(top[col] * x - row[col] * y) // piv  # exact
+                                       for x, y in zip(row, top)] for row in aug]
+        piv = top[col]
+    g = math.gcd(piv, *(x for row in aug for x in row[d:])) * (1 if piv > 0 else -1)
+    return tuple(tuple(x // g for x in row[d:]) for row in aug), piv // g
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,7 @@ def _shell_key(box) -> tuple[int, tuple[int, ...]]:
     return max(max(a, -b, 0) for a, b in box), tuple(-b for _, b in box)
 
 
-def _fibre(terms: dict, den: int, inv: list[list[int]], prefix: list[int]) -> dict:
+def _fibre(terms: dict, den: int, inv: tuple[tuple[int, ...], ...], prefix: list[int]) -> dict:
     """``den^D * q(inv*k/den)`` for a grade ``q`` of degree D on the fibre
     ``k = (*prefix, t)``, as a univariate term dict in t."""
     degree = max(map(sum, terms))
@@ -251,7 +253,7 @@ def periodic_test(p: MultiPoly, lattice: LatticeSpec,
         evidence["lattice_point"] = [k]
         return Verdict(NONTRIVIAL, rule="lattice-resonance", evidence=evidence,
                        witness=build_periodic_witness(p, lattice.frequency_vector((k,))))
-    if unit_ideal_test(list(system.terms), config.groebner_cap):
+    if len(system.terms) > 1 and unit_ideal_test(list(system.terms), config.groebner_cap):
         return Verdict(TRIVIAL, rule="content-variety-empty", evidence={"groebner_unit": True})
 
     evidence: dict = {}
@@ -263,8 +265,7 @@ def periodic_test(p: MultiPoly, lattice: LatticeSpec,
         evidence["complete_radius"] = search_radius
 
     # With A^-1 = inv/den, a box of k maps into the integer box inv*k over den.
-    den = math.lcm(*(x.denominator for row in lattice.inverse() for x in row))
-    inv = [[int(x * den) for x in row] for row in lattice.inverse()]
+    inv, den = lattice.integer_inverse
     polys = [clear(terms, den) for terms in system.terms]
     heap, budget = [], BOX_BUDGET
     gave_up = {()} if dim == 1 else set()  # fibres split along k_d, not solved

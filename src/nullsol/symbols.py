@@ -8,7 +8,7 @@ lattice-periodic symbols (a PI slot before T) the pi-grading does the same
 for the frequencies 2*pi*v.  Both take ``i^k`` as a rotation of the
 coefficients' ``(re, im)`` pairs from a 4-entry table, and both slices split
 the rotated term dicts into their real and imaginary parts, clear them to
-integers and drop duplicates in one pass, keyed on the integer dicts.
+integers in one pass and drop duplicates up to a nonzero constant factor.
 """
 
 from __future__ import annotations
@@ -115,29 +115,29 @@ def at_i_xi(a: MultiPoly) -> MultiPoly:
 
 
 def _real_system(dimension: int, rotated) -> RealPolySystem:
-    """System of the real and imaginary parts of Q(i) term dicts, in order,
-    each part a real polynomial; zero parts and structural duplicates are
-    dropped.  One common factor clears every part, so two parts are equal
-    exactly when their integer dicts are, and those are the ``terms``."""
+    """System of the real and imaginary parts of Q(i) term dicts, in order, less zero parts and
+    duplicates up to a nonzero constant factor (the first kept; keyed on the primitive integer
+    dict, its greatest exponent's coefficient positive); one factor clears the kept parts."""
     parts = [part for terms in rotated for k in (0, 1)
              if (part := {e: c[k] for e, c in terms.items() if c[k]})]
-    kept: dict[frozenset, tuple] = {}
-    for part, ints in zip(parts, _cleared(parts)):
-        kept.setdefault(frozenset(ints.items()), (part, ints))
+    kept: dict[frozenset, dict] = {}
+    for part, ints in zip(parts, cleared := _cleared(parts)):
+        g = math.gcd(*ints.values()) * (1 if ints[max(ints)] > 0 else -1)
+        kept.setdefault(frozenset((e, c // g) for e, c in ints.items()), part)
     system = object.__new__(RealPolySystem)  # terms given, so no __post_init__
     object.__setattr__(system, "dimension", dimension)
     object.__setattr__(system, "polys", tuple(MultiPoly.from_clean(
-        dimension, {e: (c, 0) for e, c in p.items()}) for p, _ in kept.values()))
-    object.__setattr__(system, "terms", tuple(ints for _, ints in kept.values()))
+        dimension, {e: (c, 0) for e, c in p.items()}) for p in kept.values()))
+    # a dropped part may hold denominators that the kept ones lack
+    object.__setattr__(system, "terms", cleared if len(kept) == len(parts)
+                       else _cleared(list(kept.values())))
     return system
 
 
 def imaginary_slice(content: ContentGenerators) -> RealPolySystem:
-    """Real system whose zeros are the points xi with i*xi in the variety.
-
-    Every generator contributes its real and imaginary parts under
-    X -> i*xi; zero parts are dropped and structural duplicates removed.
-    """
+    """Real system whose zeros are the points xi with i*xi in the variety: the
+    real and imaginary parts of every generator under X -> i*xi, less zero
+    parts and duplicates up to a nonzero constant factor."""
     return _real_system(content.dimension, (at_i_xi(a).terms for a in content.generators))
 
 
@@ -163,8 +163,8 @@ def pi_graded_slice(content: ContentGenerators) -> RealPolySystem:
     the frequency 2*pi*v.
 
     ``content`` comes from a lattice-periodic symbol, so its last slot is
-    PI.  Every pi-grade of every generator contributes its real and
-    imaginary parts; zero parts are dropped and duplicates removed.
+    PI.  The real and imaginary parts of every pi-grade of every generator
+    form the system, less zero parts and duplicates up to a nonzero constant factor.
     """
     return _real_system(content.dimension - 1,
                         (q.terms for a in content.generators for q in pi_grades(a)))

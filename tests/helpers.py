@@ -348,6 +348,30 @@ def lattice_shell(dim: int, radius: int):
             yield (x,) + tail
 
 
+def reference_inverse(rows) -> tuple[tuple[tuple[Fraction, ...], ...] | None, Fraction]:
+    """``(A^-1, det A)`` by Gauss-Jordan elimination over Fractions, with
+    ``None`` for the inverse of a singular A."""
+    d = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
+           for i, row in enumerate(rows)]
+    det = Fraction(1)
+    for col in range(d):
+        pivot = next((r for r in range(col, d) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None, Fraction(0)
+        if pivot != col:
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            det = -det
+        pv = aug[col][col]
+        det *= pv
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(d):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[d:]) for row in aug), det
+
+
 def lattice_zeros(system: RealPolySystem, lattice: LatticeSpec,
                   radius: int) -> set[tuple[int, ...]]:
     """Every k in [-radius, radius]^d with A^-1 k a common zero of ``system``.

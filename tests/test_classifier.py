@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from collections import Counter
@@ -23,7 +24,13 @@ from nullsol.parser import MAX_DIM, parse
 from nullsol.symbols import pi_graded_slice, x_content
 from nullsol.variety import boundedness_radius
 
-from helpers import GaussianRational, lattice_shell, lattice_zeros, random_multipoly
+from helpers import (
+    GaussianRational,
+    lattice_shell,
+    lattice_zeros,
+    random_multipoly,
+    reference_inverse,
+)
 
 ALL_NONPERIODIC = [s for s in SolutionSpace if s is not SolutionSpace.PERIODIC]
 
@@ -131,7 +138,7 @@ def test_lattice_dimension_limit_before_the_inverse(monkeypatch):
     def no_inverse(rows):
         raise AssertionError("inverse computed")
 
-    monkeypatch.setattr(nullsol.classifier, "_gauss_jordan_inverse", no_inverse)
+    monkeypatch.setattr(nullsol.classifier, "_integer_inverse", no_inverse)
     with pytest.raises(ValueError, match="at most 32"):
         LatticeSpec.from_rows(identity(MAX_DIM + 1))
 
@@ -142,6 +149,34 @@ def test_lattice_inverse_and_frequency():
     assert inv == ((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 4)))
     assert lat.frequency_vector((1, 2)) == (Fraction(1, 2), Fraction(1, 2))
     assert lat.max_row_abs_sum() == 4
+
+
+def test_lattice_integer_inverse_matches_fraction_reference():
+    # random rational matrices, d <= 5, with zero entries, determinants of
+    # both signs and singular ones: the pair (N, den) is A^-1 in lowest terms
+    # with den > 0, and inverse() and frequency_vector() derive from it
+    rng = random.Random(38)
+    dets = Counter()
+    for _ in range(1500):
+        d = rng.randint(1, 5)
+        rows = [[Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 7))) if rng.random() < 0.7
+                 else 0 for _ in range(d)] for _ in range(d)]
+        reference, det = reference_inverse(rows)
+        dets[(det > 0) - (det < 0)] += 1
+        if reference is None:
+            with pytest.raises(ValueError, match="singular"):
+                LatticeSpec.from_rows(rows)
+            continue
+        lat = LatticeSpec.from_rows(rows)
+        inv, den = lat.integer_inverse
+        assert den > 0 and math.gcd(den, *(n for row in inv for n in row)) == 1
+        assert inv == tuple(tuple(int(x * den) for x in row) for row in reference)
+        assert lat.inverse() == reference
+        assert all(type(x) is Fraction for row in lat.inverse() for x in row)
+        k = tuple(rng.randint(-5, 5) for _ in range(d))
+        assert lat.frequency_vector(k) == tuple(sum(a * b for a, b in zip(row, k))
+                                                for row in reference)
+    assert min(dets[-1], dets[0], dets[1]) >= 100
 
 
 def test_lattice_shell_matches_filtered_cube():

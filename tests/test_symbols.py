@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import nullsol.classifier
+from nullsol.classifier import NONTRIVIAL, LatticeSpec, periodic_test
 from nullsol.multipoly import MultiPoly
 from nullsol.parser import parse
 from nullsol.symbols import (
@@ -148,12 +150,29 @@ def test_real_poly_system_terms_are_one_common_integer_multiple():
 
 
 def test_imaginary_slice_dedup():
-    # a0 and a1 structurally equal after substitution -> one system poly
-    p = parse("(X1^2+X2^2+1)*(T+1)")[0]
-    sys = imaginary_slice(x_content(p))
-    assert sys.dimension == 2
-    assert len(sys.polys) == 1
-    assert sys.polys[0] == MultiPoly(2, {(2, 0): -1, (0, 2): -1, (0, 0): 1})
+    # a0 and a1 equal after substitution, or equal up to a nonzero constant
+    # factor of either sign -> one system poly, the first
+    for text, first in (("(X1^2+X2^2+1)*(T+1)", 1), ("(X1^2+X2^2+1)*(T+2)", 2),
+                        ("(X1^2+X2^2+1)*(T-3/2)", Fraction(-3, 2))):
+        sys = imaginary_slice(x_content(parse(text)[0]))
+        assert sys.dimension == 2
+        assert sys.polys == (MultiPoly(2, {(2, 0): -first, (0, 2): -first, (0, 0): first}),)
+
+
+def test_pi_graded_slice_merges_proportional_grades(monkeypatch):
+    # a0 = 2*a1: the grades of a0 are twice those of a1, so the slice is the
+    # one pi^2 grade 100 - 4*|v|^2 and no Groebner test runs; the evidence
+    # is that of the two-copy system
+    p = parse("(X1^2+X2^2+100*PI^2)*(T+2)", dim=2, allow_pi=True)[0]
+    assert pi_graded_slice(x_content(p)).terms == ({(2, 0): -8, (0, 2): -8, (0, 0): 200},)
+    calls = []
+    monkeypatch.setattr(nullsol.classifier, "unit_ideal_test", lambda *args: calls.append(args))
+    for rows, point, radius in (([[1, 0], [0, 1]], [4, 3], 11), ([[2, 1], [1, 1]], [2, -1], 33),
+                                ([[Fraction(1, 2), 0], [1, 3]], [2, -5], 44)):
+        v = periodic_test(p, LatticeSpec.from_rows(rows))
+        assert (v.status, v.evidence) == (
+            NONTRIVIAL, {"complete_radius": radius, "lattice_point": point})
+    assert calls == []
 
 
 def test_slice_zero_correspondence_random():
@@ -222,12 +241,22 @@ def _reference_at_i_xi(a):
     return MultiPoly(a.nvars, {e: pair(c) * I ** sum(e) for e, c in a.terms.items()})
 
 
+def _proportional(p, q):
+    """True iff the real polynomials p and q are equal up to a nonzero factor."""
+    return p.terms.keys() == q.terms.keys() and len(
+        {c[0] / q.terms[e][0] for e, c in p.terms.items()}) == 1
+
+
 def _reference_slice(dimension, polys):
     """Real and imaginary parts of each polynomial, in order, zero parts and
-    duplicates dropped."""
-    parts = (MultiPoly(dimension, {e: pair(c)[k] for e, c in q.terms.items()})
-             for q in polys for k in (0, 1))
-    return tuple(dict.fromkeys(p for p in parts if not p.is_zero()))
+    duplicates up to a nonzero constant factor dropped (the first kept)."""
+    kept = []
+    for q in polys:
+        for k in (0, 1):
+            part = MultiPoly(dimension, {e: pair(c)[k] for e, c in q.terms.items()})
+            if not part.is_zero() and not any(_proportional(part, r) for r in kept):
+                kept.append(part)
+    return tuple(kept)
 
 
 def _reference_pi_grades(a):
