@@ -31,6 +31,7 @@ from .variety import (
     boundedness_radius,
     decide_emptiness,
     gcd_real_roots,
+    restrict,
 )
 from .witness import Witness, build_periodic_witness, build_witness
 
@@ -178,22 +179,6 @@ def _shell_key(box) -> tuple[int, tuple[int, ...]]:
     return max(max(a, -b, 0) for a, b in box), tuple(-b for _, b in box)
 
 
-def _fibre(terms: dict, den: int, inv: tuple[tuple[int, ...], ...], prefix: list[int]) -> dict:
-    """``den^D * q(inv*k/den)`` for a grade ``q`` of degree D on the fibre
-    ``k = (*prefix, t)``, as a univariate term dict in t."""
-    degree = max(map(sum, terms))
-    out = [0] * (degree + 1)  # coefficients of t^0, t^1, ...
-    for e, c in terms.items():
-        f = [c * den ** (degree - sum(e))]
-        for row, n in zip(inv, e):
-            x = sum(m * k for m, k in zip(row, prefix))
-            for _ in range(n):  # times (x + row[-1]*t)
-                f = [u * x + w * row[-1] for u, w in zip(f + [0], [0] + f)]
-        for j, u in enumerate(f):
-            out[j] += u
-    return {(j,): v for j, v in enumerate(out) if v}
-
-
 def periodic_test(p: MultiPoly, lattice: LatticeSpec,
                   config: SolverConfig = DEFAULT_CONFIG) -> Verdict:
     """Resonance test over the frequency lattice 2*pi * A^-1 * Z^d.
@@ -222,11 +207,11 @@ def periodic_test(p: MultiPoly, lattice: LatticeSpec,
     image excludes 0, and splits the widest of k1..k_{d-1} with the value
     nearest 0 as a child of its own; k_d stays whole.  Once k1..k_{d-1} are
     a point, the fibre is solved: the integer roots in range of the gcd of
-    the grades in k_d (:func:`_fibre`, :func:`gcd_real_roots`) are queued
-    as points, each checked exactly when popped.  A fibre on which every
-    grade vanishes, or whose gcd gives up, is split along k_d instead.  It
-    reports the first resonance in shell order: least max-norm, then k = 1
-    before k = -1.
+    the grades on its line (:func:`restrict`, :func:`gcd_real_roots`) are
+    queued as points, each checked exactly when popped.  A fibre on which
+    every grade vanishes, or whose gcd gives up (a None grade: restrict
+    refused it unexpanded), is split along k_d instead.  It reports the
+    first resonance in shell order: least max-norm, then k = 1 before k = -1.
     """
     dim = lattice.dimension
     if p.nvars != dim + 2:
@@ -266,6 +251,7 @@ def periodic_test(p: MultiPoly, lattice: LatticeSpec,
 
     # With A^-1 = inv/den, a box of k maps into the integer box inv*k over den.
     inv, den = lattice.integer_inverse
+    step = [row[-1] for row in inv]  # a fibre is the line inv*(prefix, t)/den
     polys = [clear(terms, den) for terms in system.terms]
     heap, budget = [], BOX_BUDGET
     gave_up = {()} if dim == 1 else set()  # fibres split along k_d, not solved
@@ -277,8 +263,8 @@ def periodic_test(p: MultiPoly, lattice: LatticeSpec,
         prefix, (a, b) = box[:-1], box[-1]
         if all(lo == hi for lo, hi in prefix) and prefix not in gave_up:
             budget -= 1
-            fixed = [x for x, _ in prefix]
-            found = gcd_real_roots([_fibre(terms, den, inv, fixed) for terms in system.terms])
+            base = [sum(m * x for m, (x, _) in zip(row, prefix)) for row in inv]  # inv*(prefix, 0)
+            found = gcd_real_roots([restrict(terms, base, step, den) for terms in system.terms])
             if found is not None:
                 for num, q in filter(None, found[1]):
                     if q == 1 and a <= num <= b:

@@ -86,8 +86,8 @@ BOX_BUDGET = 100_000
 _SUBSTITUTION_LIMIT = 10_000
 # Most work, n^2 * (b + log2 n) for a univariate polynomial with n
 # coefficients of up to b bits, that the gcd of univariate polynomials
-# (see _univariate_gcd) takes on, in the d = 1 Sturm stage and the d = 1
-# periodic test; past it the radius proof and subdivision, or the lattice
+# (see _univariate_gcd) takes on, in d = 1, on a lift and on a fibre (see
+# restrict); past it the radius proof and subdivision, or the lattice
 # search, run instead.  The count takes under 0.1 s at the limit (dense,
 # CPython 3.11, one core of a 2-CPU VM).  A gcd that a certificate or the
 # periodic evidence prints is constant, or linear with its root found
@@ -437,9 +437,9 @@ def _univariate_gcd(terms) -> list[int] | None:
     """The primitive gcd over Z of univariate term dicts (zero ones
     skipped), with a positive leading coefficient, by primitive
     pseudo-remainder sequences; None with no nonzero one or past
-    _STURM_LIMIT."""
+    _STURM_LIMIT, as with a None entry (one :func:`restrict` refused)."""
     polys = [[p.get((k,), 0) for k in range(max(e for e, in p), -1, -1)] for p in terms if p]
-    if max(map(_work, polys), default=_STURM_LIMIT + 1) > _STURM_LIMIT:
+    if None in terms or max(map(_work, polys), default=_STURM_LIMIT + 1) > _STURM_LIMIT:
         return None
     g: list[int] = []
     for p in polys:
@@ -590,8 +590,30 @@ def gcd_real_roots(terms) -> tuple[list[int], list[tuple[int, int] | None]] | No
     return g, roots
 
 
+def restrict(p: dict, base, step, den: int) -> dict | None:
+    """``den^D * p((base + t*step)/den)``, for a nonzero integer term dict ``p``
+    of total degree D and integer vectors ``base``, ``step``, as the term dict
+    in t that :func:`gcd_real_roots` takes; None, unexpanded, if its t^D
+    coefficient alone puts it past _STURM_LIMIT."""
+    n = (degree := max(map(sum, p))) + 1
+    lead = sum(c * math.prod(map(pow, step, e)) for e, c in p.items() if sum(e) == degree)
+    if lead and n * n * (n.bit_length() + abs(lead).bit_length()) > _STURM_LIMIT:  # <= its _work
+        return None
+    out = [0] * n  # coefficients of t^0, t^1, ...
+    for e, c in p.items():
+        f, shift = [c * den ** (degree - sum(e))], 0
+        for x, s, k in itertools.compress(zip(base, step, e), e):  # times (x + s*t)^k
+            if x and s:  # one binomial row
+                f = _mul(f, [math.comb(k, j) * x ** (k - j) * s ** j for j in range(k + 1)])
+            else:  # a power (s = 0) or a shift (x = 0)
+                f, shift = [u * (x or s) ** k for u in f], shift + (0 if x else k)
+        for j, u in enumerate(f, shift):
+            out[j] += u
+    return {(j,): v for j, v in enumerate(out) if v}
+
+
 def _mul(a: list[int], b: list[int]) -> list[int]:
-    """The product of two polynomials in x1, lists as in _pseudo_remainder."""
+    """The product of two univariate polynomials, lists in one order."""
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         for j, y in enumerate(b):
@@ -671,14 +693,14 @@ def _resultant_stage(polys: list[tuple[int, dict]], diagnostics: dict) -> tuple 
 
     Every real zero has its x1 among the real roots of ``r``.  At each
     rational one, ``a``, in increasing order, the gcd in x2 of all the
-    polynomials at x1 = ``a`` holds the zeros above it: its first rational
-    root, or 0 if every polynomial vanishes there, gives the least rational
-    zero in lexicographic order.  No real zero when every real root of
-    ``r`` is rational and no gcd has a real root; ``lifts`` lists each ``a``
-    with its gcd.  The roots come from :func:`_real_roots`, and where it
-    gives up, so does the stage.  ``polys`` holds (polynomial index,
-    nonzero term dict) pairs, and ``pair`` names the polynomials ``r``
-    comes from by that index.
+    polynomials restricted to x1 = ``a`` (:func:`restrict`; None is past the
+    gcd's bound) holds the zeros above it: its first rational root, or 0 if
+    every polynomial vanishes there, gives the least rational zero in
+    lexicographic order.  No real zero when every real root of ``r`` is
+    rational and no gcd has a real root; ``lifts`` lists each ``a`` with its
+    gcd.  The roots come from :func:`_real_roots`, and where it gives up, so
+    does the stage.  ``polys`` holds (polynomial index, nonzero term dict)
+    pairs, and ``pair`` names the polynomials ``r`` comes from by that index.
     """
     found = _eliminant(polys)
     if found is None or _work(found[1]) > _RESULTANT_LIMIT:
@@ -691,14 +713,9 @@ def _resultant_stage(polys: list[tuple[int, dict]], diagnostics: dict) -> tuple 
                                 "real_roots": len(roots), "rational_roots": len(rational)}
     lifts = []
     for num, den in rational:
-        restricted = []
-        for _, p in polys:
-            top, f = max(e[0] for e in p), {}
-            for (i, j), c in p.items():
-                f[(j,)] = f.get((j,), 0) + c * num ** i * den ** (top - i)
-            restricted.append({e: c for e, c in f.items() if c})
+        restricted = [restrict(p, (num, 0), (0, den), den) for _, p in polys]
         x2: tuple[int, int] | None = (0, 1)
-        if any(restricted):
+        if any(r != {} for r in restricted):
             if (lift := gcd_real_roots(restricted)) is None:
                 return None
             g, above = lift

@@ -277,6 +277,28 @@ def reference_resultant(p: dict, q: dict) -> list[Fraction]:
     return r[next((i for i, c in enumerate(r) if c), len(r)):]
 
 
+def reference_restrict(p: dict, base, step, den: int) -> dict:
+    """``den^D * p((base + t*step)/den)`` for a term dict ``p`` of total degree
+    D, as a univariate term dict in t with integer coefficients.
+
+    Each coordinate is the Fraction line ``(base_i + t*step_i)/den``,
+    multiplied in one linear factor at a time, so it is independent of the
+    solver's binomial rows and its integer scaling; ``den^D`` clears every
+    denominator at the end.
+    """
+    degree = max(map(sum, p))
+    out = [Fraction(0)] * (degree + 1)   # t^0, t^1, ...
+    for exps, c in p.items():
+        f = [Fraction(c * den ** degree)]
+        for x, s, e in zip(base, step, exps):
+            for _ in range(e):
+                f = _q_poly_mul(f, [Fraction(x, den), Fraction(s, den)])
+        for j, u in enumerate(f):
+            out[j] += u
+    assert all(u.denominator == 1 for u in out)
+    return {(j,): int(u) for j, u in enumerate(out) if u}
+
+
 # -- dense-grid oracle -----------------------------------------------------
 
 def _poly_on_grid(poly: MultiPoly, grids: list[np.ndarray]) -> np.ndarray:

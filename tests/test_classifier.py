@@ -353,17 +353,41 @@ def test_periodic_fibres_cut_the_enclosures(monkeypatch, text, rows, most):
 
 def test_periodic_fibre_past_the_gcd_bound_is_solved_once(monkeypatch):
     # the pi^10 grade is a multiple of c*(4*v2^2 - 1)*(v2^8 + 3), c = 3^600,
-    # whose work is past _STURM_LIMIT, and the pi grade 2*(v1 + v2) tells
-    # the fibres k1 = -16..16 apart: each gives up once and is split along
-    # k2, never solved again
+    # whose work is past _STURM_LIMIT, so restrict refuses it (None) without
+    # expanding it, and the pi grade 2*(v1 + v2) tells the fibres
+    # k1 = -16..16 apart: each gives up once and is split along k2, never
+    # solved again
     calls = _record_calls(monkeypatch, "gcd_real_roots")
-    v = periodic(f"{3 ** 600}*(X2^10 + X2^8*PI^2 + 768*X2^2*PI^8 + 768*PI^10)*T"
-                 " + (X1 + X2)*T^2", [[1, 0], [0, 1]])
+    text = (f"{3 ** 600}*(X2^10 + X2^8*PI^2 + 768*X2^2*PI^8 + 768*PI^10)*T"
+            " + (X1 + X2)*T^2")
+    v = periodic(text, [[1, 0], [0, 1]])
     assert (v.status, v.rule) == (UNKNOWN, "lattice-search-exhausted")
     assert v.evidence == {"searched_radius": 16, "reason": "lattice-truncated"}
-    fibres = [tuple(tuple(sorted(terms.items())) for terms in args[0]) for args in calls]
+    grades = pi_graded_slice(x_content(parse(text, dim=2, allow_pi=True)[0])).terms
+    top = [max(map(sum, q)) for q in grades].index(10)  # the pi^10 grade
+    assert all([q is None for q in args[0]] == [i == top for i in range(len(grades))]
+               for args in calls)
+    fibres = [tuple(tuple(sorted(q.items())) for q in args[0] if q is not None) for args in calls]
     assert len(fibres) == len(set(fibres)) == 33
     assert all(nullsol.variety._univariate_gcd(args[0]) is None for args in calls)
+
+
+@pytest.mark.parametrize("text, rows", [
+    # the pi^20000 grade 2^20000*v2^20000 on the fibre v = (k1, t): its t^20000
+    # coefficient puts it past the gcd bound, so it is refused unexpanded
+    ("(X2^20000+X1^2+PI^2)*T", [[1, 0], [0, 1]]),
+    # on the fibre v = (t, k1) the same grade is the power 2^20000*k1^20000
+    ("(X2^20000+X1^2+PI^2)*T", [[0, 1], [1, 0]]),
+    # the grade 2^6000*(v1*v2)^3000 on v = (k1 - t, 2*t - k1): its t^6000
+    # coefficient 2^9000 puts it past the bound, refused unexpanded
+    ("(X1^3000*X2^3000+X1^2+PI^2)*T", [[2, 1], [1, 1]]),
+])
+def test_periodic_fibre_of_a_high_degree_grade_is_fast(text, rows):
+    start = time.perf_counter()
+    v = periodic(text, rows)
+    assert time.perf_counter() - start < 2
+    assert (v.status, v.rule) == (UNKNOWN, "lattice-search-exhausted")
+    assert v.evidence == {"searched_radius": 16, "reason": "lattice-truncated"}
 
 
 def test_periodic_fibre_queues_only_integer_roots(monkeypatch):

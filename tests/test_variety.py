@@ -34,6 +34,7 @@ from helpers import (
     random_multipoly,
     random_rational,
     reference_resultant,
+    reference_restrict,
     substitute_value,
 )
 from test_acceptance import SUITE_CONFIG, generate_suite
@@ -974,6 +975,61 @@ def test_resultant_of_a_long_linear_pair_is_fast():
         for k, v in enumerate(b1):
             expected[i + k] -= a0[i] * v
     assert r == expected[next(i for i, x in enumerate(expected) if x):]
+
+
+def test_restrict_matches_the_fraction_expansion():
+    # integer term dicts in d = 1..3 of degree <= 6 on lines with zero and
+    # negative entries; a content of up to 3^2000 takes some of them past
+    # the gcd bound, where restrict refuses what the gcd would refuse.  On
+    # lift lines (d = 2, base (num, 0), step (0, den)) it is the lift
+    # _resultant_stage once built in place, times den^(D - top)
+    rng = random.Random(39)
+    kinds = Counter()
+    for _ in range(1500):
+        d, den = rng.randint(1, 3), rng.randint(1, 5)
+        content = 3 ** rng.choice([0, 0, 0, 1200, 1600, 2000])
+        p: dict = {}
+        while not p:
+            for _ in range(rng.randint(1, 5)):
+                e = [0] * d
+                for _ in range(rng.randint(0, 6)):
+                    e[rng.randrange(d)] += 1
+                p[tuple(e)] = rng.randint(-9, 9) * content
+            p = {e: c for e, c in p.items() if c}
+        lift = d == 2 and rng.random() < 0.5
+        if lift:
+            num = rng.randint(-6, 6)
+            base, step = (num, 0), (0, den)
+        else:
+            base, step = ([rng.randint(-3, 3) for _ in range(d)] for _ in range(2))
+        got = nullsol.variety.restrict(p, base, step, den)
+        ref = reference_restrict(p, base, step, den)
+        if got is None:
+            assert nullsol.variety._univariate_gcd([ref]) is None
+            kinds["refused"] += 1
+            continue
+        assert got == ref
+        kinds["expanded"] += 1
+        if lift:
+            top, old = max(e[0] for e in p), {}
+            for (i, j), c in p.items():
+                old[(j,)] = old.get((j,), 0) + c * num ** i * den ** (top - i)
+            degree = max(map(sum, p))
+            assert got == {e: c * den ** (degree - top) for e, c in old.items() if c}
+            kinds["lift"] += 1
+    assert min(kinds.values()) >= 100, kinds
+
+
+def test_a_refused_lift_gives_the_stage_up():
+    # at x1 = -1 the first polynomial vanishes, and restrict refuses the
+    # second, 3^600*x2^20 - 1, as past the gcd's bound: that None is not a
+    # vanishing polynomial, so the stage gives up instead of reporting
+    # (-1, 0), which is no zero
+    sys = RealPolySystem(2, (MultiPoly(2, {(2, 0): 1, (0, 0): -1}),
+                             MultiPoly(2, {(0, 20): 3 ** 600, (2, 0): -1})))
+    assert nullsol.variety.restrict(sys.terms[1], (-1, 0), (0, 1), 1) is None
+    assert nullsol.variety._resultant_stage(list(enumerate(sys.terms)), {"pipeline": []}) is None
+    assert decide_emptiness(sys).status == UNKNOWN
 
 
 def test_common_factor_skips_the_stage():
